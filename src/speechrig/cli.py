@@ -1,8 +1,11 @@
 """Command-line surface for the rig-generation pipeline.
 
 Subcommands: infer, train, analyze, blink-fit, blink-detect, gradcheck.
-Every run is a pure function of its inputs, flags, and seed; running a
-command twice produces byte-identical artifacts.
+Every run is a pure function of its inputs, flags, seed and BLAS thread
+count: at a fixed thread count (OPENBLAS_NUM_THREADS) running a command
+twice produces byte-identical artifacts. infer runs its encoder stack in
+float32, so across thread counts its outputs differ in the last float32
+digits: by at most 1e-5 relative to the largest output magnitude.
 
 Exit codes: 0 ok, 2 usage, 3 bad data, 4 numeric failure. With
 --json-errors, failures also emit one machine-readable JSON line on

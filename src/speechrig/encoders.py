@@ -52,15 +52,21 @@ def init_encoder_params(feature_dim: int, d_model: int = D_MODEL,
         bound = np.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-bound, bound, (n_in, n_out))
 
-    return EncoderParams(
-        content_w=glorot(feature_dim, d_model),
-        content_b=np.zeros(d_model),
-        emotion_embed=rng.normal(0.0, 0.02, (N_EMOTIONS, d_model)),
-        emotion_w1=glorot(d_model, d_model),
-        emotion_b1=np.zeros(d_model),
-        emotion_w2=glorot(d_model, d_model),
-        emotion_b2=np.zeros(d_model),
-    )
+    def init(name, shape):
+        if name == "emotion_embed":
+            return rng.normal(0.0, 0.02, shape)
+        return glorot(*shape) if len(shape) == 2 else np.zeros(shape)
+
+    shapes = encoder_shapes(feature_dim, d_model)
+    return EncoderParams(**{k: init(k, s) for k, s in shapes.items()})
+
+
+def encoder_shapes(feature_dim: int, d_model: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each learnable ``EncoderParams`` tensor, in field order."""
+    return {"content_w": (feature_dim, d_model), "content_b": (d_model,),
+            "emotion_embed": (N_EMOTIONS, d_model),
+            "emotion_w1": (d_model, d_model), "emotion_b1": (d_model,),
+            "emotion_w2": (d_model, d_model), "emotion_b2": (d_model,)}
 
 
 @functools.lru_cache(maxsize=32)

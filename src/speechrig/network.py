@@ -23,15 +23,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .encoders import (
+    LEAKY_SLOPE,
     EncoderParams,
     encode_content,
     encode_emotion_table,
+    encoder_shapes,
     init_encoder_params,
     leaky_relu,
 )
@@ -68,10 +72,17 @@ class LayerParams:
     ln2_b: np.ndarray
 
 
-_LAYER_FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                 "ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
-_ENCODER_FIELDS = ("content_w", "content_b", "emotion_embed",
-                   "emotion_w1", "emotion_b1", "emotion_w2", "emotion_b2")
+# shape of each layer tensor, in field order: "d" is d_model, "f" is d_ff
+_LAYER_SHAPES = {"wq": "dd", "bq": "d", "wk": "dd", "bk": "d", "wv": "dd", "bv": "d",
+                 "wo": "dd", "bo": "d", "ln1_g": "d", "ln1_b": "d", "w1": "df", "b1": "f",
+                 "w2": "fd", "b2": "d", "ln2_g": "d", "ln2_b": "d"}
+_LAYER_FIELDS = tuple(_LAYER_SHAPES)
+_ENCODER_FIELDS = tuple(encoder_shapes(0, 0))  # names only; the dims do not matter
+
+
+def _layer_shapes(d_model: int, d_ff: int) -> dict[str, tuple[int, ...]]:
+    dims = {"d": d_model, "f": d_ff}
+    return {k: tuple(dims[c] for c in s) for k, s in _LAYER_SHAPES.items()}
 
 
 @dataclass
@@ -120,19 +131,15 @@ def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
         bound = np.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-bound, bound, (n_in, n_out))
 
+    def init(name, shape):
+        if len(shape) == 2:
+            return glorot(*shape)
+        return np.ones(shape) if name.endswith("_g") else np.zeros(shape)
+
     encoder = init_encoder_params(feature_dim, d_model, rng)
-    layers = []
-    for _ in range(n_layers):
-        layers.append(LayerParams(
-            wq=glorot(d_model, d_model), bq=np.zeros(d_model),
-            wk=glorot(d_model, d_model), bk=np.zeros(d_model),
-            wv=glorot(d_model, d_model), bv=np.zeros(d_model),
-            wo=glorot(d_model, d_model), bo=np.zeros(d_model),
-            ln1_g=np.ones(d_model), ln1_b=np.zeros(d_model),
-            w1=glorot(d_model, d_ff), b1=np.zeros(d_ff),
-            w2=glorot(d_ff, d_model), b2=np.zeros(d_model),
-            ln2_g=np.ones(d_model), ln2_b=np.zeros(d_model),
-        ))
+    shapes = _layer_shapes(d_model, d_ff)
+    layers = [LayerParams(**{k: init(k, s) for k, s in shapes.items()})
+              for _ in range(n_layers)]
     return RigModel(
         encoder=encoder,
         layers=layers,
@@ -175,10 +182,11 @@ def _set_parameter(model: RigModel, name: str, value: np.ndarray) -> None:
 # --- primitive forward/backward pairs ---------------------------------------
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_inplace(x: np.ndarray) -> np.ndarray:
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _layer_norm_forward(x, g, b):
@@ -215,8 +223,11 @@ def _attention_forward(x, p: LayerParams, n_heads):
     qh = _split_heads(x @ p.wq + p.bq, n_heads)
     kh = _split_heads(x @ p.wk + p.bk, n_heads)
     vh = _split_heads(x @ p.wv + p.bv, n_heads)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
-    attn = _softmax(qh @ kh.transpose(0, 2, 1) * scale)
+    # a Python float keeps float32 scores float32
+    scale = float(1.0 / np.sqrt(qh.shape[-1]))
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= scale
+    attn = _softmax_inplace(scores)
     merged = _merge_heads(attn @ vh)
     out = merged @ p.wo + p.bo
     return out, (x, qh, kh, vh, attn, merged, scale)
@@ -414,6 +425,7 @@ def grad_check(model: RigModel, features, labels, target, eps: float = 1e-5,
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     target = np.asarray(target, dtype=np.float64)
+    upcast_to_float64(model)
 
     y, cache = training_forward(model, features, labels, rng=None)
     loss, dy = mse_and_grad(y, target)
@@ -508,8 +520,14 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     """Predict a 60 fps rig sequence for a feature stream and emotion timeline.
 
     Features at other rates are resampled internally. Long clips run in
-    overlapping chunks whose overlap regions are linearly crossfaded;
-    positions restart inside each chunk. Inference is deterministic.
+    overlapping chunks whose overlap regions are linearly crossfaded.
+    Positions are global frame indices: each chunk's encoding starts at
+    its own start frame, so a chunk sees the positions it has in the clip.
+
+    The encoder stack and head run in float32: each chunk's encoder
+    output is cast to float32 before the first layer. Reruns are
+    byte-identical at a fixed BLAS thread count; across thread counts
+    they agree within 1e-5 relative to the largest output.
     """
     cfg = cfg or InferenceConfig()
     if features.n_features != model.feature_dim:
@@ -523,16 +541,42 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     labels = validate_timeline(timeline, n)
     data = features.data.astype(np.float64)
     etab = encode_emotion_table(model.encoder)
+    stack = _float32_stack(model)
 
     def run_chunk(s, e):
         # Positions are global frame indices, so a clip shorter than one
         # chunk is bit-identical to an unchunked pass.
         content = encode_content(data[s:e], model.encoder, pos_offset=s)
-        h0 = content + etab[labels[s:e]]
-        y, _, _ = _stack_forward(model, h0, train=False, rng=None, keep_attention=False)
+        h0 = np.asarray(content + etab[labels[s:e]], np.float32)
+        y, _, _ = _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)
         return y
 
     return RigSequence(chunked_apply(run_chunk, n, model.output_dim, cfg), RIG_FPS)
+
+
+def _float32_stack(model: RigModel) -> RigModel:
+    """The encoder layers and head as float32.
+
+    ``np.asarray`` copies nothing for a loaded model, whose tensors are
+    float32 already.
+    """
+    def f32(a):
+        return np.asarray(a, np.float32)
+
+    layers = [LayerParams(**{f: f32(getattr(p, f)) for f in _LAYER_FIELDS})
+              for p in model.layers]
+    return replace(model, layers=layers, head_w=f32(model.head_w), head_b=f32(model.head_b))
+
+
+def upcast_to_float64(model: RigModel) -> None:
+    """Replace float32 tensors (a loaded model's) by float64 copies in place.
+
+    Training and ``grad_check`` run in double precision; for a model that
+    is float64 already this does nothing.
+    """
+    for name, param in named_parameters(model):
+        if param.dtype != np.float64:
+            _set_parameter(model, name, param.astype(np.float64))
 
 
 def chunked_apply(run_chunk, n_frames: int, out_dim: int,
@@ -592,48 +636,115 @@ def save_model(path, model: RigModel) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+_META_DIMS = {  # metadata key -> smallest valid value
+    "feature_dim": 1, "d_model": 1, "n_layers": 0, "n_heads": 1, "d_ff": 0, "output_dim": 1,
+}
+
+
+def _check_metadata(path, meta) -> None:
+    """Reject metadata whose dims, dropout, slope or manifest are unusable."""
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: metadata must be a JSON object")
+    for key in (*_META_DIMS, "dropout", "feature_family", "tensors"):
+        if key not in meta:
+            raise DataError(f"{path}: metadata lacks {key!r}")
+    for key, least in _META_DIMS.items():
+        if type(meta[key]) is not int or meta[key] < least:
+            raise DataError(f"{path}: metadata {key} must be an integer >= {least}, "
+                            f"got {meta[key]!r}")
+    if meta["d_model"] % meta["n_heads"] != 0:
+        raise DataError(f"{path}: d_model {meta['d_model']} not divisible by "
+                        f"n_heads {meta['n_heads']}")
+    for key in ("dropout", "leaky_slope"):
+        value = meta.get(key, 0.0)
+        if type(value) not in (int, float):
+            raise DataError(f"{path}: metadata {key} must be a number, got {value!r}")
+    if not isinstance(meta["feature_family"], str):
+        raise DataError(f"{path}: metadata feature_family must be a string")
+    if not isinstance(meta["tensors"], list):
+        raise DataError(f"{path}: metadata tensors must be a list")
+
+
+def _parameter_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor ``named_parameters`` lists, from the dims."""
+    d, out = meta["d_model"], meta["output_dim"]
+    shapes = {f"encoder.{k}": s
+              for k, s in encoder_shapes(meta["feature_dim"], d).items()}
+    layer = _layer_shapes(d, meta["d_ff"])
+    for i in range(meta["n_layers"]):
+        shapes.update({f"layers.{i}.{k}": s for k, s in layer.items()})
+    shapes["head_w"] = (d, out)
+    shapes["head_b"] = (out,)
+    return shapes
+
+
 def load_model(path) -> RigModel:
-    """Read a weight file back into a model (f32 payloads upcast to f64)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _WHEADER.size:
+    """Read a weight file into a model whose tensors stay float32.
+
+    Every tensor is read straight into its own array; ``infer`` uses them
+    as they are, and ``train`` / ``grad_check`` upcast them to float64.
+    """
+    try:
+        with open(path, "rb") as f:
+            return _read_weights(path, f)
+    except OSError as exc:
+        raise DataError(f"cannot read weight file {path}: {exc}") from None
+
+
+def _read_weights(path, f) -> RigModel:
+    header = f.read(_WHEADER.size)
+    if len(header) < _WHEADER.size:
         raise DataError(f"{path}: too short for a weight header")
-    magic, version, meta_len = _WHEADER.unpack_from(blob)
+    magic, version, meta_len = _WHEADER.unpack(header)
     if magic != WEIGHT_MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}")
     if version != WEIGHT_VERSION:
         raise DataError(f"{path}: unsupported version {version}")
+    raw = f.read(meta_len)
     try:
-        meta = json.loads(blob[_WHEADER.size:_WHEADER.size + meta_len])
-    except json.JSONDecodeError as exc:
+        meta = json.loads(raw)
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise DataError(f"{path}: corrupt metadata: {exc}") from None
+    _check_metadata(path, meta)
 
-    model = build_model(
-        feature_dim=meta["feature_dim"], d_model=meta["d_model"],
-        n_layers=meta["n_layers"], n_heads=meta["n_heads"], d_ff=meta["d_ff"],
-        output_dim=meta["output_dim"], dropout=meta["dropout"],
-        feature_family=meta["feature_family"],
-    )
-    model.encoder.leaky_slope = meta.get("leaky_slope", model.encoder.leaky_slope)
+    specs = meta["tensors"]
+    # checked before the shape table is built, which a corrupt n_layers could blow up
+    if len(_LAYER_FIELDS) * meta["n_layers"] > len(specs):
+        raise DataError(f"{path}: missing tensors: {meta['n_layers']} layers declared, "
+                        f"{len(specs)} tensors listed")
+    expect = _parameter_shapes(meta)
     payload_start = _WHEADER.size + meta_len
-    expect = {name: arr.shape for name, arr in named_parameters(model)}
-    for spec in meta["tensors"]:
-        name, shape = spec["name"], tuple(spec["shape"])
-        if name not in expect:
+    file_size = os.fstat(f.fileno()).st_size
+    tensors = {}
+    for spec in specs:
+        try:
+            name, shape, offset = spec["name"], tuple(spec["shape"]), spec["offset"]
+        except (KeyError, TypeError):
+            raise DataError(f"{path}: malformed tensor entry {spec!r}") from None
+        if not isinstance(name, str) or name not in expect:
             raise DataError(f"{path}: unknown tensor {name!r}")
         if expect[name] != shape:
             raise DataError(f"{path}: tensor {name} has shape {shape}, expected {expect[name]}")
-        start = payload_start + spec["offset"]
-        count = int(np.prod(shape)) if shape else 1
-        end = start + count * 4
-        if end > len(blob):
+        if type(offset) is not int or offset < 0:
+            raise DataError(f"{path}: tensor {name} has bad offset {offset!r}")
+        start = payload_start + offset
+        if start + 4 * math.prod(shape) > file_size:
             raise DataError(f"{path}: truncated payload for tensor {name}")
-        arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape).astype(np.float64)
-        _set_parameter(model, name, arr)
+        arr = np.empty(expect[name], dtype="<f4")
+        f.seek(start)
+        f.readinto(arr)
+        tensors[name] = arr
         del expect[name]
     if expect:
         raise DataError(f"{path}: missing tensors {sorted(expect)}")
-    return model
+
+    encoder = EncoderParams(**{k: tensors[f"encoder.{k}"] for k in _ENCODER_FIELDS},
+                            leaky_slope=meta.get("leaky_slope", LEAKY_SLOPE))
+    layers = [LayerParams(**{k: tensors[f"layers.{i}.{k}"] for k in _LAYER_FIELDS})
+              for i in range(meta["n_layers"])]
+    return RigModel(encoder=encoder, layers=layers, head_w=tensors["head_w"],
+                    head_b=tensors["head_b"], n_heads=meta["n_heads"],
+                    dropout=meta["dropout"], feature_family=meta["feature_family"])
 
 
 def file_sha256(path) -> str:

@@ -283,10 +283,11 @@ def write_rig_csv(path, seq: RigSequence, cmap: ControllerMap | None = None) -> 
     frame, 9 significant digits per value."""
     names = cmap.names if cmap is not None else tuple(
         f"ch{i:03d}" for i in range(seq.values.shape[1]))
+    row = ",".join(["%.9g"] * seq.values.shape[1]) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(names) + "\n")
-        for row in seq.values:
-            f.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        for r in seq.values:
+            f.write(row % tuple(r.tolist()))
 
 
 def read_rig_csv(path, fps: float = RIG_FPS) -> RigSequence:

@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .features import load_features, resample_features
-from .network import RigModel, clip_loss_and_grads, mse_and_grad, named_parameters
+from .network import (
+    RigModel,
+    clip_loss_and_grads,
+    mse_and_grad,
+    named_parameters,
+    upcast_to_float64,
+)
 from .rig import N_EMOTIONS, RIG_FPS, constant_timeline, emotion_id, read_rig_csv
 
 
@@ -171,6 +177,7 @@ def train(model: RigModel, dataset, cfg: TrainConfig,
                 f"({item.features.shape[0]}, {model.output_dim})"
             )
 
+    upcast_to_float64(model)  # a loaded model holds float32 tensors
     rng = np.random.default_rng(cfg.seed)
     params = named_parameters(model)
     opt = Adam(params, cfg.beta1, cfg.beta2, cfg.adam_eps)

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: determinism, injector wiring, exit codes."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import speechrig
 from speechrig.cli import main
 from speechrig.features import FeatureSequence, write_feature_file
 from speechrig.network import InferenceConfig, build_model, infer, load_model, save_model
@@ -154,6 +159,98 @@ class TestInfer:
                        "--weights", workdir / "ablated.emow", "--out", out) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _rewrite_metadata(src, dst, edit):
+    """Copy a weight file, passing its metadata JSON through ``edit``."""
+    blob = src.read_bytes()
+    magic, version, n = struct.unpack_from("<4sII", blob)
+    meta = json.loads(blob[12:12 + n])
+    edit(meta)
+    new = json.dumps(meta).encode("utf-8")
+    dst.write_bytes(struct.pack("<4sII", magic, version, len(new)) + new + blob[12 + n:])
+
+
+def _set(key, value):
+    return lambda meta: meta.__setitem__(key, value)
+
+
+class TestWeightFileErrors:
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda meta: meta.pop("d_ff"), "d_ff"),
+        (_set("n_heads", "2"), "n_heads"),
+        (_set("d_model", 16.0), "d_model"),
+        (_set("n_layers", -1), "n_layers"),
+        (_set("n_heads", 3), "divisible"),
+        (_set("dropout", "0.1"), "dropout"),
+        (_set("feature_family", 7), "feature_family"),
+        (_set("tensors", {}), "tensors"),
+        (lambda meta: meta["tensors"].__setitem__(0, ["content_w"]), "malformed"),
+        (lambda meta: meta["tensors"][0].__setitem__("offset", 0.5), "offset"),
+    ], ids=["missing-key", "str-dim", "float-dim", "negative-dim", "indivisible-heads",
+            "str-dropout", "int-family", "tensors-not-list", "tensor-entry-not-object",
+            "float-offset"])
+    def test_bad_metadata_exits_3_with_json_line(self, workdir, capsys, edit, needle):
+        bad = workdir / "badmeta.emow"
+        _rewrite_metadata(workdir / "w.emow", bad, edit)
+        self._assert_data_error(workdir, capsys, bad, needle)
+
+    @pytest.mark.parametrize("name", ["missing.emow", "."])
+    def test_unreadable_weights_exit_3_with_json_line(self, workdir, capsys, name):
+        self._assert_data_error(workdir, capsys, workdir / name, "cannot read weight file")
+
+    @staticmethod
+    def _assert_data_error(workdir, capsys, weights, needle):
+        code = run("--json-errors", "infer", "--features", workdir / "f.emof",
+                   "--emotion", "0", "--weights", weights, "--out", workdir / "x.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err.strip())
+        assert payload["error"] == "DataError"
+        assert needle in payload["message"]
+
+
+_INFER_TO_NPY = """
+import sys
+import numpy as np
+from speechrig.features import load_features
+from speechrig.network import infer, load_model
+from speechrig.rig import constant_timeline
+feats = load_features(sys.argv[1])
+y = infer(feats, constant_timeline(3, feats.n_frames), load_model(sys.argv[2]))
+np.save(sys.argv[3], y.values)
+"""
+
+
+class TestDeterminismContract:
+    def test_reruns_byte_identical_and_thread_counts_agree(self, tmp_path):
+        model = build_model(24, d_model=64, n_layers=2, n_heads=4, d_ff=256,
+                            output_dim=RIG_WIDTH, dropout=0.0, seed=5)
+        save_model(tmp_path / "w.emow", model)
+        rng = np.random.default_rng(6)
+        feats = FeatureSequence(rng.normal(0, 1, (700, 24)).astype(np.float32), 60.0)
+        write_feature_file(tmp_path / "f.emof", feats)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(speechrig.__file__)))
+
+        def infer_with_threads(threads, name):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-c", _INFER_TO_NPY, str(tmp_path / "f.emof"),
+                            str(tmp_path / "w.emow"), str(out)],
+                           env=env, check=True, capture_output=True)
+            return out.read_bytes(), np.load(out)
+
+        one_bytes, one = infer_with_threads(1, "one.npy")
+        assert infer_with_threads(1, "again.npy")[0] == one_bytes
+        _, two = infer_with_threads(2, "two.npy")
+        # the stated contract: within 1e-5 relative to the largest output;
+        # outputs here stay below 3, so 1e-5 absolute holds as well
+        drift = np.abs(one - two).max()
+        assert drift <= 1e-5 * np.abs(one).max()
+        assert drift <= 1e-5
 
 
 class TestTrain:

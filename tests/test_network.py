@@ -4,6 +4,7 @@ and the weight file format."""
 import numpy as np
 import pytest
 
+from speechrig.encoders import encode_content, encode_emotion_table
 from speechrig.errors import DataError, NumericError
 from speechrig.features import FeatureSequence
 from speechrig.network import (
@@ -170,6 +171,36 @@ class TestChunkedInference:
         assert seq.values.shape == (120, 174)
         assert np.isfinite(seq.values).all()
 
+    def test_float32_inference_tracks_float64_forward(self):
+        m = reference_model(feature_dim=768, seed=1)
+        rng = np.random.default_rng(16)
+        feats = FeatureSequence(rng.normal(0, 1, (120, 768)).astype(np.float32), 60.0)
+        labels = constant_timeline(3, 120)
+        h0 = (encode_content(feats.data, m.encoder)
+              + encode_emotion_table(m.encoder)[labels])
+        want = forward(m, h0)
+        assert want.dtype == np.float64
+        got = infer(feats, labels, m).values
+        assert np.abs(got - want).max() <= 1e-4
+        # the caller's model is left float64
+        assert all(p.dtype == np.float64 for _, p in named_parameters(m))
+
+    def test_chunks_encode_at_their_global_start_frame(self, monkeypatch):
+        import speechrig.network as network
+        calls = []
+
+        def spy(features, params, pos_offset=0):
+            calls.append((pos_offset, len(features)))
+            return encode_content(features, params, pos_offset=pos_offset)
+
+        monkeypatch.setattr(network, "encode_content", spy)
+        m = tiny_model(layers=1, output_dim=174)
+        rng = np.random.default_rng(17)
+        feats = FeatureSequence(rng.normal(0, 1, (75, 8)).astype(np.float32), 60.0)
+        infer(feats, constant_timeline(2, 75), m, InferenceConfig(30, 6, 0))
+        # stride 24: chunks [0, 30), [24, 54), [48, 75)
+        assert calls == [(0, 30), (24, 30), (48, 27)]
+
 
 class TestGradients:
     def test_gradcheck_small_model(self):
@@ -224,6 +255,36 @@ class TestWeightFile:
         save_model(p1, m)
         save_model(p2, load_model(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_reads_float32_without_building_a_model(self, tmp_path, monkeypatch):
+        import speechrig.network as network
+        m = tiny_model(layers=2, output_dim=174)
+        path = tmp_path / "w.emow"
+        save_model(path, m)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("load_model must not build a random-init model")
+
+        monkeypatch.setattr(network, "build_model", no_build)
+        back = load_model(path)
+        for name, p in named_parameters(back):
+            assert p.dtype == np.float32 and p.flags.writeable, name
+        assert back.encoder.leaky_slope == m.encoder.leaky_slope
+        assert back.dropout == m.dropout
+
+    def test_loaded_model_trains_and_gradchecks_in_float64(self, tmp_path):
+        from speechrig.training import ClipExample, TrainConfig, train
+        m, feats, labels, target = gradcheck_probe(seed=11)
+        path = tmp_path / "w.emow"
+        save_model(path, m)
+        probe = load_model(path)
+        assert grad_check(probe, feats, labels, target, eps=1e-5) < 1e-4
+        assert all(p.dtype == np.float64 for _, p in named_parameters(probe))
+
+        loaded = load_model(path)
+        item = ClipExample(feats, 0, target)
+        train(loaded, [item], TrainConfig(lr0=1e-3, epochs=1, batch=1))
+        assert all(p.dtype == np.float64 for _, p in named_parameters(loaded))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "w.emow"

@@ -163,6 +163,18 @@ class TestRigSequence:
         header = path.read_text().splitlines()[0]
         assert header.split(",") == list(cmap.names)
 
+    def test_csv_bytes_match_per_value_formatting(self, cmap, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(-1, 1, (6, RIG_WIDTH)) * 10.0 ** rng.integers(-15, 16, (6, RIG_WIDTH))
+        values[0, :8] = [0.0, -0.0, 1e-12, -1e-12, 1e12, -1e12, 3.0, -42.0]
+        values[1] = np.arange(RIG_WIDTH, dtype=np.float64)  # integers stored as floats
+        values[2, :4] = [0.1, 1 / 3, 123456789.0, 1234567890.0]
+        path = tmp_path / "rig.csv"
+        write_rig_csv(path, RigSequence(values), cmap)
+        want = ",".join(cmap.names) + "\n" + "".join(
+            ",".join(f"{v:.9g}" for v in row) + "\n" for row in values)
+        assert path.read_bytes() == want.encode("utf-8")
+
 
 class TestTimelines:
     def test_constant_timeline(self):
