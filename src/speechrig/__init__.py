@@ -18,13 +18,7 @@ from .blink import (
     sample_blink_times,
     train_blink_classifier,
 )
-from .encoders import (
-    EncoderParams,
-    combine,
-    encode_content,
-    encode_emotion,
-    positional_encoding,
-)
+from .encoders import EncoderParams, encode_content, positional_encoding
 from .errors import DataError, NumericError, RigPipelineError
 from .evaluate import lr_correlation, mae, mae_report
 from .features import (

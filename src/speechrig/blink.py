@@ -15,14 +15,13 @@ channels through a 13-frame raised-cosine closure at the 60 fps rig rate.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
-from .rig import ControllerMap, RigSequence
+from .rig import ControllerMap, RigSequence, read_csv_rows
 
 WINDOW = 7  # classifier input: current frame +/- 3 at 30 fps
 BLINK_SPAN = 13  # injection window at 60 fps
@@ -205,28 +204,17 @@ def threshold_detect_blinks(trace, threshold: float = 0.2, fps: float = 30.0,
 
 def read_ear_csv(path) -> np.ndarray:
     """Read a (frame, ear) CSV into a dense per-frame EAR array."""
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f) if row]
-    if rows and not _is_number(rows[0][0]):
-        rows = rows[1:]
+    rows = read_csv_rows(path)
     if not rows:
         raise DataError(f"{path}: empty EAR trace")
     try:
         pairs = sorted((int(float(r[0])), float(r[1])) for r in rows)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"{path}: malformed EAR trace: {exc}") from None
     frames = [f for f, _ in pairs]
     if frames != list(range(frames[0], frames[0] + len(frames))):
         raise DataError(f"{path}: EAR trace frames must be consecutive")
     return np.array([v for _, v in pairs])
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 # --- frequency model ------------------------------------------------------------

@@ -7,9 +7,9 @@ twice produces byte-identical artifacts. infer runs its encoder stack in
 float32, so across thread counts its outputs differ in the last float32
 digits: by at most 1e-5 relative to the largest output magnitude.
 
-Exit codes: 0 ok, 2 usage, 3 bad data, 4 numeric failure. With
---json-errors, failures also emit one machine-readable JSON line on
-stderr.
+Exit codes: 0 ok, 2 usage, 3 bad data (an unreadable input or an
+unwritable output path included), 4 numeric failure. With --json-errors,
+failures also emit one machine-readable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .rig import (
     default_map,
     emotion_id,
     load_controller_map,
+    read_csv_rows,
     read_rig_csv,
     timeline_from_rows,
     write_rig_csv,
@@ -76,16 +77,10 @@ def _parse_emotion(text: str) -> int:
 
 
 def _read_timeline_csv(path, n_frames: int) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f) if row]
-    if rows:
-        try:
-            int(float(rows[0][0]))
-        except ValueError:
-            rows = rows[1:]
+    rows = read_csv_rows(path)
     try:
         pairs = [(int(float(r[0])), _parse_emotion(r[1].strip())) for r in rows]
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"{path}: malformed timeline CSV: {exc}") from None
     return timeline_from_rows(pairs, n_frames)
 
@@ -120,7 +115,7 @@ def _cmd_infer(args) -> int:
     else:
         timeline = constant_timeline(_parse_emotion(args.emotion), n)
 
-    cfg = InferenceConfig(args.chunk, args.overlap, args.seed)
+    cfg = InferenceConfig(args.chunk, args.overlap)
     seq = infer(feats, timeline, model, cfg)
     if not args.no_smooth:
         seq = smooth_sequence(seq, SmoothConfig(args.smooth_window, args.smooth_order))
@@ -221,15 +216,13 @@ def _cmd_blink_detect(args) -> int:
 
 def _cmd_blink_fit(args) -> int:
     if args.rates:
-        with open(args.rates, newline="", encoding="utf-8") as f:
-            rows = [row for row in csv.reader(f) if row]
-        try:
-            float(rows[0][0])
-        except (ValueError, IndexError):
-            rows = rows[1:]
+        rows = read_csv_rows(args.rates)
         if not rows:
             raise DataError(f"{args.rates}: no rate samples")
-        rates = np.array([float(r[0]) for r in rows])
+        try:
+            rates = np.array([float(r[0]) for r in rows])
+        except ValueError as exc:
+            raise DataError(f"{args.rates}: malformed rate CSV: {exc}") from None
     else:
         clf = (blinkmod.BlinkClassifier.load(args.classifier)
                if args.classifier else blinkmod.default_blink_classifier())
@@ -368,7 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except OSError as exc:  # an unreadable input or unwritable output path
+            raise DataError(str(exc)) from None
     except RigPipelineError as exc:
         if args.json_errors:
             payload = {"error": type(exc).__name__, "message": str(exc)}

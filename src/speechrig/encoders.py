@@ -2,9 +2,9 @@
 
 Content path: an affine projection of the feature matrix to the model
 width plus a sinusoidal positional table. Emotion path: a 7-row embedding
-refined by two affine layers with a Leaky ReLU between them. The two are
-combined by plain rowwise addition, which is the only place the emotion
-label enters the network.
+refined by two affine layers with a Leaky ReLU between them. The network
+adds each frame's emotion row to its content row; that sum is the only
+place the emotion label enters the network.
 """
 
 from __future__ import annotations
@@ -43,19 +43,21 @@ class EncoderParams:
         return self.content_w.shape[1]
 
 
+def glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
+    """Glorot-uniform (n_in, n_out) weights: U(-b, b), b = sqrt(6 / (n_in + n_out))."""
+    bound = np.sqrt(6.0 / (n_in + n_out))
+    return rng.uniform(-bound, bound, (n_in, n_out))
+
+
 def init_encoder_params(feature_dim: int, d_model: int = D_MODEL,
                         rng: np.random.Generator | None = None) -> EncoderParams:
     """Glorot-uniform weights, zero biases, small-normal embedding."""
     rng = rng or np.random.default_rng(0)
 
-    def glorot(n_in, n_out):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-bound, bound, (n_in, n_out))
-
     def init(name, shape):
         if name == "emotion_embed":
             return rng.normal(0.0, 0.02, shape)
-        return glorot(*shape) if len(shape) == 2 else np.zeros(shape)
+        return glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
 
     shapes = encoder_shapes(feature_dim, d_model)
     return EncoderParams(**{k: init(k, s) for k, s in shapes.items()})
@@ -117,30 +119,14 @@ def encode_content(features: np.ndarray, params: EncoderParams,
     return proj + pe[pos_offset:]
 
 
-def encode_emotion_table(params: EncoderParams) -> np.ndarray:
-    """Encoded vectors for all 7 labels, one row per label."""
+def _emotion_mlp(params: EncoderParams):
+    """The emotion encoder on all 7 labels: first-layer pre-activation
+    ``z1``, its Leaky ReLU ``a1``, and the table (one row per label)."""
     z1 = params.emotion_embed @ params.emotion_w1 + params.emotion_b1
     a1 = leaky_relu(z1, params.leaky_slope)
-    return a1 @ params.emotion_w2 + params.emotion_b2
+    return z1, a1, a1 @ params.emotion_w2 + params.emotion_b2
 
 
-def encode_emotion(label: int, params: EncoderParams) -> np.ndarray:
-    """Encoded vector for a single emotion label (0..6)."""
-    if not 0 <= int(label) < N_EMOTIONS:
-        raise DataError(f"emotion label out of range 0..6: {label}")
-    return encode_emotion_table(params)[int(label)]
-
-
-def combine(content: np.ndarray, emotion: np.ndarray) -> np.ndarray:
-    """Add an emotion vector (or per-frame matrix) to every content row."""
-    content = np.asarray(content, dtype=np.float64)
-    emotion = np.asarray(emotion, dtype=np.float64)
-    if emotion.ndim == 1:
-        if emotion.shape[0] != content.shape[1]:
-            raise DataError(
-                f"emotion width {emotion.shape[0]} does not match content width {content.shape[1]}"
-            )
-        return content + emotion[None, :]
-    if emotion.shape != content.shape:
-        raise DataError(f"emotion shape {emotion.shape} does not match content {content.shape}")
-    return content + emotion
+def encode_emotion_table(params: EncoderParams) -> np.ndarray:
+    """Encoded vectors for all 7 labels, one row per label."""
+    return _emotion_mlp(params)[2]

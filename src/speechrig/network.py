@@ -1,4 +1,4 @@
-"""Transformer regression core: combined encodings in, rig values out.
+"""Transformer regression core: encodings in, rig values out.
 
 A stack of post-norm encoder layers (multi-head self-attention + ReLU
 feed-forward, residuals, layer norm) followed by an affine head. Forward
@@ -33,11 +33,12 @@ import numpy as np
 from .encoders import (
     LEAKY_SLOPE,
     EncoderParams,
+    _emotion_mlp,
     encode_content,
     encode_emotion_table,
     encoder_shapes,
+    glorot,
     init_encoder_params,
-    leaky_relu,
 )
 from .errors import DataError, NumericError
 from .features import FeatureSequence, resample_features
@@ -127,13 +128,9 @@ def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
         raise DataError(f"d_model {d_model} not divisible by n_heads {n_heads}")
     rng = np.random.default_rng(seed)
 
-    def glorot(n_in, n_out):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-bound, bound, (n_in, n_out))
-
     def init(name, shape):
         if len(shape) == 2:
-            return glorot(*shape)
+            return glorot(rng, *shape)
         return np.ones(shape) if name.endswith("_g") else np.zeros(shape)
 
     encoder = init_encoder_params(feature_dim, d_model, rng)
@@ -143,7 +140,7 @@ def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
     return RigModel(
         encoder=encoder,
         layers=layers,
-        head_w=glorot(d_model, output_dim),
+        head_w=glorot(rng, d_model, output_dim),
         head_b=np.zeros(output_dim),
         n_heads=n_heads,
         dropout=dropout,
@@ -307,7 +304,7 @@ def _layer_backward(dout, cache, p: LayerParams):
 
 
 def forward(model: RigModel, hidden: np.ndarray) -> np.ndarray:
-    """Deterministic inference pass over a combined encoding (T x d_model)."""
+    """Deterministic inference pass over a content + emotion encoding (T x d_model)."""
     y, _, _ = _stack_forward(model, np.asarray(hidden, dtype=np.float64),
                              train=False, rng=None, keep_attention=False)
     return y
@@ -348,11 +345,7 @@ def training_forward(model: RigModel, features: np.ndarray, labels: np.ndarray,
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     content = encode_content(features, model.encoder)
-
-    enc = model.encoder
-    z1 = enc.emotion_embed @ enc.emotion_w1 + enc.emotion_b1
-    a1 = leaky_relu(z1, enc.leaky_slope)
-    etab = a1 @ enc.emotion_w2 + enc.emotion_b2
+    z1, a1, etab = _emotion_mlp(model.encoder)
     h0 = content + etab[labels]
 
     y, caches, _ = _stack_forward(model, h0, train=True, rng=rng, keep_attention=False)
@@ -505,7 +498,6 @@ class InferenceConfig:
 
     chunk_frames: int = 600
     overlap_frames: int = 60
-    deterministic_seed: int = 0
 
     def __post_init__(self):
         if not self.chunk_frames > 2 * self.overlap_frames >= 0:

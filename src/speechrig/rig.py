@@ -290,22 +290,32 @@ def write_rig_csv(path, seq: RigSequence, cmap: ControllerMap | None = None) -> 
             f.write(row % tuple(r.tolist()))
 
 
-def read_rig_csv(path, fps: float = RIG_FPS) -> RigSequence:
-    """Read a rig CSV produced by :func:`write_rig_csv`.
+def read_csv_rows(path) -> list[list[str]]:
+    """The non-empty rows of a CSV input, without its header.
 
-    A header row of names is detected and skipped; headerless numeric CSVs
-    are accepted too.
+    The first row is a header, and is dropped, when its first cell does
+    not parse as a float. Rig CSVs, emotion timelines, EAR traces and
+    blink-rate samples all follow this rule; callers convert the cells.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f) if row]
-    if not rows:
-        raise DataError(f"{path}: empty rig CSV")
     try:
-        float(rows[0][0])
-    except ValueError:
-        rows = rows[1:]
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = [row for row in csv.reader(f) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable CSV: {exc}") from None
+    if rows:
+        try:
+            float(rows[0][0])
+        except ValueError:
+            del rows[0]
+    return rows
+
+
+def read_rig_csv(path, fps: float = RIG_FPS) -> RigSequence:
+    """Read a rig CSV produced by :func:`write_rig_csv`, with or without
+    its header row."""
+    rows = read_csv_rows(path)
     if not rows:
-        raise DataError(f"{path}: rig CSV has a header but no frames")
+        raise DataError(f"{path}: rig CSV has no frames")
     try:
         values = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import speechrig
-from speechrig.cli import main
+from speechrig.blink import read_ear_csv
+from speechrig.cli import _read_timeline_csv, build_parser, main
+from speechrig.errors import DataError
 from speechrig.features import FeatureSequence, write_feature_file
 from speechrig.network import InferenceConfig, build_model, infer, load_model, save_model
 from speechrig.rig import RIG_WIDTH, RigSequence, constant_timeline, default_map, read_rig_csv, write_rig_csv
@@ -209,6 +211,79 @@ class TestWeightFileErrors:
         payload = json.loads(err.strip())
         assert payload["error"] == "DataError"
         assert needle in payload["message"]
+
+
+def _infer_argv(w, features="f.emof", emotion=("--emotion", "0"), out="x.csv"):
+    return ["infer", "--features", w / features, *emotion, "--weights", w / "w.emow",
+            "--out", w / out]
+
+
+# (argv under the work dir, bad file's name, that file's content or None if absent)
+_BAD_PATHS = {
+    "missing-features": (lambda w: _infer_argv(w, features="nofeat.emof"), "nofeat.emof", None),
+    "missing-timeline": (lambda w: _infer_argv(w, emotion=("--timeline", w / "notl.csv")),
+                         "notl.csv", None),
+    "out-in-missing-dir": (lambda w: _infer_argv(w, out="nodir/x.csv"), "nodir", None),
+    "missing-pred": (lambda w: ["analyze", "--pred", w / "nopred.csv", "--corr-out",
+                                w / "c.csv"], "nopred.csv", None),
+    "missing-trace": (lambda w: ["blink-detect", "--trace", w / "noear.csv"], "noear.csv", None),
+    "missing-rates": (lambda w: ["blink-fit", "--rates", w / "norates.csv", "--out",
+                                 w / "fit.json"], "norates.csv", None),
+    "timeline-inf-frame": (lambda w: _infer_argv(w, emotion=("--timeline", w / "inf_tl.csv")),
+                           "inf_tl.csv", b"frame,label\n0,happy\ninf,sad\n"),
+    "trace-inf-frame": (lambda w: ["blink-detect", "--trace", w / "inf_ear.csv"],
+                        "inf_ear.csv", b"frame,ear\n0,0.3\ninf,0.3\n"),
+    "rates-non-numeric": (lambda w: ["blink-fit", "--rates", w / "abc_rates.csv", "--out",
+                                     w / "fit.json"], "abc_rates.csv", b"rate\n12\nabc\n"),
+    "pred-not-utf8": (lambda w: ["analyze", "--pred", w / "bin_pred.csv", "--corr-out",
+                                 w / "c.csv"], "bin_pred.csv", b"\xff\xfe\x00\x01\n"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_PATHS)
+def test_bad_paths_and_rows_exit_3_with_json_line(workdir, capsys, case):
+    argv, name, content = _BAD_PATHS[case]
+    if content is not None:
+        (workdir / name).write_bytes(content)
+    assert run("--json-errors", *argv(workdir)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "DataError"
+    assert name in payload["message"]
+
+
+def _fit_rates(path):
+    out = f"{path}.fit.json"
+    args = build_parser().parse_args(["blink-fit", "--rates", str(path), "--out", out])
+    args.func(args)
+    with open(out) as f:
+        return json.load(f)
+
+
+_RIG_ROWS = "\n".join(",".join(["0.25", "-0.5"] * (RIG_WIDTH // 2)) for _ in range(3))
+
+# reader, header line, data rows
+_CSV_READERS = {
+    "rig": (lambda p: read_rig_csv(p).values,
+            ",".join(f"ch{i:03d}" for i in range(RIG_WIDTH)), _RIG_ROWS),
+    "timeline": (lambda p: _read_timeline_csv(p, 8), "frame,label", "0,happy\n4,2"),
+    "ear-trace": (read_ear_csv, "frame,ear", "0,0.3\n1,0.25\n2,0.3"),
+    "rates": (_fit_rates, "rate", "12\n20\n15\n18"),
+}
+
+
+@pytest.mark.parametrize("kind", _CSV_READERS)
+def test_csv_readers_share_one_header_rule(tmp_path, kind):
+    read, header, rows = _CSV_READERS[kind]
+    plain, headed, empty = tmp_path / "plain.csv", tmp_path / "headed.csv", tmp_path / "empty.csv"
+    plain.write_text(rows + "\n")
+    headed.write_text(header + "\n\n" + rows + "\n")
+    empty.write_text("")
+    np.testing.assert_equal(read(headed), read(plain))
+    with pytest.raises(DataError):
+        read(empty)
 
 
 _INFER_TO_NPY = """

@@ -1,19 +1,18 @@
-"""Positional encoding, content/emotion encoders, and their combination."""
+"""Positional encoding and the content/emotion encoders."""
 
 import numpy as np
 import pytest
 
 from speechrig.encoders import (
     EncoderParams,
-    combine,
     encode_content,
-    encode_emotion,
     encode_emotion_table,
     init_encoder_params,
     leaky_relu,
     positional_encoding,
 )
 from speechrig.errors import DataError
+from speechrig.rig import constant_timeline, validate_timeline
 
 
 class TestPositionalEncoding:
@@ -108,7 +107,7 @@ class TestContentEncoder:
 class TestEmotionEncoder:
     def test_zero_parameters_give_zero_vector(self):
         params = _zero_params()
-        assert np.array_equal(encode_emotion(3, params), np.zeros(8))
+        assert np.array_equal(encode_emotion_table(params)[3], np.zeros(8))
 
     def test_distinct_labels_distinct_outputs(self):
         params = init_encoder_params(6, 8, np.random.default_rng(3))
@@ -122,33 +121,15 @@ class TestEmotionEncoder:
         assert leaky_relu(np.array([2.5]))[0] == 2.5
 
     def test_label_out_of_range(self):
-        params = _zero_params()
+        # labels reach the table only through a checked timeline
         with pytest.raises(DataError):
-            encode_emotion(7, params)
+            constant_timeline(7, 3)
+        with pytest.raises(DataError):
+            validate_timeline([0, 7, 1], 3)
+        with pytest.raises(DataError):
+            validate_timeline([0, -1, 1], 3)
 
     def test_pure_function_of_label(self):
         params = init_encoder_params(6, 8, np.random.default_rng(4))
-        assert np.array_equal(encode_emotion(2, params), encode_emotion(2, params))
+        assert np.array_equal(encode_emotion_table(params)[2], encode_emotion_table(params)[2])
 
-
-class TestCombine:
-    def test_zero_emotion_is_identity(self):
-        rng = np.random.default_rng(5)
-        content = rng.normal(0, 1, (6, 8))
-        assert np.array_equal(combine(content, np.zeros(8)), content)
-
-    def test_zero_content_broadcasts_emotion(self):
-        e = np.arange(8.0)
-        out = combine(np.zeros((4, 8)), e)
-        assert all(np.array_equal(row, e) for row in out)
-
-    def test_addition_associative(self):
-        rng = np.random.default_rng(6)
-        c = rng.normal(0, 1, (5, 8))
-        e1, e2 = rng.normal(0, 1, 8), rng.normal(0, 1, 8)
-        np.testing.assert_allclose(
-            combine(c, e1 + e2), combine(combine(c, e1), e2), atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            combine(np.zeros((4, 8)), np.zeros(9))

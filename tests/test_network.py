@@ -108,14 +108,14 @@ class TestChunkedInference:
         rng = np.random.default_rng(7)
         feats = FeatureSequence(rng.normal(0, 1, (40, 8)).astype(np.float32), 60.0)
         tl = constant_timeline(1, 40)
-        wide = infer(feats, tl, m, InferenceConfig(600, 60, 0))
-        tight = infer(feats, tl, m, InferenceConfig(41, 5, 0))
+        wide = infer(feats, tl, m, InferenceConfig(600, 60))
+        tight = infer(feats, tl, m, InferenceConfig(41, 5))
         assert np.array_equal(wide.values, tight.values)
 
     def test_crossfade_passes_agreeing_chunks_through(self):
         rng = np.random.default_rng(8)
         const = np.tile(rng.normal(0, 1, (1, 6)), (26, 1))
-        cfg = InferenceConfig(20, 4, 0)
+        cfg = InferenceConfig(20, 4)
         out = chunked_apply(lambda s, e: const[s:e].copy(), 26, 6, cfg)
         assert np.array_equal(out, const)
 
@@ -124,7 +124,7 @@ class TestChunkedInference:
         rng = np.random.default_rng(9)
         feats = FeatureSequence(rng.normal(0, 1, (75, 8)).astype(np.float32), 60.0)
         tl = constant_timeline(2, 75)
-        cfg = InferenceConfig(30, 6, 0)
+        cfg = InferenceConfig(30, 6)
         a = infer(feats, tl, m, cfg)
         b = infer(feats, tl, m, cfg)
         assert np.array_equal(a.values, b.values)
@@ -197,7 +197,7 @@ class TestChunkedInference:
         m = tiny_model(layers=1, output_dim=174)
         rng = np.random.default_rng(17)
         feats = FeatureSequence(rng.normal(0, 1, (75, 8)).astype(np.float32), 60.0)
-        infer(feats, constant_timeline(2, 75), m, InferenceConfig(30, 6, 0))
+        infer(feats, constant_timeline(2, 75), m, InferenceConfig(30, 6))
         # stride 24: chunks [0, 30), [24, 54), [48, 75)
         assert calls == [(0, 30), (24, 30), (48, 27)]
 
