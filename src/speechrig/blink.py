@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class BlinkClassifier:
                 doc = json.load(f)
             return cls(np.array(doc["weights"], dtype=np.float64),
                        float(doc["bias"]), doc.get("metadata", {}))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"cannot load blink classifier {path}: {exc}") from None
 
 
@@ -247,7 +248,7 @@ class BlinkFrequencyModel:
                 doc = json.load(f)
             return cls(float(doc["mu_ln"]), float(doc["sigma_ln"]),
                        float(doc.get("max_rate", MAX_RATE)))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"cannot load blink model {path}: {exc}") from None
 
 
@@ -419,14 +420,9 @@ def training_windows_from_traces(traces, rng=None, neg_per_pos: float = 3.0):
     return np.vstack(xs), np.concatenate(ys)
 
 
-_DEFAULT_CLASSIFIER = None
-
-
 def default_blink_classifier() -> BlinkClassifier:
-    """Classifier trained once per process on the seeded synthetic corpus."""
-    global _DEFAULT_CLASSIFIER
-    if _DEFAULT_CLASSIFIER is None:
-        traces = gen_blink_traces(seed=1108, n_traces=120, length=300)
-        x, y = training_windows_from_traces(traces, np.random.default_rng(1109))
-        _DEFAULT_CLASSIFIER = train_blink_classifier(x, y, pos_weight=2.0)
-    return _DEFAULT_CLASSIFIER
+    """The classifier shipped with the package, trained on the seeded
+    synthetic corpus (``tests/test_blink.py`` holds the recipe)."""
+    data = resources.files("speechrig.data").joinpath("default_blink_classifier.json")
+    with resources.as_file(data) as path:
+        return BlinkClassifier.load(path)

@@ -76,21 +76,16 @@ def lr_correlation(seq: RigSequence, cmap: ControllerMap) -> CorrelationResult:
     lvar = (lc * lc).sum(axis=0)
     rvar = (rc * rc).sum(axis=0)
 
-    matrix = np.zeros((len(left), len(right)))
     valid = np.outer(lvar > 0.0, rvar > 0.0)
-    for i in range(len(left)):
-        if lvar[i] <= 0.0:
-            continue
-        for j in range(len(right)):
-            if rvar[j] <= 0.0:
-                continue
-            if np.array_equal(lmat[:, i], rmat[:, j]):
-                matrix[i, j] = 1.0
-            elif np.array_equal(lc[:, i], -rc[:, j]):
-                matrix[i, j] = -1.0
-            else:
-                r = float((lc[:, i] @ rc[:, j]) / np.sqrt(lvar[i] * rvar[j]))
-                matrix[i, j] = min(1.0, max(-1.0, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        matrix = np.clip((lc.T @ rc) / np.outer(np.sqrt(lvar), np.sqrt(rvar)), -1.0, 1.0)
+    matrix[~valid] = 0.0
+    # an exact mirror or negation lands within rounding of +/-1
+    for i, j in np.argwhere(valid & (np.abs(matrix) > 1.0 - 1e-6)):
+        if np.array_equal(lmat[:, i], rmat[:, j]):
+            matrix[i, j] = 1.0
+        elif np.array_equal(lc[:, i], -rc[:, j]):
+            matrix[i, j] = -1.0
     names = cmap.names
     return CorrelationResult(
         matrix, valid,

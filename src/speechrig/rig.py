@@ -290,34 +290,41 @@ def write_rig_csv(path, seq: RigSequence, cmap: ControllerMap | None = None) -> 
             f.write(row % tuple(r.tolist()))
 
 
-def read_csv_rows(path) -> list[list[str]]:
-    """The non-empty rows of a CSV input, without its header.
+def _data_lines(path) -> list[str]:
+    """The non-blank lines of a CSV input, without its header.
 
-    The first row is a header, and is dropped, when its first cell does
+    The first line is a header, and is dropped, when its first cell does
     not parse as a float. Rig CSVs, emotion timelines, EAR traces and
-    blink-rate samples all follow this rule; callers convert the cells.
+    blink-rate samples all follow this rule.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = [row for row in csv.reader(f) if row]
-    except (UnicodeDecodeError, csv.Error) as exc:
+        with open(path, encoding="utf-8") as f:
+            lines = [line for line in f if line != "\n"]
+        if lines:
+            float(next(csv.reader(lines[:1]))[0])
+    except (UnicodeDecodeError, csv.Error) as exc:  # before ValueError, UnicodeDecodeError's base
         raise DataError(f"{path}: not a readable CSV: {exc}") from None
-    if rows:
-        try:
-            float(rows[0][0])
-        except ValueError:
-            del rows[0]
-    return rows
+    except ValueError:
+        del lines[0]  # the header
+    return lines
+
+
+def read_csv_rows(path) -> list[list[str]]:
+    """The data rows of a CSV input split into cells; callers convert them."""
+    try:
+        return list(csv.reader(_data_lines(path)))
+    except csv.Error as exc:
+        raise DataError(f"{path}: not a readable CSV: {exc}") from None
 
 
 def read_rig_csv(path, fps: float = RIG_FPS) -> RigSequence:
     """Read a rig CSV produced by :func:`write_rig_csv`, with or without
-    its header row."""
-    rows = read_csv_rows(path)
-    if not rows:
+    its header row. Cells are unquoted decimal numbers."""
+    lines = _data_lines(path)
+    if not lines:
         raise DataError(f"{path}: rig CSV has no frames")
     try:
-        values = np.array([[float(v) for v in row] for row in rows])
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric rig CSV: {exc}") from None
     return RigSequence(values, fps)

@@ -254,7 +254,9 @@ def load_manifest(path) -> list[ClipExample]:
             emotion = obj["emotion"]
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: item {k} malformed: {exc}") from None
-        emotion = emotion_id(emotion) if isinstance(emotion, str) else int(emotion)
+        if isinstance(emotion, bool) or not isinstance(emotion, (int, str)):
+            raise DataError(f"{path}: item {k}: emotion {emotion!r} is not a name or an integer")
+        emotion = emotion_id(emotion) if isinstance(emotion, str) else emotion
         feats = load_features(feat_path)
         if feats.rate_hz != RIG_FPS:
             feats = resample_features(feats, RIG_FPS)

@@ -21,6 +21,7 @@ from speechrig.blink import (
     threshold_detect_blinks,
     trace_windows,
     train_blink_classifier,
+    training_windows_from_traces,
 )
 from speechrig.errors import DataError, DegenerateDataError
 from speechrig.rig import RIG_WIDTH, RigSequence, default_map
@@ -107,6 +108,25 @@ class TestClassifier:
         back = BlinkClassifier.load(path)
         assert np.array_equal(back.weights, clf.weights)
         assert back.bias == clf.bias
+
+    def test_shipped_default_is_what_its_recipe_trains(self):
+        # The recipe behind data/default_blink_classifier.json; after changing
+        # it or the trainer, write the new result there with BlinkClassifier.save.
+        traces = gen_blink_traces(seed=1108, n_traces=120, length=300)
+        x, y = training_windows_from_traces(traces, np.random.default_rng(1109))
+        trained = train_blink_classifier(x, y, pos_weight=2.0)
+        shipped = default_blink_classifier()
+        assert shipped.weights.tobytes() == trained.weights.tobytes()
+        assert shipped.bias == trained.bias
+        assert shipped.metadata == trained.metadata
+
+    @pytest.mark.parametrize("doc", ['{"weights": ["a", 1, 1, 1, 1, 1, 1], "bias": 0}',
+                                     '{"weights": [1, 1, 1, 1, 1, 1, 1], "bias": "b"}'])
+    def test_non_numeric_file_is_a_data_error(self, tmp_path, doc):
+        path = tmp_path / "clf.json"
+        path.write_text(doc)
+        with pytest.raises(DataError, match="clf.json"):
+            BlinkClassifier.load(path)
 
 
 class TestDetection:
@@ -199,6 +219,12 @@ class TestFrequencyModel:
         model.save(path)
         back = BlinkFrequencyModel.load(path)
         assert (back.mu_ln, back.sigma_ln, back.max_rate) == (3.1, 0.4, 90.0)
+
+    def test_non_numeric_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "freq.json"
+        path.write_text('{"mu_ln": "x", "sigma_ln": 0.4}')
+        with pytest.raises(DataError, match="freq.json"):
+            BlinkFrequencyModel.load(path)
 
 
 class TestSampling:

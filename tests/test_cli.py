@@ -28,6 +28,7 @@ def workdir(tmp_path_factory):
     rng = np.random.default_rng(22)
     feats = FeatureSequence(rng.normal(0, 1, (50, 12)).astype(np.float32), 50.0)
     write_feature_file(root / "f.emof", feats)
+    (root / "ok_ear.csv").write_text("frame,ear\n" + "".join(f"{i},0.3\n" for i in range(20)))
     return root
 
 
@@ -218,6 +219,11 @@ def _infer_argv(w, features="f.emof", emotion=("--emotion", "0"), out="x.csv"):
             "--out", w / out]
 
 
+def _manifest_case(name, emotion):
+    return (lambda w: ["train", "--manifest", w / name, "--epochs", "1", "--out", w / "t.emow"],
+            name, b'{"items": [{"features": "f.emof", "target": "t.csv", "emotion": %s}]}' % emotion)
+
+
 # (argv under the work dir, bad file's name, that file's content or None if absent)
 _BAD_PATHS = {
     "missing-features": (lambda w: _infer_argv(w, features="nofeat.emof"), "nofeat.emof", None),
@@ -237,6 +243,12 @@ _BAD_PATHS = {
                                      w / "fit.json"], "abc_rates.csv", b"rate\n12\nabc\n"),
     "pred-not-utf8": (lambda w: ["analyze", "--pred", w / "bin_pred.csv", "--corr-out",
                                  w / "c.csv"], "bin_pred.csv", b"\xff\xfe\x00\x01\n"),
+    "classifier-non-numeric-weight": (
+        lambda w: ["blink-detect", "--trace", w / "ok_ear.csv", "--classifier", w / "clf.json"],
+        "clf.json", b'{"weights": ["a", 1, 1, 1, 1, 1, 1], "bias": 0}'),
+    "manifest-emotion-list": _manifest_case("m_list.json", b"[1]"),
+    "manifest-emotion-float": _manifest_case("m_float.json", b"1.5"),
+    "manifest-emotion-null": _manifest_case("m_null.json", b"null"),
 }
 
 

@@ -145,6 +145,43 @@ class TestCorrelation:
         assert lines[0].split(",")[1:] == list(result.right_names)
         assert len(lines) == 1 + len(result.left_names)
 
+    def test_matches_per_pair_reference(self, cmap):
+        rng = np.random.default_rng(12)
+        values = rng.normal(0, 1, (3600, RIG_WIDTH))
+        left = cmap.side_indices("left")
+        right = cmap.side_indices("right")
+        pairs = [(e.index, e.pair) for e in cmap.entries if e.side == "left"]
+        (m0, r0), (m1, r1), (n0, s0), (c0, d0), (q0, t0) = pairs[:5]
+        values[:, r0] = values[:, m0]  # exact mirrors
+        values[:, r1] = values[:, m1]
+        values[:, s0] = -values[:, n0]  # exact negation
+        values[:, c0] = 0.25  # constant left channel
+        values[:, right[-1]] = -1.5  # constant right channel
+        values[:, t0] = values[:, q0]  # near mirror: one frame off by one ulp
+        values[100, t0] = np.nextafter(values[100, t0], np.inf)
+        result = lr_correlation(_seq(values), cmap)
+
+        lmat, rmat = values[:, left], values[:, right]
+        lc, rc = lmat - lmat.mean(axis=0), rmat - rmat.mean(axis=0)
+        want = np.zeros(result.matrix.shape)
+        for i in range(len(left)):
+            for j in range(len(right)):
+                norm = np.sqrt((lc[:, i] @ lc[:, i]) * (rc[:, j] @ rc[:, j]))
+                if norm > 0.0:
+                    want[i, j] = np.clip((lc[:, i] @ rc[:, j]) / norm, -1.0, 1.0)
+        np.testing.assert_allclose(result.matrix, want, rtol=0, atol=1e-12)
+
+        def cell(li, ri):
+            return result.matrix[left.index(li), right.index(ri)]
+
+        assert cell(m0, r0) == 1.0 and cell(m1, r1) == 1.0
+        assert cell(n0, s0) == -1.0
+        assert cell(q0, t0) == pytest.approx(1.0, abs=1e-12)
+        k = left.index(c0)
+        assert not result.valid[k].any() and np.all(result.matrix[k] == 0.0)
+        assert not result.valid[:, -1].any() and np.all(result.matrix[:, -1] == 0.0)
+        assert result.valid.sum() == (len(left) - 1) * (len(right) - 1)
+
     def test_too_few_frames_rejected(self, cmap):
         with pytest.raises(DataError):
             lr_correlation(_seq(np.zeros((1, RIG_WIDTH))), cmap)

@@ -176,6 +176,61 @@ class TestRigSequence:
         assert path.read_bytes() == want.encode("utf-8")
 
 
+def _float_parse(path):
+    """The per-cell float() parse that read_rig_csv replaced."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
+_ROW = ",".join(["0.25", "-0.5"] * (RIG_WIDTH // 2))
+
+
+def _two_rows(second):
+    return f"{_ROW}\n{second}\n".encode("utf-8")
+
+
+class TestRigCsvReader:
+    def test_writer_output_reads_back_as_float_parses_it(self, cmap, tmp_path):
+        rng = np.random.default_rng(6)
+        values = rng.uniform(-1, 1, (6, RIG_WIDTH)) * 10.0 ** rng.integers(-15, 16, (6, RIG_WIDTH))
+        values[0, :8] = [0.0, -0.0, 1e-12, -1e-12, 1e12, -1e12, 3.0, -42.0]
+        values[1] = np.arange(RIG_WIDTH, dtype=np.float64)
+        values[2, :4] = [0.1, 1 / 3, 123456789.0, 1234567890.0]
+        path = tmp_path / "rig.csv"
+        write_rig_csv(path, RigSequence(values), cmap)
+        got = read_rig_csv(path).values
+        assert got.dtype == np.float64
+        assert got.tobytes() == _float_parse(path).tobytes()  # bit for bit, -0.0 included
+        assert np.signbit(got[0, 1])
+
+    def test_header_blank_lines_and_crlf_are_skipped(self, cmap, tmp_path):
+        rows = [",".join(f"{0.01 * (i + j):.9g}" for j in range(RIG_WIDTH)) for i in range(4)]
+        plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+        plain.write_text("\n".join(rows) + "\n")
+        headed.write_bytes(("\r\n".join([",".join(cmap.names), "", *rows[:2], "\r", *rows[2:]])
+                            + "\r\n\r\n").encode("utf-8"))
+        want = read_rig_csv(plain).values
+        assert want.shape == (4, RIG_WIDTH)
+        assert read_rig_csv(headed).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("content", [
+        _two_rows(_ROW[:-5]),
+        _two_rows(_ROW.replace("-0.5", "", 1)),
+        _two_rows("#" + _ROW),  # a comment marker is not a comment
+        _two_rows(_ROW.replace("0.25", '"0.25"', 1)),  # float() took it from csv.reader
+        _two_rows(_ROW.replace("0.25", "1_0", 1)),  # float() takes it
+        b"\xff\xfe\x00\x01\n",
+        b"",
+        b"\n\r\n",
+    ], ids=["ragged", "empty-cell", "hash-row", "quoted-cell", "digit-separator",
+            "not-utf8", "empty", "blank-lines-only"])
+    def test_malformed_file_is_a_data_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "bad_take.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match="bad_take.csv"):
+            read_rig_csv(path)
+
+
 class TestTimelines:
     def test_constant_timeline(self):
         tl = constant_timeline(3, 5)

@@ -233,3 +233,12 @@ class TestArtifacts:
             {"items": [{"features": "f.emof", "target": "t.csv", "emotion": 0}]}))
         with pytest.raises(DataError, match="frames"):
             load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("emotion", [[1], 1.5, None, True])
+    def test_manifest_emotion_neither_name_nor_integer_rejected(self, tmp_path, emotion):
+        import json
+
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"items": [{"features": "f.emof", "target": "t.csv", "emotion": emotion}]}))
+        with pytest.raises(DataError, match=r"m\.json: item 0: emotion"):
+            load_manifest(tmp_path / "m.json")
