@@ -34,7 +34,6 @@ from .network import (
     InferenceConfig,
     RigModel,
     build_model,
-    forward,
     grad_check,
     infer,
     load_model,
@@ -52,6 +51,6 @@ from .rig import (
     load_controller_map,
 )
 from .smoothing import SmoothConfig, clamp_sequence, savgol_coeffs, smooth_sequence
-from .training import TrainConfig, gen_synthetic, mse_loss, steplr, train
+from .training import TrainConfig, gen_synthetic, steplr, train
 
 __version__ = "0.1.0"

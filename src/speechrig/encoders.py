@@ -21,7 +21,7 @@ D_MODEL = 512
 LEAKY_SLOPE = 0.2
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderParams:
     """Learnable tensors of the content and emotion encoders."""
 
@@ -43,26 +43,6 @@ class EncoderParams:
         return self.content_w.shape[1]
 
 
-def glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
-    """Glorot-uniform (n_in, n_out) weights: U(-b, b), b = sqrt(6 / (n_in + n_out))."""
-    bound = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-bound, bound, (n_in, n_out))
-
-
-def init_encoder_params(feature_dim: int, d_model: int = D_MODEL,
-                        rng: np.random.Generator | None = None) -> EncoderParams:
-    """Glorot-uniform weights, zero biases, small-normal embedding."""
-    rng = rng or np.random.default_rng(0)
-
-    def init(name, shape):
-        if name == "emotion_embed":
-            return rng.normal(0.0, 0.02, shape)
-        return glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-
-    shapes = encoder_shapes(feature_dim, d_model)
-    return EncoderParams(**{k: init(k, s) for k, s in shapes.items()})
-
-
 def encoder_shapes(feature_dim: int, d_model: int) -> dict[str, tuple[int, ...]]:
     """Shape of each learnable ``EncoderParams`` tensor, in field order."""
     return {"content_w": (feature_dim, d_model), "content_b": (d_model,),
@@ -72,8 +52,8 @@ def encoder_shapes(feature_dim: int, d_model: int) -> dict[str, tuple[int, ...]]
 
 
 @functools.lru_cache(maxsize=32)
-def _positional_encoding_cached(n_frames: int, d_model: int) -> np.ndarray:
-    pos = np.arange(n_frames, dtype=np.float64)[:, None]
+def _positional_encoding_cached(start: int, n_frames: int, d_model: int) -> np.ndarray:
+    pos = np.arange(start, start + n_frames, dtype=np.float64)[:, None]
     two_i = np.arange(0, d_model, 2, dtype=np.float64)
     angles = pos / (10000.0 ** (two_i / d_model))[None, :]
     pe = np.empty((n_frames, d_model))
@@ -83,17 +63,19 @@ def _positional_encoding_cached(n_frames: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def positional_encoding(n_frames: int, d_model: int = D_MODEL) -> np.ndarray:
-    """Sinusoidal position table: sin(pos / 10000^(2i/d)) on even columns,
-    cos of the same angle on the following odd column.
+def positional_encoding(n_frames: int, d_model: int = D_MODEL, start: int = 0) -> np.ndarray:
+    """Sinusoidal position table for positions start .. start + n_frames - 1:
+    sin(pos / 10000^(2i/d)) on even columns, cos of the same angle on the
+    following odd column.
 
-    Cached per (n_frames, d_model); callers must not mutate the result.
+    Cached per (start, n_frames, d_model), so a chunk at a late offset
+    holds only its own rows; callers must not mutate the result.
     """
     if n_frames < 1:
         raise DataError(f"positional encoding needs n_frames >= 1, got {n_frames}")
     if d_model % 2 != 0 or d_model < 2:
         raise DataError(f"d_model must be a positive even number, got {d_model}")
-    return _positional_encoding_cached(int(n_frames), int(d_model))
+    return _positional_encoding_cached(int(start), int(n_frames), int(d_model))
 
 
 def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
@@ -115,8 +97,7 @@ def encode_content(features: np.ndarray, params: EncoderParams,
             f"does not match encoder width {params.feature_dim}"
         )
     proj = features @ params.content_w + params.content_b
-    pe = positional_encoding(pos_offset + features.shape[0], params.d_model)
-    return proj + pe[pos_offset:]
+    return proj + positional_encoding(features.shape[0], params.d_model, start=pos_offset)
 
 
 def _emotion_mlp(params: EncoderParams):

@@ -24,7 +24,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import DataError, FeatureFileError
 
@@ -201,6 +200,21 @@ def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: float) -> np.ndarray:
     return fb
 
 
+def _dct_ii(x: np.ndarray, n_coeffs: int) -> np.ndarray:
+    """The first ``n_coeffs`` orthonormal DCT-II coefficients of each row of ``x``.
+
+    Over n points, coefficient k is s_k sum_i x_i cos(pi k (2i + 1) / 2n),
+    with s_0 = sqrt(1/n) and s_k = sqrt(2/n) otherwise. ``einsum`` rounds
+    every row alike, unlike a BLAS matmul, so equal frames give equal
+    coefficients.
+    """
+    n = x.shape[1]
+    k = np.arange(min(n_coeffs, n))[:, None]
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    basis[0] /= np.sqrt(2.0)
+    return np.einsum("tn,kn->tk", x, basis)
+
+
 def extract_fallback_features(clip: AudioClip, cfg: FallbackConfig | None = None) -> FeatureSequence:
     """Mel-cepstral reference features from raw audio at 50 Hz.
 
@@ -226,7 +240,7 @@ def extract_fallback_features(clip: AudioClip, cfg: FallbackConfig | None = None
     spectra = np.fft.rfft(frames * hann, n=n_fft, axis=1)
     power = np.abs(spectra) ** 2
     log_mel = np.log(power @ fb.T + 1e-10)
-    coeffs = scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :cfg.n_coeffs]
+    coeffs = _dct_ii(log_mel, cfg.n_coeffs)
     rate = clip.sample_rate / hop
     return FeatureSequence(coeffs.astype(np.float32), rate, family=FALLBACK_FAMILY)
 

@@ -10,13 +10,23 @@ Reference configuration: 10 layers, model width 512, 8 heads, feed-forward
 width 2048, output width 174. Desk-scale configurations shrink every
 dimension but share all code paths.
 
+Every learnable tensor is a view into one contiguous vector,
+``RigModel.flat``, in ``named_parameters`` order. Initialisation, the
+gradient buffer the reverse pass adds into, Adam's moments, the
+finite-difference check and the weight file all share that layout.
+
 Weight file layout (little-endian):
 
     magic  b"EMOW"
     u32    version (1)
     u32    metadata length
     bytes  metadata JSON (dims, feature family, tensor manifest)
-    f32[]  tensor payloads at manifest offsets
+    f32[]  ``flat``: every tensor in ``named_parameters`` order
+
+The manifest must list exactly that layout: the canonical names and
+shapes in order, each offset (in bytes from the payload start) where the
+previous tensor ends, starting at 0. The payload holds exactly those
+bytes and nothing after them.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +47,6 @@ from .encoders import (
     encode_content,
     encode_emotion_table,
     encoder_shapes,
-    glorot,
-    init_encoder_params,
 )
 from .errors import DataError, NumericError
 from .features import FeatureSequence, resample_features
@@ -51,7 +59,7 @@ _WHEADER = struct.Struct("<4sII")
 _LN_EPS = 1e-5
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
     """One encoder layer: attention projections, norms, feed-forward."""
 
@@ -88,8 +96,12 @@ def _layer_shapes(d_model: int, d_ff: int) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class RigModel:
-    """All learnable tensors plus the hyperparameters that shape them."""
+    """All learnable tensors plus the hyperparameters that shape them.
 
+    ``flat`` holds every tensor; the other array fields are views into it.
+    """
+
+    flat: np.ndarray
     encoder: EncoderParams
     layers: list[LayerParams]
     head_w: np.ndarray
@@ -119,33 +131,67 @@ class RigModel:
         return len(self.layers)
 
 
+def _model_meta(model: RigModel) -> dict:
+    """The dims and hyperparameters a weight file stores; ``_bind`` reads them."""
+    return {"feature_family": model.feature_family, "feature_dim": model.feature_dim,
+            "d_model": model.d_model, "n_layers": model.n_layers, "n_heads": model.n_heads,
+            "d_ff": model.d_ff, "output_dim": model.output_dim, "dropout": model.dropout,
+            "leaky_slope": model.encoder.leaky_slope}
+
+
+def _layout(meta: dict) -> list[tuple[str, tuple[int, ...], slice]]:
+    """Name, shape and ``flat`` slice of every tensor, in ``named_parameters`` order."""
+    d, out = meta["d_model"], meta["output_dim"]
+    shapes = [(f"encoder.{k}", s) for k, s in encoder_shapes(meta["feature_dim"], d).items()]
+    layer = _layer_shapes(d, meta["d_ff"])
+    for i in range(meta["n_layers"]):
+        shapes.extend((f"layers.{i}.{k}", s) for k, s in layer.items())
+    shapes += [("head_w", (d, out)), ("head_b", (out,))]
+    layout, at = [], 0
+    for name, shape in shapes:
+        n = math.prod(shape)
+        layout.append((name, shape, slice(at, at + n)))
+        at += n
+    return layout
+
+
+def _bind(flat: np.ndarray, meta: dict) -> RigModel:
+    """A model whose tensors are views into ``flat``, laid out by ``_layout(meta)``."""
+    views = {name: flat[sl].reshape(shape) for name, shape, sl in _layout(meta)}
+    encoder = EncoderParams(**{k: views[f"encoder.{k}"] for k in _ENCODER_FIELDS},
+                            leaky_slope=meta.get("leaky_slope", LEAKY_SLOPE))
+    layers = [LayerParams(**{k: views[f"layers.{i}.{k}"] for k in _LAYER_FIELDS})
+              for i in range(meta["n_layers"])]
+    return RigModel(flat, encoder, layers, views["head_w"], views["head_b"],
+                    meta["n_heads"], meta["dropout"], meta["feature_family"])
+
+
 def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
                 n_heads: int = 8, d_ff: int = 2048, output_dim: int = RIG_WIDTH,
                 dropout: float = 0.1, seed: int = 0,
                 feature_family: str = "external") -> RigModel:
-    """Freshly initialized model; Glorot-uniform weights, zero biases."""
+    """Freshly initialized model.
+
+    In ``named_parameters`` order: the emotion embedding draws N(0, 0.02),
+    every other matrix Glorot-uniform U(-b, b) with b = sqrt(6 / (n_in +
+    n_out)), layer-norm gains are 1 and every other vector is 0.
+    """
     if d_model % n_heads != 0:
         raise DataError(f"d_model {d_model} not divisible by n_heads {n_heads}")
+    meta = {"feature_family": feature_family, "feature_dim": feature_dim, "d_model": d_model,
+            "n_layers": n_layers, "n_heads": n_heads, "d_ff": d_ff, "output_dim": output_dim,
+            "dropout": dropout, "leaky_slope": LEAKY_SLOPE}
+    model = _bind(np.zeros(_layout(meta)[-1][2].stop), meta)
     rng = np.random.default_rng(seed)
-
-    def init(name, shape):
-        if len(shape) == 2:
-            return glorot(rng, *shape)
-        return np.ones(shape) if name.endswith("_g") else np.zeros(shape)
-
-    encoder = init_encoder_params(feature_dim, d_model, rng)
-    shapes = _layer_shapes(d_model, d_ff)
-    layers = [LayerParams(**{k: init(k, s) for k, s in shapes.items()})
-              for _ in range(n_layers)]
-    return RigModel(
-        encoder=encoder,
-        layers=layers,
-        head_w=glorot(rng, d_model, output_dim),
-        head_b=np.zeros(output_dim),
-        n_heads=n_heads,
-        dropout=dropout,
-        feature_family=feature_family,
-    )
+    for name, p in named_parameters(model):
+        if name == "encoder.emotion_embed":
+            p[...] = rng.normal(0.0, 0.02, p.shape)
+        elif p.ndim == 2:
+            bound = np.sqrt(6.0 / (p.shape[0] + p.shape[1]))
+            p[...] = rng.uniform(-bound, bound, p.shape)
+        elif name.endswith("_g"):
+            p.fill(1.0)
+    return model
 
 
 def reference_model(feature_dim: int = 768, seed: int = 0,
@@ -157,23 +203,14 @@ def reference_model(feature_dim: int = 768, seed: int = 0,
 
 
 def named_parameters(model: RigModel) -> list[tuple[str, np.ndarray]]:
-    """Stable (name, array) listing of every learnable tensor."""
-    out = [(f"encoder.{f}", getattr(model.encoder, f)) for f in _ENCODER_FIELDS]
-    for i, layer in enumerate(model.layers):
-        out.extend((f"layers.{i}.{f}", getattr(layer, f)) for f in _LAYER_FIELDS)
-    out.append(("head_w", model.head_w))
-    out.append(("head_b", model.head_b))
-    return out
+    """Stable (name, view into ``model.flat``) listing of every learnable tensor."""
+    return [(name, model.flat[sl].reshape(shape))
+            for name, shape, sl in _layout(_model_meta(model))]
 
 
-def _set_parameter(model: RigModel, name: str, value: np.ndarray) -> None:
-    parts = name.split(".")
-    if parts[0] == "encoder":
-        setattr(model.encoder, parts[1], value)
-    elif parts[0] == "layers":
-        setattr(model.layers[int(parts[1])], parts[2], value)
-    else:
-        setattr(model, name, value)
+def grad_buffer(model: RigModel) -> RigModel:
+    """Zero gradients in ``model``'s layout; ``training_backward`` adds into them."""
+    return _bind(np.zeros(model.flat.size), _model_meta(model))
 
 
 # --- primitive forward/backward pairs ---------------------------------------
@@ -195,15 +232,15 @@ def _layer_norm_forward(x, g, b):
     return xhat * g + b, (xhat, inv, g)
 
 
-def _layer_norm_backward(dout, cache):
+def _layer_norm_backward(dout, cache, dg, db):
+    """Input gradient; adds the gain and offset gradients into ``dg`` and ``db``."""
     xhat, inv, g = cache
-    dg = (dout * xhat).sum(axis=0)
-    db = dout.sum(axis=0)
+    dg += (dout * xhat).sum(axis=0)
+    db += dout.sum(axis=0)
     dxhat = dout * g
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * inv
-    return dx, dg, db
+    return (dxhat - m1 - xhat * m2) * inv
 
 
 def _split_heads(x, n_heads):
@@ -230,12 +267,10 @@ def _attention_forward(x, p: LayerParams, n_heads):
     return out, (x, qh, kh, vh, attn, merged, scale)
 
 
-def _attention_backward(dout, cache, p: LayerParams):
+def _attention_backward(dout, cache, p: LayerParams, g: LayerParams):
     x, qh, kh, vh, attn, merged, scale = cache
-    grads = {
-        "wo": merged.T @ dout,
-        "bo": dout.sum(axis=0),
-    }
+    g.wo[...] += merged.T @ dout
+    g.bo[...] += dout.sum(axis=0)
     dctx = _split_heads(dout @ p.wo.T, qh.shape[0])
     dattn = dctx @ vh.transpose(0, 2, 1)
     dvh = attn.transpose(0, 2, 1) @ dctx
@@ -244,13 +279,13 @@ def _attention_backward(dout, cache, p: LayerParams):
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 2, 1) @ qh
     dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-    grads.update({
-        "wq": x.T @ dq, "bq": dq.sum(axis=0),
-        "wk": x.T @ dk, "bk": dk.sum(axis=0),
-        "wv": x.T @ dv, "bv": dv.sum(axis=0),
-    })
-    dx = dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
-    return dx, grads
+    g.wq[...] += x.T @ dq
+    g.bq[...] += dq.sum(axis=0)
+    g.wk[...] += x.T @ dk
+    g.bk[...] += dk.sum(axis=0)
+    g.wv[...] += x.T @ dv
+    g.bv[...] += dv.sum(axis=0)
+    return dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
 
 
 def _dropout_mask(shape, p, rng):
@@ -276,42 +311,31 @@ def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng):
     return x2, (attn_cache, mask1, ln1_cache, x1, z, h, mask2, ln2_cache)
 
 
-def _layer_backward(dout, cache, p: LayerParams):
+def _layer_backward(dout, cache, p: LayerParams, g: LayerParams):
+    """Input gradient; adds the layer's parameter gradients into ``g``."""
     attn_cache, mask1, ln1_cache, x1, z, h, mask2, ln2_cache = cache
 
-    dr2, dln2_g, dln2_b = _layer_norm_backward(dout, ln2_cache)
+    dr2 = _layer_norm_backward(dout, ln2_cache, g.ln2_g, g.ln2_b)
     df = dr2 if mask2 is None else dr2 * mask2
-    grads = {
-        "ln2_g": dln2_g, "ln2_b": dln2_b,
-        "w2": h.T @ df, "b2": df.sum(axis=0),
-    }
+    g.w2[...] += h.T @ df
+    g.b2[...] += df.sum(axis=0)
     dh = df @ p.w2.T
     dz = dh * (z > 0.0)
-    grads["w1"] = x1.T @ dz
-    grads["b1"] = dz.sum(axis=0)
+    g.w1[...] += x1.T @ dz
+    g.b1[...] += dz.sum(axis=0)
     dx1 = dr2 + dz @ p.w1.T
 
-    dr1, dln1_g, dln1_b = _layer_norm_backward(dx1, ln1_cache)
-    grads["ln1_g"] = dln1_g
-    grads["ln1_b"] = dln1_b
+    dr1 = _layer_norm_backward(dx1, ln1_cache, g.ln1_g, g.ln1_b)
     da = dr1 if mask1 is None else dr1 * mask1
-    dx_attn, attn_grads = _attention_backward(da, attn_cache, p)
-    grads.update(attn_grads)
-    return dr1 + dx_attn, grads
+    return dr1 + _attention_backward(da, attn_cache, p, g)
 
 
 # --- whole-network passes ----------------------------------------------------
 
 
-def forward(model: RigModel, hidden: np.ndarray) -> np.ndarray:
-    """Deterministic inference pass over a content + emotion encoding (T x d_model)."""
-    y, _, _ = _stack_forward(model, np.asarray(hidden, dtype=np.float64),
-                             train=False, rng=None, keep_attention=False)
-    return y
-
-
 def forward_with_attention(model: RigModel, hidden: np.ndarray):
-    """Inference pass that also returns each layer's attention maps."""
+    """Deterministic pass over a content + emotion encoding (T x d_model);
+    returns the output and each layer's attention maps."""
     y, _, maps = _stack_forward(model, np.asarray(hidden, dtype=np.float64),
                                 train=False, rng=None, keep_attention=True)
     return y, maps
@@ -354,36 +378,35 @@ def training_forward(model: RigModel, features: np.ndarray, labels: np.ndarray,
     return y, cache
 
 
-def training_backward(model: RigModel, cache, dy: np.ndarray) -> dict[str, np.ndarray]:
-    """Reverse pass; returns gradients keyed like ``named_parameters``."""
-    grads: dict[str, np.ndarray] = {}
+def training_backward(model: RigModel, cache, dy: np.ndarray, grads: RigModel) -> None:
+    """Reverse pass; adds every parameter gradient into ``grads`` (see ``grad_buffer``).
+
+    The parameter dataclasses are frozen, so the adds are ``view[...] +=``:
+    in place, never a rebinding that would detach a view from ``flat``.
+    """
     stack = cache["stack"]
-    head_in = stack[-1]
-    grads["head_w"] = head_in.T @ dy
-    grads["head_b"] = dy.sum(axis=0)
+    grads.head_w[...] += stack[-1].T @ dy
+    grads.head_b[...] += dy.sum(axis=0)
     dh = dy @ model.head_w.T
 
     for i in range(len(model.layers) - 1, -1, -1):
-        dh, layer_grads = _layer_backward(dh, stack[i], model.layers[i])
-        for k, v in layer_grads.items():
-            grads[f"layers.{i}.{k}"] = v
+        dh = _layer_backward(dh, stack[i], model.layers[i], grads.layers[i])
 
-    enc = model.encoder
+    enc, g = model.encoder, grads.encoder
     features, labels = cache["features"], cache["labels"]
-    grads["encoder.content_w"] = features.T @ dh
-    grads["encoder.content_b"] = dh.sum(axis=0)
+    g.content_w[...] += features.T @ dh
+    g.content_b[...] += dh.sum(axis=0)
 
     detab = np.zeros((N_EMOTIONS, enc.d_model))
     np.add.at(detab, labels, dh)
     a1, z1 = cache["a1"], cache["z1"]
-    grads["encoder.emotion_w2"] = a1.T @ detab
-    grads["encoder.emotion_b2"] = detab.sum(axis=0)
+    g.emotion_w2[...] += a1.T @ detab
+    g.emotion_b2[...] += detab.sum(axis=0)
     da1 = detab @ enc.emotion_w2.T
     dz1 = da1 * np.where(z1 >= 0, 1.0, enc.leaky_slope)
-    grads["encoder.emotion_w1"] = enc.emotion_embed.T @ dz1
-    grads["encoder.emotion_b1"] = dz1.sum(axis=0)
-    grads["encoder.emotion_embed"] = dz1 @ enc.emotion_w1.T
-    return grads
+    g.emotion_w1[...] += enc.emotion_embed.T @ dz1
+    g.emotion_b1[...] += dz1.sum(axis=0)
+    g.emotion_embed[...] += dz1 @ enc.emotion_w1.T
 
 
 def mse_and_grad(pred: np.ndarray, target: np.ndarray):
@@ -395,12 +418,13 @@ def mse_and_grad(pred: np.ndarray, target: np.ndarray):
     return loss, (2.0 / diff.size) * diff
 
 
-def clip_loss_and_grads(model: RigModel, features, labels, target,
-                        rng: np.random.Generator | None = None):
-    """One clip's MSE loss and parameter gradients."""
+def clip_loss_and_grads(model: RigModel, features, labels, target, grads: RigModel,
+                        rng: np.random.Generator | None = None) -> float:
+    """One clip's MSE loss; adds its parameter gradients into ``grads``."""
     y, cache = training_forward(model, features, labels, rng)
     loss, dy = mse_and_grad(y, np.asarray(target, dtype=np.float64))
-    return loss, training_backward(model, cache, dy)
+    training_backward(model, cache, dy, grads)
+    return loss
 
 
 # --- gradient checking -------------------------------------------------------
@@ -420,26 +444,24 @@ def grad_check(model: RigModel, features, labels, target, eps: float = 1e-5,
     target = np.asarray(target, dtype=np.float64)
     upcast_to_float64(model)
 
-    y, cache = training_forward(model, features, labels, rng=None)
-    loss, dy = mse_and_grad(y, target)
-    grads = training_backward(model, cache, dy)
+    grads = grad_buffer(model)
+    clip_loss_and_grads(model, features, labels, target, grads)
 
     def loss_only():
         yy, _ = training_forward(model, features, labels, rng=None)
         return mse_and_grad(yy, target)[0]
 
-    selected = named_parameters(model)
+    selected = _layout(_model_meta(model))
     if param_names is not None:
         wanted = set(param_names)
-        selected = [(n, p) for n, p in selected if n in wanted]
+        selected = [entry for entry in selected if entry[0] in wanted]
         if not selected:
             raise DataError(f"no parameters match {sorted(wanted)}")
 
     worst = 0.0
-    for name, param in selected:
-        analytic = grads[name].reshape(-1)
-        flat = param.reshape(-1)
-        for j in range(flat.size):
+    flat, analytic = model.flat, grads.flat
+    for _, _, sl in selected:
+        for j in range(sl.start, sl.stop):
             orig = flat[j]
             flat[j] = orig + eps
             lp = loss_only()
@@ -480,7 +502,7 @@ def gradcheck_probe(feature_dim: int = 8, d_model: int = 16, n_layers: int = 1,
         rng = np.random.default_rng(s + 1)
         # the tiny default embedding init parks the emotion pre-activations
         # right at the leaky kink; the probe needs them at a healthy scale
-        model.encoder.emotion_embed = rng.normal(0.0, 0.5, model.encoder.emotion_embed.shape)
+        model.encoder.emotion_embed[...] = rng.normal(0.0, 0.5, model.encoder.emotion_embed.shape)
         features = rng.normal(0.0, 1.0, (frames, feature_dim))
         labels = rng.integers(0, N_EMOTIONS, frames)
         target = rng.normal(0.0, 0.5, (frames, output_dim))
@@ -533,7 +555,7 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     labels = validate_timeline(timeline, n)
     data = features.data.astype(np.float64)
     etab = encode_emotion_table(model.encoder)
-    stack = _float32_stack(model)
+    stack = _bind(np.asarray(model.flat, np.float32), _model_meta(model))
 
     def run_chunk(s, e):
         # Positions are global frame indices, so a clip shorter than one
@@ -546,29 +568,14 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     return RigSequence(chunked_apply(run_chunk, n, model.output_dim, cfg), RIG_FPS)
 
 
-def _float32_stack(model: RigModel) -> RigModel:
-    """The encoder layers and head as float32.
-
-    ``np.asarray`` copies nothing for a loaded model, whose tensors are
-    float32 already.
-    """
-    def f32(a):
-        return np.asarray(a, np.float32)
-
-    layers = [LayerParams(**{f: f32(getattr(p, f)) for f in _LAYER_FIELDS})
-              for p in model.layers]
-    return replace(model, layers=layers, head_w=f32(model.head_w), head_b=f32(model.head_b))
-
-
 def upcast_to_float64(model: RigModel) -> None:
-    """Replace float32 tensors (a loaded model's) by float64 copies in place.
+    """Rebind a float32 model (a loaded one) to a float64 copy of ``flat``.
 
     Training and ``grad_check`` run in double precision; for a model that
     is float64 already this does nothing.
     """
-    for name, param in named_parameters(model):
-        if param.dtype != np.float64:
-            _set_parameter(model, name, param.astype(np.float64))
+    if model.flat.dtype != np.float64:
+        vars(model).update(vars(_bind(model.flat.astype(np.float64), _model_meta(model))))
 
 
 def chunked_apply(run_chunk, n_frames: int, out_dim: int,
@@ -601,31 +608,15 @@ def chunked_apply(run_chunk, n_frames: int, out_dim: int,
 
 
 def save_model(path, model: RigModel) -> None:
-    """Write the weight file: metadata JSON + f32 tensor payloads."""
-    params = named_parameters(model)
-    manifest = []
-    offset = 0
-    for name, arr in params:
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 4
-    meta = {
-        "feature_family": model.feature_family,
-        "feature_dim": model.feature_dim,
-        "d_model": model.d_model,
-        "n_layers": model.n_layers,
-        "n_heads": model.n_heads,
-        "d_ff": model.d_ff,
-        "output_dim": model.output_dim,
-        "dropout": model.dropout,
-        "leaky_slope": model.encoder.leaky_slope,
-        "tensors": manifest,
-    }
+    """Write the weight file: metadata JSON, then ``model.flat`` as f32."""
+    meta = _model_meta(model)
+    meta["tensors"] = [{"name": name, "shape": list(shape), "offset": 4 * sl.start}
+                       for name, shape, sl in _layout(meta)]
     blob = json.dumps(meta).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_WHEADER.pack(WEIGHT_MAGIC, WEIGHT_VERSION, len(blob)))
         f.write(blob)
-        for _, arr in params:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        f.write(np.asarray(model.flat, "<f4"))  # no copy for a loaded model
 
 
 _META_DIMS = {  # metadata key -> smallest valid value
@@ -657,24 +648,11 @@ def _check_metadata(path, meta) -> None:
         raise DataError(f"{path}: metadata tensors must be a list")
 
 
-def _parameter_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor ``named_parameters`` lists, from the dims."""
-    d, out = meta["d_model"], meta["output_dim"]
-    shapes = {f"encoder.{k}": s
-              for k, s in encoder_shapes(meta["feature_dim"], d).items()}
-    layer = _layer_shapes(d, meta["d_ff"])
-    for i in range(meta["n_layers"]):
-        shapes.update({f"layers.{i}.{k}": s for k, s in layer.items()})
-    shapes["head_w"] = (d, out)
-    shapes["head_b"] = (out,)
-    return shapes
-
-
 def load_model(path) -> RigModel:
     """Read a weight file into a model whose tensors stay float32.
 
-    Every tensor is read straight into its own array; ``infer`` uses them
-    as they are, and ``train`` / ``grad_check`` upcast them to float64.
+    The payload is read in one go into ``flat``; ``infer`` uses it as it
+    is, and ``train`` / ``grad_check`` upcast it to float64.
     """
     try:
         with open(path, "rb") as f:
@@ -700,43 +678,33 @@ def _read_weights(path, f) -> RigModel:
     _check_metadata(path, meta)
 
     specs = meta["tensors"]
-    # checked before the shape table is built, which a corrupt n_layers could blow up
+    # checked before the layout is built, which a corrupt n_layers could blow up
     if len(_LAYER_FIELDS) * meta["n_layers"] > len(specs):
         raise DataError(f"{path}: missing tensors: {meta['n_layers']} layers declared, "
                         f"{len(specs)} tensors listed")
-    expect = _parameter_shapes(meta)
-    payload_start = _WHEADER.size + meta_len
-    file_size = os.fstat(f.fileno()).st_size
-    tensors = {}
-    for spec in specs:
+    layout = _layout(meta)
+    if len(specs) != len(layout):
+        raise DataError(f"{path}: {len(specs)} tensors listed, the layout has {len(layout)}")
+    for spec, (name, shape, sl) in zip(specs, layout):
         try:
-            name, shape, offset = spec["name"], tuple(spec["shape"]), spec["offset"]
+            got = spec["name"], tuple(spec["shape"]), spec["offset"]
         except (KeyError, TypeError):
             raise DataError(f"{path}: malformed tensor entry {spec!r}") from None
-        if not isinstance(name, str) or name not in expect:
-            raise DataError(f"{path}: unknown tensor {name!r}")
-        if expect[name] != shape:
-            raise DataError(f"{path}: tensor {name} has shape {shape}, expected {expect[name]}")
-        if type(offset) is not int or offset < 0:
-            raise DataError(f"{path}: tensor {name} has bad offset {offset!r}")
-        start = payload_start + offset
-        if start + 4 * math.prod(shape) > file_size:
-            raise DataError(f"{path}: truncated payload for tensor {name}")
-        arr = np.empty(expect[name], dtype="<f4")
-        f.seek(start)
-        f.readinto(arr)
-        tensors[name] = arr
-        del expect[name]
-    if expect:
-        raise DataError(f"{path}: missing tensors {sorted(expect)}")
+        if type(got[2]) is not int:
+            raise DataError(f"{path}: tensor {got[0]!r} has bad offset {got[2]!r}")
+        if got != (name, shape, 4 * sl.start):
+            raise DataError(f"{path}: manifest lists {got[0]!r} {got[1]} at offset {got[2]} "
+                            f"where the layout has {name!r} {shape} at offset {4 * sl.start}")
 
-    encoder = EncoderParams(**{k: tensors[f"encoder.{k}"] for k in _ENCODER_FIELDS},
-                            leaky_slope=meta.get("leaky_slope", LEAKY_SLOPE))
-    layers = [LayerParams(**{k: tensors[f"layers.{i}.{k}"] for k in _LAYER_FIELDS})
-              for i in range(meta["n_layers"])]
-    return RigModel(encoder=encoder, layers=layers, head_w=tensors["head_w"],
-                    head_b=tensors["head_b"], n_heads=meta["n_heads"],
-                    dropout=meta["dropout"], feature_family=meta["feature_family"])
+    flat = np.empty(layout[-1][2].stop, dtype="<f4")
+    payload = os.fstat(f.fileno()).st_size - _WHEADER.size - meta_len
+    if payload < flat.nbytes:
+        raise DataError(f"{path}: truncated payload: {payload} bytes, "
+                        f"the tensors need {flat.nbytes}")
+    if payload > flat.nbytes:
+        raise DataError(f"{path}: {payload - flat.nbytes} bytes after the last tensor")
+    f.readinto(flat)
+    return _bind(flat, meta)
 
 
 def file_sha256(path) -> str:

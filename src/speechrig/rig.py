@@ -42,13 +42,6 @@ def emotion_id(name: str) -> int:
         raise DataError(f"unknown emotion name: {name!r}") from None
 
 
-def emotion_name(label: int) -> str:
-    """Map an integer label (0..6) back to its emotion name."""
-    if not 0 <= int(label) < N_EMOTIONS:
-        raise DataError(f"emotion label out of range 0..6: {label}")
-    return EMOTION_NAMES[int(label)]
-
-
 @dataclass(frozen=True)
 class ControllerEntry:
     """One named rig channel with its region/side tags and value bounds."""
@@ -326,8 +319,38 @@ def read_rig_csv(path, fps: float = RIG_FPS) -> RigSequence:
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError as exc:
-        raise DataError(f"{path}: non-numeric rig CSV: {exc}") from None
+        where = _first_bad_row(lines)
+        if where is None:
+            raise DataError(f"{path}: non-numeric rig CSV: {exc}") from None
+        raise DataError(f"{path}: line {_file_line(path, lines, where[0])}: {where[1]}") from None
+    if values.shape[1] != RIG_WIDTH:
+        raise DataError(f"{path}: rig CSV rows have {values.shape[1]} cells, "
+                        f"expected {RIG_WIDTH}")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: line {_file_line(path, lines, bad[0])}: non-finite value")
     return RigSequence(values, fps)
+
+
+def _first_bad_row(lines) -> tuple[int, str] | None:
+    """Index of the first data line that ``np.loadtxt`` rejects, and why."""
+    width = len(lines[0].split(","))
+    for k, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != width:
+            return k, f"{len(cells)} cells where the first row has {width}"
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            return k, "a cell is not a plain decimal number"
+    return None
+
+
+def _file_line(path, lines, k: int) -> int:
+    """1-based line of ``path`` that holds ``lines[k]``; ``lines`` is ``_data_lines(path)``."""
+    with open(path, encoding="utf-8") as f:
+        kept = [n for n, line in enumerate(f, 1) if line != "\n"]
+    return kept[len(kept) - len(lines) + k]
 
 
 # --- emotion timelines ----------------------------------------------------

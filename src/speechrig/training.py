@@ -1,5 +1,6 @@
-"""Supervised training: MSE loss, Adam with a step decay schedule, and a
-synthetic dataset generator for desk-scale runs.
+"""Supervised MSE training: Adam over the flat parameter vector with a
+step decay schedule, and a synthetic dataset generator for desk-scale
+runs.
 
 The reference schedule decays the learning rate by 0.995 every 100 epochs
 over 3000 epochs. Desk-scale runs shrink the model and epoch count but
@@ -18,13 +19,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .features import load_features, resample_features
-from .network import (
-    RigModel,
-    clip_loss_and_grads,
-    mse_and_grad,
-    named_parameters,
-    upcast_to_float64,
-)
+from .network import RigModel, clip_loss_and_grads, grad_buffer, upcast_to_float64
 from .rig import N_EMOTIONS, RIG_FPS, constant_timeline, emotion_id, read_rig_csv
 
 
@@ -49,11 +44,6 @@ class TrainConfig:
             raise DataError(f"lr0 must be >= 0, got {self.lr0}")
         if self.epochs < 1 or self.batch < 1:
             raise DataError("epochs and batch must be >= 1")
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean of squared differences over every entry."""
-    return mse_and_grad(np.asarray(pred, float), np.asarray(target, float))[0]
 
 
 def steplr(lr0: float, step_size: int, gamma: float, epoch: int) -> float:
@@ -118,27 +108,34 @@ def gen_synthetic(seed: int, n_items: int, t_range=(40, 80), feature_dim: int = 
 
 
 class Adam:
-    """Adam with bias correction; updates parameter arrays in place."""
+    """Adam with bias correction over one parameter vector, updated in place.
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    ``step`` computes its temporaries in two scratch vectors. Fresh
+    whole-vector temporaries were freed at the top of the heap on every
+    step, which glibc hands back to the OS; faulting them in again cost
+    about 20,000 page faults per desk-scale training request.
+    """
+
+    def __init__(self, params: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {name: np.zeros_like(p) for name, p in params}
-        self.v = {name: np.zeros_like(p) for name, p in params}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._a = np.empty_like(params)
+        self._b = np.empty_like(params)
         self.t = 0
 
-    def step(self, params, grads, lr: float) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in params:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= self.beta1
+        m += np.multiply(grads, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        v += np.multiply(np.square(grads, out=a), 1.0 - self.beta2, out=a)
+        np.multiply(np.divide(m, bc1, out=a), lr, out=a)  # lr * m_hat
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)  # sqrt(v_hat) + eps
+        params -= np.divide(a, b, out=a)
 
 
 # --- training loop -------------------------------------------------------------
@@ -179,8 +176,8 @@ def train(model: RigModel, dataset, cfg: TrainConfig,
 
     upcast_to_float64(model)  # a loaded model holds float32 tensors
     rng = np.random.default_rng(cfg.seed)
-    params = named_parameters(model)
-    opt = Adam(params, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    grads = grad_buffer(model)  # one buffer, refilled for every batch
+    opt = Adam(model.flat, cfg.beta1, cfg.beta2, cfg.adam_eps)
     history = []
     for epoch in range(cfg.epochs):
         lr = steplr(cfg.lr0, cfg.step_size, cfg.gamma, epoch)
@@ -188,22 +185,14 @@ def train(model: RigModel, dataset, cfg: TrainConfig,
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch):
             batch = order[lo:lo + cfg.batch]
-            grads_acc = None
+            grads.flat.fill(0.0)
             for idx in batch:
                 item = items[idx]
                 labels = constant_timeline(item.emotion, item.features.shape[0])
-                loss, grads = clip_loss_and_grads(
-                    model, item.features, labels, item.target, rng=rng)
-                epoch_loss += loss
-                if grads_acc is None:
-                    grads_acc = grads
-                else:
-                    for name in grads_acc:
-                        grads_acc[name] += grads[name]
-            scale = 1.0 / len(batch)
-            for name in grads_acc:
-                grads_acc[name] *= scale
-            opt.step(params, grads_acc, lr)
+                epoch_loss += clip_loss_and_grads(
+                    model, item.features, labels, item.target, grads, rng=rng)
+            grads.flat *= 1.0 / len(batch)
+            opt.step(model.flat, grads.flat, lr)
         epoch_loss /= len(items)
         if not np.isfinite(epoch_loss):
             raise NumericError(

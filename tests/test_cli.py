@@ -165,13 +165,15 @@ class TestInfer:
 
 
 def _rewrite_metadata(src, dst, edit):
-    """Copy a weight file, passing its metadata JSON through ``edit``."""
+    """Copy a weight file, passing its metadata JSON through ``edit``; bytes
+    that ``edit`` returns are appended to the payload."""
     blob = src.read_bytes()
     magic, version, n = struct.unpack_from("<4sII", blob)
     meta = json.loads(blob[12:12 + n])
-    edit(meta)
+    tail = edit(meta)
     new = json.dumps(meta).encode("utf-8")
-    dst.write_bytes(struct.pack("<4sII", magic, version, len(new)) + new + blob[12 + n:])
+    tail = tail if isinstance(tail, bytes) else b""
+    dst.write_bytes(struct.pack("<4sII", magic, version, len(new)) + new + blob[12 + n:] + tail)
 
 
 def _set(key, value):
@@ -190,9 +192,14 @@ class TestWeightFileErrors:
         (_set("tensors", {}), "tensors"),
         (lambda meta: meta["tensors"].__setitem__(0, ["content_w"]), "malformed"),
         (lambda meta: meta["tensors"][0].__setitem__("offset", 0.5), "offset"),
+        (lambda meta: meta["tensors"].insert(0, meta["tensors"].pop(1)), "layout has"),
+        (lambda meta: meta["tensors"][1].__setitem__("offset", 0), "layout has"),
+        (lambda meta: bytes(8), "8 bytes after the last tensor"),
+        (lambda meta: meta["tensors"].pop(), "tensors listed"),
     ], ids=["missing-key", "str-dim", "float-dim", "negative-dim", "indivisible-heads",
             "str-dropout", "int-family", "tensors-not-list", "tensor-entry-not-object",
-            "float-offset"])
+            "float-offset", "reordered-manifest", "overlapping-offset", "trailing-payload",
+            "missing-tensor"])
     def test_bad_metadata_exits_3_with_json_line(self, workdir, capsys, edit, needle):
         bad = workdir / "badmeta.emow"
         _rewrite_metadata(workdir / "w.emow", bad, edit)
@@ -264,6 +271,37 @@ def test_bad_paths_and_rows_exit_3_with_json_line(workdir, capsys, case):
     payload = json.loads(line)
     assert payload["error"] == "DataError"
     assert name in payload["message"]
+
+
+_RIG_ROW = ",".join(["0.25"] * RIG_WIDTH)
+
+
+# bad rig CSV content, the 1-based file line the error names (None: no line)
+_BAD_RIG_CSVS = {
+    "headed-bad-cell": ("ch0\n" + _RIG_ROW + "\n\n" + _RIG_ROW.replace("0.25", "x", 1) + "\n", 4),
+    "headless-bad-cell": (_RIG_ROW + "\n" + _RIG_ROW + "\n" + _RIG_ROW[:-4] + "1_0\n", 3),
+    "headed-ragged-row": ("ch0\n\n" + _RIG_ROW + "\n" + _RIG_ROW + ",1\n", 4),
+    "headless-non-finite": (_RIG_ROW + "\n\n\n" + _RIG_ROW.replace("0.25", "inf", 1) + "\n", 4),
+    "headed-narrow": ("a,b\n0.25,0.5\n", None),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_RIG_CSVS)
+def test_bad_rig_csv_names_file_and_line(workdir, capsys, case):
+    content, line = _BAD_RIG_CSVS[case]
+    path = workdir / f"{case}.csv"
+    path.write_text(content)
+    assert run("--json-errors", "analyze", "--pred", path, "--corr-out", workdir / "c.csv") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (json_line,) = err.splitlines()
+    payload = json.loads(json_line)
+    assert payload["error"] == "DataError"
+    assert str(path) in payload["message"]
+    if line is None:
+        assert ": line " not in payload["message"]
+    else:
+        assert f": line {line}: " in payload["message"]
 
 
 def _fit_rates(path):

@@ -7,11 +7,11 @@ from speechrig.encoders import (
     EncoderParams,
     encode_content,
     encode_emotion_table,
-    init_encoder_params,
     leaky_relu,
     positional_encoding,
 )
 from speechrig.errors import DataError
+from speechrig.network import build_model
 from speechrig.rig import constant_timeline, validate_timeline
 
 
@@ -49,9 +49,19 @@ class TestPositionalEncoding:
         fresh[:, 1::2] = np.cos(angles)
         assert np.array_equal(cached, fresh)
 
+    def test_offset_rows_equal_the_full_table_slice(self):
+        full = positional_encoding(3600, 512)
+        for start, n in ((0, 600), (540, 600), (3060, 540), (1, 1)):
+            assert np.array_equal(positional_encoding(n, 512, start=start), full[start:start + n])
+
     def test_odd_width_rejected(self):
         with pytest.raises(DataError):
             positional_encoding(4, 7)
+
+
+def _init_params(feature_dim, d_model, seed):
+    """The encoder tensors of a freshly initialized model."""
+    return build_model(feature_dim, d_model=d_model, n_layers=0, seed=seed).encoder
 
 
 def _zero_params(feature_dim=6, d_model=8):
@@ -74,15 +84,15 @@ class TestContentEncoder:
 
     def test_single_frame_gets_pos_zero_row(self):
         params = _zero_params(feature_dim=8, d_model=8)
-        params.content_w = np.eye(8)
+        params.content_w[:] = np.eye(8)
         feats = np.arange(8, dtype=float)[None, :]
         out = encode_content(feats, params)
         assert np.allclose(out[0], feats[0] + np.array([0.0, 1.0] * 4))
 
     def test_linear_in_features_before_pe(self):
         rng = np.random.default_rng(1)
-        params = init_encoder_params(6, 8, rng)
-        params.content_b = np.zeros(8)
+        params = _init_params(6, 8, seed=1)
+        params.content_b[:] = 0.0
         a = rng.normal(0, 1, (4, 6))
         b = rng.normal(0, 1, (4, 6))
         pe = positional_encoding(4, 8)
@@ -97,7 +107,7 @@ class TestContentEncoder:
 
     def test_pos_offset_slices_global_table(self):
         rng = np.random.default_rng(2)
-        params = init_encoder_params(3, 8, rng)
+        params = _init_params(3, 8, seed=2)
         feats = rng.normal(0, 1, (10, 3))
         whole = encode_content(feats, params)
         tail = encode_content(feats[4:], params, pos_offset=4)
@@ -110,7 +120,7 @@ class TestEmotionEncoder:
         assert np.array_equal(encode_emotion_table(params)[3], np.zeros(8))
 
     def test_distinct_labels_distinct_outputs(self):
-        params = init_encoder_params(6, 8, np.random.default_rng(3))
+        params = _init_params(6, 8, seed=3)
         table = encode_emotion_table(params)
         for a in range(7):
             for b in range(a + 1, 7):
@@ -130,6 +140,6 @@ class TestEmotionEncoder:
             validate_timeline([0, -1, 1], 3)
 
     def test_pure_function_of_label(self):
-        params = init_encoder_params(6, 8, np.random.default_rng(4))
+        params = _init_params(6, 8, seed=4)
         assert np.array_equal(encode_emotion_table(params)[2], encode_emotion_table(params)[2])
 

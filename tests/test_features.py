@@ -8,6 +8,7 @@ from speechrig.features import (
     AudioClip,
     FallbackConfig,
     FeatureSequence,
+    _dct_ii,
     extract_fallback_features,
     load_features,
     read_feature_csv,
@@ -112,6 +113,15 @@ class TestFallbackExtractor:
         naive = (padded[None, :] * np.exp(-2j * np.pi * k[:, None] * n[None, :] / n_fft)).sum(axis=1)
         fast = np.fft.rfft(frame, n=n_fft)
         np.testing.assert_allclose(fast, naive, atol=1e-8)
+
+    @pytest.mark.parametrize("n_coeffs", [26, 40, 50])
+    def test_dct_matches_scipy(self, n_coeffs):
+        fft = pytest.importorskip("scipy.fft")
+        x = np.random.default_rng(5).normal(0.0, 3.0, (1000, 40))
+        want = fft.dct(x, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+        got = _dct_ii(x, n_coeffs)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_too_short_clip_rejected(self):
         clip = AudioClip(np.zeros(100), 16000)

@@ -12,8 +12,8 @@ from speechrig.network import (
     build_model,
     chunked_apply,
     clip_loss_and_grads,
-    forward,
     forward_with_attention,
+    grad_buffer,
     grad_check,
     gradcheck_probe,
     infer,
@@ -25,6 +25,10 @@ from speechrig.network import (
     training_forward,
 )
 from speechrig.rig import constant_timeline
+
+
+def forward(model, hidden):
+    return forward_with_attention(model, hidden)[0]
 
 
 def tiny_model(layers=1, seed=3, output_dim=12, dropout=0.0):
@@ -225,10 +229,25 @@ class TestGradients:
         feats = rng.normal(0, 1, (4, 8))
         labels = constant_timeline(3, 4)
         target, _ = training_forward(m, feats, labels)
-        loss, grads = clip_loss_and_grads(m, feats, labels, target)
+        grads = grad_buffer(m)
+        loss = clip_loss_and_grads(m, feats, labels, target, grads)
         assert loss == 0.0
-        for name, g in grads.items():
-            np.testing.assert_allclose(g, 0.0, atol=1e-15, err_msg=name)
+        assert grads.flat.size == m.flat.size
+        np.testing.assert_allclose(grads.flat, 0.0, atol=1e-15)
+
+    def test_gradients_accumulate_across_clips(self):
+        m = tiny_model(layers=1)
+        rng = np.random.default_rng(14)
+        both, each = grad_buffer(m), []
+        for label, frames in ((1, 4), (5, 6)):
+            clip = (rng.normal(0, 1, (frames, 8)), constant_timeline(label, frames),
+                    rng.normal(0, 0.5, (frames, 12)))
+            clip_loss_and_grads(m, *clip, both)
+            alone = grad_buffer(m)
+            clip_loss_and_grads(m, *clip, alone)
+            each.append(alone.flat)
+        assert np.count_nonzero(each[0]) > 0.9 * each[0].size  # every tensor is reached
+        np.testing.assert_array_equal(both.flat, each[0] + each[1])
 
     def test_mse_shape_mismatch(self):
         with pytest.raises(DataError):

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from speechrig.errors import DataError, NumericError
-from speechrig.network import build_model, named_parameters
+from speechrig.network import build_model, mse_and_grad, named_parameters
 from speechrig.training import (
     Adam,
     TrainConfig,
     gen_synthetic,
     load_manifest,
-    mse_loss,
     steplr,
     train,
     write_loss_csv,
@@ -24,6 +23,10 @@ from speechrig.training import (
 def desk_model(seed=5, feature_dim=8):
     return build_model(feature_dim, d_model=16, n_layers=1, n_heads=2, d_ff=32,
                        output_dim=174, dropout=0.0, seed=seed)
+
+
+def mse_loss(pred, target):
+    return mse_and_grad(pred, target)[0]
 
 
 class TestMseLoss:
@@ -108,23 +111,28 @@ class TestSyntheticData:
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         model = desk_model()
-        params = named_parameters(model)
-        before = {n: p.copy() for n, p in params}
-        opt = Adam(params)
-        opt.step(params, {n: np.zeros_like(p) for n, p in params}, lr=1e-3)
-        for n, p in params:
-            assert np.array_equal(p, before[n]), n
+        before = model.flat.copy()
+        opt = Adam(model.flat)
+        opt.step(model.flat, np.zeros_like(model.flat), lr=1e-3)
+        assert np.array_equal(model.flat, before)
 
     def test_zero_lr_is_a_noop(self):
         model = desk_model()
-        params = named_parameters(model)
-        before = {n: p.copy() for n, p in params}
+        before = model.flat.copy()
         rng = np.random.default_rng(1)
-        grads = {n: rng.normal(0, 1, p.shape) for n, p in params}
-        opt = Adam(params)
-        opt.step(params, grads, lr=0.0)
-        for n, p in params:
-            assert np.array_equal(p, before[n]), n
+        grads = rng.normal(0, 1, model.flat.shape)
+        opt = Adam(model.flat)
+        opt.step(model.flat, grads, lr=0.0)
+        assert np.array_equal(model.flat, before)
+
+    def test_step_updates_every_tensor_view(self):
+        model = desk_model()
+        before = {n: p.copy() for n, p in named_parameters(model)}
+        opt = Adam(model.flat)
+        opt.step(model.flat, np.ones_like(model.flat), lr=1e-3)
+        for n, p in named_parameters(model):
+            assert not np.array_equal(p, before[n]), n
+        np.testing.assert_allclose(model.head_w, before["head_w"] - 1e-3, rtol=0, atol=1e-10)
 
 
 class TestTrainLoop:
