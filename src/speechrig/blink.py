@@ -16,13 +16,14 @@ channels through a 13-frame raised-cosine closure at the 60 fps rig rate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
-from .rig import ControllerMap, RigSequence, read_csv_rows
+from .rig import ControllerMap, RigSequence, read_numeric_csv
 
 WINDOW = 7  # classifier input: current frame +/- 3 at 30 fps
 BLINK_SPAN = 13  # injection window at 60 fps
@@ -152,7 +153,6 @@ class BlinkEvent:
 
     start: int
     end: int
-    fps: float = 30.0
 
     def __post_init__(self):
         if self.start > self.end:
@@ -184,38 +184,32 @@ def _runs(mask: np.ndarray, min_run: int):
     return events
 
 
-def detect_blinks(trace, clf: BlinkClassifier, fps: float = 30.0,
-                  min_run: int = 2) -> list[BlinkEvent]:
+def detect_blinks(trace, clf: BlinkClassifier, min_run: int = 2) -> list[BlinkEvent]:
     """Classify each frame's window and keep maximal runs of >= min_run
     consecutive positive frames as blink events."""
     flags = clf.predict(trace_windows(trace)).astype(bool)
-    return [BlinkEvent(s, e, fps) for s, e in _runs(flags, min_run)]
+    return [BlinkEvent(s, e) for s, e in _runs(flags, min_run)]
 
 
-def threshold_detect_blinks(trace, threshold: float = 0.2, fps: float = 30.0,
-                            min_run: int = 1) -> list[BlinkEvent]:
+def threshold_detect_blinks(trace, threshold: float = 0.2, min_run: int = 1) -> list[BlinkEvent]:
     """Baseline detector: frames with EAR below a fixed threshold.
 
     Kept for comparison; it misfires on squints and single-frame dropouts
     that the windowed classifier rejects.
     """
     trace = np.asarray(trace, dtype=np.float64).reshape(-1)
-    return [BlinkEvent(s, e, fps) for s, e in _runs(trace < threshold, min_run)]
+    return [BlinkEvent(s, e) for s, e in _runs(trace < threshold, min_run)]
 
 
 def read_ear_csv(path) -> np.ndarray:
-    """Read a (frame, ear) CSV into a dense per-frame EAR array."""
-    rows = read_csv_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty EAR trace")
-    try:
-        pairs = sorted((int(float(r[0])), float(r[1])) for r in rows)
-    except (ValueError, IndexError, OverflowError) as exc:
-        raise DataError(f"{path}: malformed EAR trace: {exc}") from None
-    frames = [f for f, _ in pairs]
-    if frames != list(range(frames[0], frames[0] + len(frames))):
-        raise DataError(f"{path}: EAR trace frames must be consecutive")
-    return np.array([v for _, v in pairs])
+    """Read a (frame, ear) CSV into a dense per-frame EAR array; rows may
+    come in any order, but the frames must be consecutive integers."""
+    rows = read_numeric_csv(path, 2, "EAR trace")
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    frames = rows[:, 0]
+    if frames[0] != math.floor(frames[0]) or (np.diff(frames) != 1.0).any():
+        raise DataError(f"{path}: EAR trace frames must be consecutive integers")
+    return rows[:, 1]
 
 
 # --- frequency model ------------------------------------------------------------
@@ -230,10 +224,20 @@ class BlinkFrequencyModel:
     max_rate: float = MAX_RATE
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu_ln) and math.isfinite(self.sigma_ln)):
+            raise DataError(f"mu_ln and sigma_ln must be finite, got {self}")
         if self.sigma_ln < 0.0:
             raise DataError(f"sigma_ln must be >= 0, got {self.sigma_ln}")
-        if self.max_rate <= 0.0:
+        if not self.max_rate > 0.0:  # NaN fails too; +inf means no cutoff
             raise DataError(f"max_rate must be positive, got {self.max_rate}")
+        # Truncated sampling redraws every rate above max_rate, so it needs
+        # some mass below it: P(ln rate <= ln max_rate) under the normal law.
+        z = float(np.log(self.max_rate)) - self.mu_ln
+        kept = float(z >= 0.0) if self.sigma_ln == 0.0 else \
+            0.5 * math.erfc(-z / (self.sigma_ln * math.sqrt(2.0)))
+        if kept < 0.01:
+            raise DataError(f"blink model keeps {kept:.2%} of its rates at or below "
+                            f"max_rate {self.max_rate}; at least 1% is needed")
 
     def save(self, path) -> None:
         doc = {"mu_ln": self.mu_ln, "sigma_ln": self.sigma_ln, "max_rate": self.max_rate}
@@ -248,7 +252,7 @@ class BlinkFrequencyModel:
                 doc = json.load(f)
             return cls(float(doc["mu_ln"]), float(doc["sigma_ln"]),
                        float(doc.get("max_rate", MAX_RATE)))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"cannot load blink model {path}: {exc}") from None
 
 

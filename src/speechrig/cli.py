@@ -51,6 +51,7 @@ from .rig import (
     emotion_id,
     load_controller_map,
     read_csv_rows,
+    read_numeric_csv,
     read_rig_csv,
     timeline_from_rows,
     write_rig_csv,
@@ -66,21 +67,11 @@ def _resolve_map(path: str | None) -> ControllerMap:
     return load_controller_map(path) if path else default_map()
 
 
-def _parse_emotion(text: str) -> int:
-    try:
-        label = int(text)
-    except ValueError:
-        return emotion_id(text)
-    if not 0 <= label <= 6:
-        raise DataError(f"emotion label out of range 0..6: {label}")
-    return label
-
-
 def _read_timeline_csv(path, n_frames: int) -> np.ndarray:
     rows = read_csv_rows(path)
     try:
-        pairs = [(int(float(r[0])), _parse_emotion(r[1].strip())) for r in rows]
-    except (ValueError, IndexError, OverflowError) as exc:
+        pairs = [(int(float(r[0])), emotion_id(r[1].strip())) for r in rows]
+    except (ValueError, IndexError, OverflowError, DataError) as exc:
         raise DataError(f"{path}: malformed timeline CSV: {exc}") from None
     return timeline_from_rows(pairs, n_frames)
 
@@ -113,7 +104,7 @@ def _cmd_infer(args) -> int:
     if args.timeline:
         timeline = _read_timeline_csv(args.timeline, n)
     else:
-        timeline = constant_timeline(_parse_emotion(args.emotion), n)
+        timeline = constant_timeline(emotion_id(args.emotion), n)
 
     cfg = InferenceConfig(args.chunk, args.overlap)
     seq = infer(feats, timeline, model, cfg)
@@ -203,7 +194,7 @@ def _cmd_blink_detect(args) -> int:
     clf = (blinkmod.BlinkClassifier.load(args.classifier)
            if args.classifier else blinkmod.default_blink_classifier())
     trace = blinkmod.read_ear_csv(args.trace)
-    events = blinkmod.detect_blinks(trace, clf, fps=args.fps)
+    events = blinkmod.detect_blinks(trace, clf)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
@@ -216,20 +207,14 @@ def _cmd_blink_detect(args) -> int:
 
 def _cmd_blink_fit(args) -> int:
     if args.rates:
-        rows = read_csv_rows(args.rates)
-        if not rows:
-            raise DataError(f"{args.rates}: no rate samples")
-        try:
-            rates = np.array([float(r[0]) for r in rows])
-        except ValueError as exc:
-            raise DataError(f"{args.rates}: malformed rate CSV: {exc}") from None
+        rates = read_numeric_csv(args.rates, 1, "rate CSV")[:, 0]
     else:
         clf = (blinkmod.BlinkClassifier.load(args.classifier)
                if args.classifier else blinkmod.default_blink_classifier())
         intervals = []
         for path in args.trace:
             trace = blinkmod.read_ear_csv(path)
-            events = blinkmod.detect_blinks(trace, clf, fps=args.fps)
+            events = blinkmod.detect_blinks(trace, clf)
             starts = np.array([ev.start for ev in events], dtype=float) / args.fps
             intervals.extend(np.diff(starts))
         if not intervals:
@@ -269,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="predict a rig CSV from features or audio")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--features", help="feature file (binary or headerless CSV)")
+    src.add_argument("--features", help="feature file (binary or numeric CSV)")
     src.add_argument("--audio", help="WAV file for the fallback extractor")
     p.add_argument("--feature-rate", type=float, default=50.0,
                    help="rate of CSV features (default 50 Hz)")
@@ -327,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blink-detect", help="detect blink events in an EAR trace")
     p.add_argument("--trace", required=True, help="EAR trace CSV (frame,ear)")
     p.add_argument("--classifier", help="classifier JSON (default: built-in)")
-    p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--out", help="write events CSV here")
     p.set_defaults(func=_cmd_blink_detect)
 

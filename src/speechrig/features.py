@@ -18,7 +18,7 @@ Feature file layout (little-endian):
 
 from __future__ import annotations
 
-import csv
+import math
 import struct
 import wave
 from dataclasses import dataclass
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FeatureFileError
+from .rig import read_numeric_csv
 
 FEATURE_MAGIC = b"EMOF"
 FEATURE_VERSION = 1
@@ -50,8 +51,8 @@ class FeatureSequence:
             raise DataError(f"feature matrix must be 2-D with T >= 1, got {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise DataError("feature matrix contains non-finite values")
-        if self.rate_hz <= 0:
-            raise DataError(f"feature rate must be positive, got {self.rate_hz}")
+        if not 0.0 < self.rate_hz < math.inf:
+            raise DataError(f"feature rate must be finite and positive, got {self.rate_hz}")
 
     @property
     def n_frames(self) -> int:
@@ -97,7 +98,10 @@ def read_feature_file(path) -> FeatureSequence:
         raise FeatureFileError(
             f"{path}: truncated payload ({len(payload)} bytes, header promises {expected})"
         )
-    data = np.frombuffer(payload[:expected], dtype="<f4").reshape(rows, cols)
+    if len(payload) > expected:
+        raise FeatureFileError(f"{path}: {len(payload) - expected} bytes after the "
+                               f"{rows}x{cols} payload")
+    data = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
     if not np.isfinite(data).all():
         raise FeatureFileError(f"{path}: payload contains non-finite values")
     return FeatureSequence(data.copy(), float(rate_hz))
@@ -112,22 +116,12 @@ def write_feature_file(path, seq: FeatureSequence) -> None:
 
 
 def read_feature_csv(path, rate_hz: float = REFERENCE_FEATURE_RATE) -> FeatureSequence:
-    """Read a headerless T x F CSV of feature values."""
-    with open(path, newline="", encoding="utf-8") as f:
-        try:
-            rows = [[float(v) for v in row] for row in csv.reader(f) if row]
-        except ValueError as exc:
-            raise FeatureFileError(f"{path}: non-numeric feature CSV: {exc}") from None
-    if not rows:
-        raise FeatureFileError(f"{path}: empty feature CSV")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FeatureFileError(f"{path}: ragged feature CSV, row widths {sorted(widths)}")
-    return FeatureSequence(np.array(rows, dtype=np.float32), rate_hz)
+    """Read a T x F CSV of feature values, with or without a header row."""
+    return FeatureSequence(read_numeric_csv(path, None, "feature CSV"), rate_hz)
 
 
 def load_features(path, rate_hz: float = REFERENCE_FEATURE_RATE) -> FeatureSequence:
-    """Load features from either the binary format or a headerless CSV."""
+    """Load features from either the binary format or a numeric CSV."""
     with open(path, "rb") as f:
         head = f.read(4)
     if head == FEATURE_MAGIC:
@@ -256,8 +250,8 @@ def resample_features(seq: FeatureSequence, dst_rate: float) -> FeatureSequence:
     last frames are carried over exactly and no extrapolation occurs.
     Equal rates return the input frames unchanged.
     """
-    if dst_rate <= 0:
-        raise DataError(f"target rate must be positive, got {dst_rate}")
+    if not 0.0 < dst_rate < math.inf:
+        raise DataError(f"target rate must be finite and positive, got {dst_rate}")
     n_in = seq.n_frames
     if n_in < 2:
         raise DataError(f"resampling needs at least 2 frames, got {n_in}")

@@ -24,7 +24,6 @@ class GazeConfig:
     interval_frames: tuple[int, int] = (15, 45)
     radius: tuple[float, float] = (0.1, 0.2)
     return_center_prob: float = 0.40
-    fps: float = 60.0
 
     def __post_init__(self):
         lo, hi = self.interval_frames

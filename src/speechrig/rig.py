@@ -34,12 +34,21 @@ N_EMOTIONS = len(EMOTION_NAMES)
 _EMOTION_IDS = {name: i for i, name in enumerate(EMOTION_NAMES)}
 
 
-def emotion_id(name: str) -> int:
-    """Map an emotion name to its integer label (0..6)."""
-    try:
-        return _EMOTION_IDS[name]
-    except KeyError:
-        raise DataError(f"unknown emotion name: {name!r}") from None
+def emotion_id(label) -> int:
+    """The integer label (0..6) of an emotion given as a name, an integer
+    or an integer string; every input that names an emotion reads it here."""
+    if isinstance(label, str):
+        if label in _EMOTION_IDS:
+            return _EMOTION_IDS[label]
+        try:
+            label = int(label)
+        except ValueError:
+            raise DataError(f"emotion {label!r} is not a known name") from None
+    if isinstance(label, bool) or not isinstance(label, int):
+        raise DataError(f"emotion {label!r} is not a name or an integer")
+    if not 0 <= label < N_EMOTIONS:
+        raise DataError(f"emotion label out of range 0..6: {label}")
+    return label
 
 
 @dataclass(frozen=True)
@@ -287,8 +296,7 @@ def _data_lines(path) -> list[str]:
     """The non-blank lines of a CSV input, without its header.
 
     The first line is a header, and is dropped, when its first cell does
-    not parse as a float. Rig CSVs, emotion timelines, EAR traces and
-    blink-rate samples all follow this rule.
+    not parse as a float. Every CSV input follows this rule.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -310,26 +318,36 @@ def read_csv_rows(path) -> list[list[str]]:
         raise DataError(f"{path}: not a readable CSV: {exc}") from None
 
 
-def read_rig_csv(path, fps: float = RIG_FPS) -> RigSequence:
-    """Read a rig CSV produced by :func:`write_rig_csv`, with or without
-    its header row. Cells are unquoted decimal numbers."""
+def read_numeric_csv(path, width: int | None, what: str) -> np.ndarray:
+    """The data rows of a numeric CSV input as a (rows, cells) float64 array.
+
+    Rig CSVs, EAR traces, blink-rate samples and feature CSVs are all read
+    here: unquoted decimal cells, the same number in every row (``width``
+    unless None), every value finite. Errors name ``path``, call the file
+    ``what`` and, where one line is at fault, give its 1-based line.
+    """
     lines = _data_lines(path)
     if not lines:
-        raise DataError(f"{path}: rig CSV has no frames")
+        raise DataError(f"{path}: {what} has no data rows")
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError as exc:
         where = _first_bad_row(lines)
         if where is None:
-            raise DataError(f"{path}: non-numeric rig CSV: {exc}") from None
+            raise DataError(f"{path}: non-numeric {what}: {exc}") from None
         raise DataError(f"{path}: line {_file_line(path, lines, where[0])}: {where[1]}") from None
-    if values.shape[1] != RIG_WIDTH:
-        raise DataError(f"{path}: rig CSV rows have {values.shape[1]} cells, "
-                        f"expected {RIG_WIDTH}")
+    if width is not None and values.shape[1] != width:
+        raise DataError(f"{path}: {what} rows have {values.shape[1]} cells, expected {width}")
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise DataError(f"{path}: line {_file_line(path, lines, bad[0])}: non-finite value")
-    return RigSequence(values, fps)
+    return values
+
+
+def read_rig_csv(path, fps: float = RIG_FPS) -> RigSequence:
+    """Read a rig CSV produced by :func:`write_rig_csv`, with or without
+    its header row."""
+    return RigSequence(read_numeric_csv(path, RIG_WIDTH, "rig CSV"), fps)
 
 
 def _first_bad_row(lines) -> tuple[int, str] | None:

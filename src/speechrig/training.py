@@ -240,12 +240,11 @@ def load_manifest(path) -> list[ClipExample]:
         try:
             feat_path = resolve(obj["features"])
             target_path = resolve(obj["target"])
-            emotion = obj["emotion"]
+            emotion = emotion_id(obj["emotion"])
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: item {k} malformed: {exc}") from None
-        if isinstance(emotion, bool) or not isinstance(emotion, (int, str)):
-            raise DataError(f"{path}: item {k}: emotion {emotion!r} is not a name or an integer")
-        emotion = emotion_id(emotion) if isinstance(emotion, str) else emotion
+        except DataError as exc:
+            raise DataError(f"{path}: item {k}: {exc}") from None
         feats = load_features(feat_path)
         if feats.rate_hz != RIG_FPS:
             feats = resample_features(feats, RIG_FPS)

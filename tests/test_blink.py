@@ -178,6 +178,20 @@ class TestDetection:
         trace = read_ear_csv(path)
         np.testing.assert_allclose(trace, [0.30, 0.29, 0.05, 0.30])
 
+    def test_ear_csv_rows_are_put_in_frame_order(self, tmp_path):
+        path = tmp_path / "ear.csv"
+        path.write_text("frame,ear\n6,0.05\n4,0.30\n5,0.29\n")
+        assert read_ear_csv(path).tolist() == [0.30, 0.29, 0.05]
+
+    @pytest.mark.parametrize("rows", ["0,0.3\n2,0.3\n", "0,0.3\n0,0.3\n", "0.5,0.3\n1.5,0.3\n",
+                                      "1e300,0.3\n1e300,0.3\n"],
+                             ids=["gap", "repeat", "fractional", "beyond-float-integers"])
+    def test_ear_csv_frames_must_be_consecutive_integers(self, tmp_path, rows):
+        path = tmp_path / "ear.csv"
+        path.write_text("frame,ear\n" + rows)
+        with pytest.raises(DataError, match="consecutive integers"):
+            read_ear_csv(path)
+
 
 class TestFrequencyModel:
     def test_degenerate_fit(self):
@@ -212,6 +226,30 @@ class TestFrequencyModel:
     def test_insufficient_samples_rejected(self):
         with pytest.raises(DegenerateDataError):
             fit_lognormal(np.array([30.0, 150.0]))
+
+    @pytest.mark.parametrize("params", [(10.0, 0.532), (5.0, 0.0), (np.nan, 0.532),
+                                        (3.518, np.inf), (3.518, 0.532, np.nan)],
+                             ids=["mu-far-above-cutoff", "point-mass-above-cutoff", "nan-mu",
+                                  "inf-sigma", "nan-max-rate"])
+    def test_unsampleable_model_rejected(self, params):
+        # truncated sampling redraws every rate above max_rate, so a model
+        # with (almost) no mass below it would never finish a draw
+        with pytest.raises(DataError):
+            BlinkFrequencyModel(*params)
+
+    def test_one_percent_of_mass_below_the_cutoff_is_enough(self):
+        # P(ln rate <= ln 100) is Phi(-2.3) = 1.07% and Phi(-2.35) = 0.94%
+        model = BlinkFrequencyModel(np.log(100.0) + 2.3 * 0.5, 0.5)
+        assert sample_blink_times(model, 10.0, seed=0).size > 0
+        with pytest.raises(DataError, match="1%"):
+            BlinkFrequencyModel(np.log(100.0) + 2.35 * 0.5, 0.5)
+        BlinkFrequencyModel(np.log(100.0), 0.0)  # a point mass at the cutoff is kept
+
+    @pytest.mark.parametrize("max_rate", [100.0, 97.3, 0.7])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 11])
+    def test_fit_at_the_cutoff_is_a_valid_model(self, max_rate, n):
+        model = fit_lognormal(np.full(n, max_rate), max_rate)
+        assert model.sigma_ln == pytest.approx(0.0, abs=1e-12)
 
     def test_json_roundtrip(self, tmp_path):
         model = BlinkFrequencyModel(3.1, 0.4, 90.0)

@@ -13,7 +13,7 @@ import speechrig
 from speechrig.blink import read_ear_csv
 from speechrig.cli import _read_timeline_csv, build_parser, main
 from speechrig.errors import DataError
-from speechrig.features import FeatureSequence, write_feature_file
+from speechrig.features import FeatureSequence, read_feature_csv, write_feature_file
 from speechrig.network import InferenceConfig, build_model, infer, load_model, save_model
 from speechrig.rig import RIG_WIDTH, RigSequence, constant_timeline, default_map, read_rig_csv, write_rig_csv
 from speechrig.smoothing import SmoothConfig, clamp_sequence, smooth_sequence
@@ -28,6 +28,7 @@ def workdir(tmp_path_factory):
     rng = np.random.default_rng(22)
     feats = FeatureSequence(rng.normal(0, 1, (50, 12)).astype(np.float32), 50.0)
     write_feature_file(root / "f.emof", feats)
+    (root / "f.csv").write_text("".join(f"{k},0.5\n" for k in range(100)))
     (root / "ok_ear.csv").write_text("frame,ear\n" + "".join(f"{i},0.3\n" for i in range(20)))
     return root
 
@@ -231,7 +232,8 @@ def _manifest_case(name, emotion):
             name, b'{"items": [{"features": "f.emof", "target": "t.csv", "emotion": %s}]}' % emotion)
 
 
-# (argv under the work dir, bad file's name, that file's content or None if absent)
+# (argv under the work dir, a name the message must carry, the file of that name's
+# content or None if no such file is written)
 _BAD_PATHS = {
     "missing-features": (lambda w: _infer_argv(w, features="nofeat.emof"), "nofeat.emof", None),
     "missing-timeline": (lambda w: _infer_argv(w, emotion=("--timeline", w / "notl.csv")),
@@ -256,6 +258,19 @@ _BAD_PATHS = {
     "manifest-emotion-list": _manifest_case("m_list.json", b"[1]"),
     "manifest-emotion-float": _manifest_case("m_float.json", b"1.5"),
     "manifest-emotion-null": _manifest_case("m_null.json", b"null"),
+    "manifest-emotion-unknown-name": _manifest_case("m_name.json", b'"bored"'),
+    "manifest-emotion-out-of-range": _manifest_case("m_range.json", b'"7"'),
+    "trace-fractional-frames": (lambda w: ["blink-detect", "--trace", w / "half_ear.csv"],
+                                "half_ear.csv", b"frame,ear\n0.5,0.3\n1.5,0.3\n"),
+    "blink-mu-above-cutoff": (lambda w: [*_infer_argv(w), "--blink", "--blink-mu", "10"],
+                              "max_rate", None),
+    "blink-sigma-0-above-cutoff": (lambda w: [*_infer_argv(w), "--blink", "--blink-mu", "5",
+                                              "--blink-sigma", "0"], "max_rate", None),
+    "blink-mu-nan": (lambda w: [*_infer_argv(w), "--blink", "--blink-mu", "nan"], "mu_ln", None),
+    "feature-rate-nan": (lambda w: [*_infer_argv(w, features="f.csv"), "--feature-rate", "nan"],
+                         "feature rate", None),
+    "feature-rate-inf": (lambda w: [*_infer_argv(w, features="f.csv"), "--feature-rate", "inf"],
+                         "feature rate", None),
 }
 
 
@@ -321,6 +336,7 @@ _CSV_READERS = {
     "timeline": (lambda p: _read_timeline_csv(p, 8), "frame,label", "0,happy\n4,2"),
     "ear-trace": (read_ear_csv, "frame,ear", "0,0.3\n1,0.25\n2,0.3"),
     "rates": (_fit_rates, "rate", "12\n20\n15\n18"),
+    "features": (lambda p: read_feature_csv(p).data, "f0,f1,f2", "0.5,1.5,2.5\n-1,0,1e-3"),
 }
 
 
@@ -334,6 +350,34 @@ def test_csv_readers_share_one_header_rule(tmp_path, kind):
     np.testing.assert_equal(read(headed), read(plain))
     with pytest.raises(DataError):
         read(empty)
+
+
+# numeric CSV reader, header line, data row k (ending in a value cell)
+_NUMERIC_READERS = {
+    "rig": (read_rig_csv, "ch0", lambda k: _RIG_ROW),
+    "ear-trace": (read_ear_csv, "frame,ear", lambda k: f"{k},0.3"),
+    "rates": (_fit_rates, "rate", lambda k: f"{12 + k}"),
+    "features": (read_feature_csv, "f0,f1", lambda k: f"{k},0.5"),
+}
+
+_ROW_DEFECTS = {
+    "quoted-cell": lambda row: '%s%s"%s"' % row.rpartition(","),
+    "nan-cell": lambda row: "%s%snan" % row.rpartition(",")[:2],
+    "ragged-row": lambda row: row + ",1",
+}
+
+
+@pytest.mark.parametrize("defect", _ROW_DEFECTS)
+@pytest.mark.parametrize("kind", _NUMERIC_READERS)
+def test_malformed_numeric_csv_names_file_and_line(tmp_path, kind, defect):
+    read, header, row = _NUMERIC_READERS[kind]
+    rows = [row(k) for k in range(4)]
+    rows[2] = _ROW_DEFECTS[defect](rows[2])
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError) as exc:
+        read(path)
+    assert f"{path}: line 4: " in str(exc.value)
 
 
 _INFER_TO_NPY = """

@@ -48,6 +48,24 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError, match="truncated"):
             read_feature_file(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a header that under-counts its rows must not drop the rest silently
+        seq = FeatureSequence(np.ones((5, 8), dtype=np.float32), 50.0)
+        path = tmp_path / "f.emof"
+        write_feature_file(path, seq)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(FeatureFileError, match="8 bytes after"):
+            read_feature_file(path)
+
+    def test_non_finite_header_rate_rejected(self, tmp_path):
+        path = tmp_path / "f.emof"
+        write_feature_file(path, FeatureSequence(np.ones((4, 3), dtype=np.float32), 50.0))
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="feature rate"):
+            read_feature_file(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "f.emof"
         path.write_bytes(b"NOPE" + bytes(60))
@@ -180,3 +198,11 @@ class TestResampling:
         two = FeatureSequence(np.ones((2, 2), dtype=np.float32), 50.0)
         with pytest.raises(DataError):
             resample_features(two, -1.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -50.0])
+    def test_rates_must_be_finite_and_positive(self, rate):
+        with pytest.raises(DataError, match="feature rate"):
+            FeatureSequence(np.ones((4, 2), dtype=np.float32), rate)
+        seq = FeatureSequence(np.ones((100, 2), dtype=np.float32), 50.0)
+        with pytest.raises(DataError, match="target rate"):
+            resample_features(seq, rate)

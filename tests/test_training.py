@@ -227,6 +227,19 @@ class TestArtifacts:
         assert items[0].features.shape == (60, 8)  # resampled 50 -> 60 Hz
         assert items[0].target.shape == (60, 174)
 
+    @pytest.mark.parametrize("emotion, label", [("sad", 2), ("3", 3), (4, 4)])
+    def test_manifest_emotion_is_a_name_or_an_integer(self, tmp_path, emotion, label):
+        import json
+
+        from speechrig.features import FeatureSequence, write_feature_file
+        from speechrig.rig import RigSequence, write_rig_csv
+
+        write_feature_file(tmp_path / "f.emof", FeatureSequence(np.ones((60, 4), np.float32), 60.0))
+        write_rig_csv(tmp_path / "t.csv", RigSequence(np.zeros((60, 174))))
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"items": [{"features": "f.emof", "target": "t.csv", "emotion": emotion}]}))
+        assert load_manifest(tmp_path / "m.json")[0].emotion == label
+
     def test_manifest_length_mismatch_rejected(self, tmp_path):
         import json
 
