@@ -29,7 +29,7 @@ from .features import (
     resample_features,
     write_feature_file,
 )
-from .gaze import GazeConfig, GazeTrack, inject_gaze, sample_gaze_track
+from .gaze import GazeTrack, inject_gaze, sample_gaze_track
 from .network import (
     InferenceConfig,
     RigModel,

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
-from .rig import ControllerMap, RigSequence, read_numeric_csv
+from .rig import RIG_FPS, ControllerMap, RigSequence, read_numeric_csv
 
 WINDOW = 7  # classifier input: current frame +/- 3 at 30 fps
 BLINK_SPAN = 13  # injection window at 60 fps
@@ -93,8 +93,7 @@ class BlinkClassifier:
 
 
 def train_blink_classifier(windows, labels, l2: float = 1e-2,
-                           iterations: int = 3000, seed: int = 0,
-                           pos_weight: float = 1.0) -> BlinkClassifier:
+                           iterations: int = 3000, pos_weight: float = 1.0) -> BlinkClassifier:
     """Fit the linear max-margin separator by deterministic full-batch
     subgradient descent on the hinge loss with an L2 penalty.
 
@@ -140,7 +139,7 @@ def train_blink_classifier(windows, labels, l2: float = 1e-2,
         if acc >= best_acc:
             best_acc, best_w = acc, w.copy()
     meta = {"train_accuracy": best_acc, "l2": l2, "iterations": iterations,
-            "n_windows": int(x.shape[0]), "seed": seed, "pos_weight": pos_weight}
+            "n_windows": int(x.shape[0]), "pos_weight": pos_weight}
     return BlinkClassifier(best_w[:WINDOW], float(best_w[WINDOW]), meta)
 
 
@@ -284,9 +283,9 @@ def draw_rates(model: BlinkFrequencyModel, n: int, rng, truncate: bool = True) -
 
 
 def sample_blink_times(model: BlinkFrequencyModel, duration_s: float,
-                       fps: float = 60.0, seed: int = 0) -> np.ndarray:
-    """Blink start frames for a clip: each gap is 60/rate seconds with the
-    rate drawn fresh from the (truncated) model."""
+                       seed: int = 0) -> np.ndarray:
+    """Blink start frames (at RIG_FPS) for a clip: each gap is 60/rate
+    seconds with the rate drawn fresh from the (truncated) model."""
     if duration_s <= 0:
         raise DataError(f"duration must be positive, got {duration_s}")
     rng = np.random.default_rng(seed)
@@ -297,7 +296,7 @@ def sample_blink_times(model: BlinkFrequencyModel, duration_s: float,
         t += 60.0 / rate
         if t >= duration_s:
             break
-        starts.append(int(round(t * fps)))
+        starts.append(int(round(t * RIG_FPS)))
     return np.asarray(starts, dtype=np.int64)
 
 
@@ -339,89 +338,7 @@ def inject_blinks(seq: RigSequence, starts, cmap: ControllerMap) -> RigSequence:
         for ch in lids:
             closed = cmap.entries[ch].vmax
             out[active, ch] = out[active, ch] * (1.0 - c) + closed * c
-    return RigSequence(out, seq.fps)
-
-
-# --- synthetic corpus ---------------------------------------------------------------
-
-
-def gen_blink_traces(seed: int, n_traces: int = 200, length: int = 400,
-                     fps: float = 30.0):
-    """Synthetic EAR traces with known blink events, plus distractors.
-
-    Each trace holds a noisy drifting baseline, a few raised-cosine blink
-    dips (the ground-truth events are the frames of substantial closure),
-    single-frame dropouts, and occasionally a long shallow squint. The
-    distractors are the cases a bare threshold detector gets wrong.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_traces):
-        base = rng.uniform(0.26, 0.34)
-        t = np.arange(length)
-        drift = 0.01 * np.sin(2.0 * np.pi * t / rng.uniform(80, 160) + rng.uniform(0, 2 * np.pi))
-        trace = base + drift + rng.normal(0.0, rng.uniform(0.002, 0.006), length)
-
-        occupied = np.zeros(length, dtype=bool)
-
-        def reserve(lo, hi, margin=8):
-            lo_m, hi_m = max(lo - margin, 0), min(hi + margin, length)
-            if occupied[lo_m:hi_m].any():
-                return False
-            occupied[lo_m:hi_m] = True
-            return True
-
-        events = []
-        for _ in range(int(rng.integers(2, 7))):
-            dur = int(rng.integers(3, 11))
-            start = int(rng.integers(10, length - dur - 10))
-            if not reserve(start, start + dur):
-                continue
-            depth = rng.uniform(0.02, 0.08)
-            w = np.sin(np.pi * (np.arange(dur) + 1.0) / (dur + 1.0)) ** 2
-            trace[start:start + dur] = trace[start:start + dur] * (1.0 - w) + depth * w
-            closed = np.flatnonzero(w >= 0.5)
-            events.append((start + int(closed[0]), start + int(closed[-1])))
-
-        for _ in range(int(rng.integers(0, 4))):
-            pos = int(rng.integers(10, length - 10))
-            if reserve(pos, pos + 1):
-                trace[pos] = rng.uniform(0.03, 0.09)
-
-        if rng.random() < 0.3:
-            dur = int(rng.integers(25, 41))
-            start = int(rng.integers(10, length - dur - 10))
-            if reserve(start, start + dur):
-                w = np.sin(np.pi * (np.arange(dur) + 1.0) / (dur + 1.0)) ** 2
-                dip = base * rng.uniform(0.55, 0.7)
-                trace[start:start + dur] = trace[start:start + dur] * (1.0 - w) + \
-                    np.maximum(dip, trace[start:start + dur] * 0.6) * w
-
-        out.append((trace, sorted(events)))
-    return out
-
-
-def training_windows_from_traces(traces, rng=None, neg_per_pos: float = 3.0):
-    """Windows and frame labels for classifier training.
-
-    Frames inside a ground-truth event are positives; negatives are
-    subsampled to roughly neg_per_pos per positive to balance the hinge.
-    """
-    rng = rng or np.random.default_rng(0)
-    xs, ys = [], []
-    for trace, events in traces:
-        wins = trace_windows(trace)
-        labels = np.zeros(len(trace), dtype=np.int64)
-        for s, e in events:
-            labels[s:e + 1] = 1
-        pos = np.flatnonzero(labels == 1)
-        neg = np.flatnonzero(labels == 0)
-        take = min(neg.size, max(1, int(round(neg_per_pos * max(pos.size, 1)))))
-        neg = rng.choice(neg, size=take, replace=False)
-        keep = np.concatenate([pos, neg])
-        xs.append(wins[keep])
-        ys.append(labels[keep])
-    return np.vstack(xs), np.concatenate(ys)
+    return RigSequence(out)
 
 
 def default_blink_classifier() -> BlinkClassifier:

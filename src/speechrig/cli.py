@@ -26,13 +26,7 @@ from . import blink as blinkmod
 from . import gaze as gazemod
 from .errors import DataError, RigPipelineError
 from .evaluate import lr_correlation, mae_report, write_correlation_csv, write_mae_report
-from .features import (
-    FallbackConfig,
-    extract_fallback_features,
-    load_features,
-    read_wav,
-    resample_features,
-)
+from .features import extract_fallback_features, load_features, read_wav, resample_features
 from .network import (
     InferenceConfig,
     build_model,
@@ -70,9 +64,12 @@ def _resolve_map(path: str | None) -> ControllerMap:
 def _read_timeline_csv(path, n_frames: int) -> np.ndarray:
     rows = read_csv_rows(path)
     try:
-        pairs = [(int(float(r[0])), emotion_id(r[1].strip())) for r in rows]
-    except (ValueError, IndexError, OverflowError, DataError) as exc:
+        pairs = [(float(r[0]), emotion_id(r[1].strip())) for r in rows]
+    except (ValueError, IndexError, DataError) as exc:
         raise DataError(f"{path}: malformed timeline CSV: {exc}") from None
+    for frame, _ in pairs:
+        if not frame.is_integer():  # inf and NaN fail too
+            raise DataError(f"{path}: timeline frame {frame!r} is not an integer")
     return timeline_from_rows(pairs, n_frames)
 
 
@@ -90,7 +87,7 @@ def _cmd_infer(args) -> int:
     if args.features:
         feats = load_features(args.features, args.feature_rate)
     else:
-        feats = extract_fallback_features(read_wav(args.audio), FallbackConfig())
+        feats = extract_fallback_features(read_wav(args.audio))
     if (model.feature_family != "external" and feats.family != "external"
             and feats.family != model.feature_family):
         raise DataError(
@@ -115,13 +112,11 @@ def _cmd_infer(args) -> int:
     if args.blink:
         freq = blinkmod.BlinkFrequencyModel(args.blink_mu, args.blink_sigma)
         starts = blinkmod.sample_blink_times(
-            freq, n / RIG_FPS, RIG_FPS,
-            seed=np.random.SeedSequence(args.seed, spawn_key=(1,)))
+            freq, n / RIG_FPS, seed=np.random.SeedSequence(args.seed, spawn_key=(1,)))
         seq = blinkmod.inject_blinks(seq, starts, cmap)
     if args.gaze:
         track = gazemod.sample_gaze_track(
-            gazemod.GazeConfig(), n,
-            seed=np.random.SeedSequence(args.seed, spawn_key=(2,)))
+            n, seed=np.random.SeedSequence(args.seed, spawn_key=(2,)))
         seq = gazemod.inject_gaze(seq, track, cmap)
 
     write_rig_csv(args.out, seq, cmap)
@@ -144,23 +139,18 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.manifest:
-        data = load_manifest(args.manifest)
-        feature_dim = data[0].features.shape[1]
-        family = "external"
-    else:
-        data = gen_synthetic(args.seed, args.items, (args.t_min, args.t_max),
-                             args.feature_dim)
-        feature_dim = args.feature_dim
-        family = "synthetic-desk"
-
-    model = build_model(
-        feature_dim, d_model=args.d_model, n_layers=args.layers,
-        n_heads=args.heads, d_ff=args.d_ff, dropout=args.dropout,
-        seed=args.seed, feature_family=family,
-    )
     cfg = TrainConfig(lr0=args.lr0, step_size=args.step_size, gamma=args.gamma,
                       epochs=args.epochs, batch=args.batch, seed=args.seed)
+    data = load_manifest(args.manifest) if args.manifest else None
+    # the model (and so its dims check) comes before any synthetic data
+    model = build_model(
+        data[0].features.shape[1] if data else args.feature_dim, d_model=args.d_model,
+        n_layers=args.layers, n_heads=args.heads, d_ff=args.d_ff, dropout=args.dropout,
+        seed=args.seed, feature_family="external" if data else "synthetic-desk",
+    )
+    if data is None:
+        data = gen_synthetic(args.seed, args.items, (args.t_min, args.t_max),
+                             args.feature_dim)
 
     def progress(epoch, lr, loss):
         if args.log_every and (epoch % args.log_every == 0 or epoch == cfg.epochs - 1):

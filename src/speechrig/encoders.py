@@ -32,7 +32,6 @@ class EncoderParams:
     emotion_b1: np.ndarray
     emotion_w2: np.ndarray  # (d_model, d_model)
     emotion_b2: np.ndarray
-    leaky_slope: float = LEAKY_SLOPE
 
     @property
     def feature_dim(self) -> int:
@@ -78,8 +77,8 @@ def positional_encoding(n_frames: int, d_model: int = D_MODEL, start: int = 0) -
     return _positional_encoding_cached(int(start), int(n_frames), int(d_model))
 
 
-def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.where(x >= 0, x, slope * x)
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, x, LEAKY_SLOPE * x)
 
 
 def encode_content(features: np.ndarray, params: EncoderParams,
@@ -104,7 +103,7 @@ def _emotion_mlp(params: EncoderParams):
     """The emotion encoder on all 7 labels: first-layer pre-activation
     ``z1``, its Leaky ReLU ``a1``, and the table (one row per label)."""
     z1 = params.emotion_embed @ params.emotion_w1 + params.emotion_b1
-    a1 = leaky_relu(z1, params.leaky_slope)
+    a1 = leaky_relu(z1)
     return z1, a1, a1 @ params.emotion_w2 + params.emotion_b2
 
 

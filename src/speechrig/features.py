@@ -153,23 +153,10 @@ def read_wav(path) -> AudioClip:
 # --- fallback extractor ----------------------------------------------------
 
 
-@dataclass
-class FallbackConfig:
-    """Mel-cepstral extractor settings.
-
-    frame_hop defaults to sample_rate / 50 so the output clock is 50 Hz,
-    matching the reference feature rate. The analysis window spans two
-    hops (50% overlap).
-    """
-
-    frame_hop: int | None = None
-    n_mels: int = 40
-    n_coeffs: int = 26
-
-    def hop_for(self, sample_rate: int) -> int:
-        if self.frame_hop is not None:
-            return int(self.frame_hop)
-        return max(1, round(sample_rate / REFERENCE_FEATURE_RATE))
+# The extractor hops sample_rate / 50 samples, so its clock is the reference
+# 50 Hz; each analysis window spans two hops (50% overlap).
+N_MELS = 40
+N_COEFFS = 26
 
 
 def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: float) -> np.ndarray:
@@ -209,16 +196,15 @@ def _dct_ii(x: np.ndarray, n_coeffs: int) -> np.ndarray:
     return np.einsum("tn,kn->tk", x, basis)
 
 
-def extract_fallback_features(clip: AudioClip, cfg: FallbackConfig | None = None) -> FeatureSequence:
+def extract_fallback_features(clip: AudioClip) -> FeatureSequence:
     """Mel-cepstral reference features from raw audio at 50 Hz.
 
     Framing: frame t covers samples [t*hop, t*hop + 2*hop), Hann windowed,
     zero-padded to the next power of two. T = floor(len(samples)/hop)
-    frames; trailing frames are zero-padded. Each frame yields n_coeffs
-    DCT-II (orthonormal) coefficients of the log mel power spectrum.
+    frames; trailing frames are zero-padded. Each frame yields N_COEFFS
+    DCT-II (orthonormal) coefficients of the log power in N_MELS mel bands.
     """
-    cfg = cfg or FallbackConfig()
-    hop = cfg.hop_for(clip.sample_rate)
+    hop = max(1, round(clip.sample_rate / REFERENCE_FEATURE_RATE))
     window = 2 * hop
     if clip.samples.size < window:
         raise DataError(
@@ -227,14 +213,14 @@ def extract_fallback_features(clip: AudioClip, cfg: FallbackConfig | None = None
     n_frames = clip.samples.size // hop
     n_fft = 1 << (window - 1).bit_length()
     hann = np.hanning(window)
-    fb = _mel_filterbank(cfg.n_mels, n_fft, clip.sample_rate)
+    fb = _mel_filterbank(N_MELS, n_fft, clip.sample_rate)
 
     padded = np.concatenate([clip.samples, np.zeros(window)])
     frames = np.stack([padded[t * hop:t * hop + window] for t in range(n_frames)])
     spectra = np.fft.rfft(frames * hann, n=n_fft, axis=1)
     power = np.abs(spectra) ** 2
     log_mel = np.log(power @ fb.T + 1e-10)
-    coeffs = _dct_ii(log_mel, cfg.n_coeffs)
+    coeffs = _dct_ii(log_mel, N_COEFFS)
     rate = clip.sample_rate / hop
     return FeatureSequence(coeffs.astype(np.float32), rate, family=FALLBACK_FAMILY)
 

@@ -10,7 +10,6 @@ keyframes interpolate linearly, and both eyes receive the same values
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,22 +17,9 @@ import numpy as np
 from .errors import DataError
 from .rig import ControllerMap, RigSequence
 
-
-@dataclass
-class GazeConfig:
-    interval_frames: tuple[int, int] = (15, 45)
-    radius: tuple[float, float] = (0.1, 0.2)
-    return_center_prob: float = 0.40
-
-    def __post_init__(self):
-        lo, hi = self.interval_frames
-        if not 1 <= lo <= hi:
-            raise DataError(f"bad interval range {self.interval_frames}")
-        rlo, rhi = self.radius
-        if not 0.0 <= rlo <= rhi:
-            raise DataError(f"bad radius range {self.radius}")
-        if not 0.0 <= self.return_center_prob <= 1.0:
-            raise DataError(f"bad center probability {self.return_center_prob}")
+INTERVAL_FRAMES = (15, 45)  # frames between retargets, inclusive
+RADIUS = (0.1, 0.2)  # off-center target distance
+RETURN_CENTER_PROB = 0.40
 
 
 @dataclass
@@ -50,35 +36,28 @@ class GazeTrack:
         if (np.diff(frames) <= 0).any():
             raise DataError("gaze keyframe frames must be strictly increasing")
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["frame", "h", "v"])
-            for frame, h, v in self.keyframes:
-                w.writerow([int(frame), f"{h:.9g}", f"{v:.9g}"])
 
-
-def sample_gaze_track(cfg: GazeConfig, n_frames: int, seed: int = 0) -> GazeTrack:
+def sample_gaze_track(n_frames: int, seed: int = 0) -> GazeTrack:
     """Random gaze keyframes covering a clip, deterministic under seed.
 
     Starts centered at frame 0, then repeats: jump ahead a uniform integer
-    interval, and target either the center (with the configured
-    probability) or a uniform angle at a uniform radius. Sampling stops
+    interval, and target either the center (with probability
+    RETURN_CENTER_PROB) or a uniform angle at a uniform radius. Sampling stops
     with the first keyframe at or beyond the last frame so interpolation
     never extrapolates.
     """
     if n_frames < 1:
         raise DataError(f"n_frames must be >= 1, got {n_frames}")
     rng = np.random.default_rng(seed)
-    lo, hi = cfg.interval_frames
+    lo, hi = INTERVAL_FRAMES
     frame = 0
     rows = [(0.0, 0.0, 0.0)]
     while frame < n_frames - 1:
         frame += int(rng.integers(lo, hi + 1))
-        if rng.random() < cfg.return_center_prob:
+        if rng.random() < RETURN_CENTER_PROB:
             h = v = 0.0
         else:
-            r = rng.uniform(cfg.radius[0], cfg.radius[1])
+            r = rng.uniform(*RADIUS)
             theta = rng.uniform(0.0, 2.0 * np.pi)
             h, v = r * np.cos(theta), r * np.sin(theta)
         rows.append((float(frame), h, v))
@@ -111,4 +90,4 @@ def inject_gaze(seq: RigSequence, track: GazeTrack, cmap: ControllerMap) -> RigS
         out[:, ch] = dense[:, 0]
     for ch in v_idx:
         out[:, ch] = dense[:, 1]
-    return RigSequence(out, seq.fps)
+    return RigSequence(out)

@@ -136,7 +136,7 @@ def _model_meta(model: RigModel) -> dict:
     return {"feature_family": model.feature_family, "feature_dim": model.feature_dim,
             "d_model": model.d_model, "n_layers": model.n_layers, "n_heads": model.n_heads,
             "d_ff": model.d_ff, "output_dim": model.output_dim, "dropout": model.dropout,
-            "leaky_slope": model.encoder.leaky_slope}
+            "leaky_slope": LEAKY_SLOPE}
 
 
 def _layout(meta: dict) -> list[tuple[str, tuple[int, ...], slice]]:
@@ -158,8 +158,7 @@ def _layout(meta: dict) -> list[tuple[str, tuple[int, ...], slice]]:
 def _bind(flat: np.ndarray, meta: dict) -> RigModel:
     """A model whose tensors are views into ``flat``, laid out by ``_layout(meta)``."""
     views = {name: flat[sl].reshape(shape) for name, shape, sl in _layout(meta)}
-    encoder = EncoderParams(**{k: views[f"encoder.{k}"] for k in _ENCODER_FIELDS},
-                            leaky_slope=meta.get("leaky_slope", LEAKY_SLOPE))
+    encoder = EncoderParams(**{k: views[f"encoder.{k}"] for k in _ENCODER_FIELDS})
     layers = [LayerParams(**{k: views[f"layers.{i}.{k}"] for k in _LAYER_FIELDS})
               for i in range(meta["n_layers"])]
     return RigModel(flat, encoder, layers, views["head_w"], views["head_b"],
@@ -176,11 +175,10 @@ def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
     every other matrix Glorot-uniform U(-b, b) with b = sqrt(6 / (n_in +
     n_out)), layer-norm gains are 1 and every other vector is 0.
     """
-    if d_model % n_heads != 0:
-        raise DataError(f"d_model {d_model} not divisible by n_heads {n_heads}")
     meta = {"feature_family": feature_family, "feature_dim": feature_dim, "d_model": d_model,
             "n_layers": n_layers, "n_heads": n_heads, "d_ff": d_ff, "output_dim": output_dim,
-            "dropout": dropout, "leaky_slope": LEAKY_SLOPE}
+            "dropout": dropout}
+    _check_shape(meta, "model")
     model = _bind(np.zeros(_layout(meta)[-1][2].stop), meta)
     rng = np.random.default_rng(seed)
     for name, p in named_parameters(model):
@@ -403,7 +401,7 @@ def training_backward(model: RigModel, cache, dy: np.ndarray, grads: RigModel) -
     g.emotion_w2[...] += a1.T @ detab
     g.emotion_b2[...] += detab.sum(axis=0)
     da1 = detab @ enc.emotion_w2.T
-    dz1 = da1 * np.where(z1 >= 0, 1.0, enc.leaky_slope)
+    dz1 = da1 * np.where(z1 >= 0, 1.0, LEAKY_SLOPE)
     g.emotion_w1[...] += enc.emotion_embed.T @ dz1
     g.emotion_b1[...] += dz1.sum(axis=0)
     g.emotion_embed[...] += dz1 @ enc.emotion_w1.T
@@ -430,6 +428,11 @@ def clip_loss_and_grads(model: RigModel, features, labels, target, grads: RigMod
 # --- gradient checking -------------------------------------------------------
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise DataError(f"finite-difference eps must be finite and > 0, got {eps}")
+
+
 def grad_check(model: RigModel, features, labels, target, eps: float = 1e-5,
                param_names=None):
     """Max relative error between analytic and central-difference gradients.
@@ -439,6 +442,7 @@ def grad_check(model: RigModel, features, labels, target, eps: float = 1e-5,
     ``param_names`` restricts the check to a subset (e.g. the affine head,
     where the loss is exactly quadratic and agreement reaches roundoff).
     """
+    _check_eps(eps)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     target = np.asarray(target, dtype=np.float64)
@@ -494,6 +498,7 @@ def gradcheck_probe(feature_dim: int = 8, d_model: int = 16, n_layers: int = 1,
     within eps of a ReLU kink, so seeds are scanned until every kink
     keeps a wide margin. The scan is deterministic for a given seed.
     """
+    _check_eps(eps)
     for trial in range(64):
         s = seed + 1000 * trial
         model = build_model(feature_dim, d_model=d_model, n_layers=n_layers,
@@ -565,7 +570,7 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
         y, _, _ = _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)
         return y
 
-    return RigSequence(chunked_apply(run_chunk, n, model.output_dim, cfg), RIG_FPS)
+    return RigSequence(chunked_apply(run_chunk, n, model.output_dim, cfg))
 
 
 def upcast_to_float64(model: RigModel) -> None:
@@ -619,9 +624,25 @@ def save_model(path, model: RigModel) -> None:
         f.write(np.asarray(model.flat, "<f4"))  # no copy for a loaded model
 
 
-_META_DIMS = {  # metadata key -> smallest valid value
-    "feature_dim": 1, "d_model": 1, "n_layers": 0, "n_heads": 1, "d_ff": 0, "output_dim": 1,
+_META_DIMS = {  # dim -> smallest valid value
+    "feature_dim": 1, "d_model": 2, "n_layers": 0, "n_heads": 1, "d_ff": 0, "output_dim": 1,
 }
+
+
+def _check_shape(meta: dict, where: str) -> None:
+    """The one validity rule for a model's dims and dropout, which
+    ``build_model`` and the weight loader both apply; errors start with
+    ``where``. The positional table needs an even ``d_model``."""
+    for key, least in _META_DIMS.items():
+        if type(meta[key]) is not int or meta[key] < least:
+            raise DataError(f"{where} {key} must be an integer >= {least}, got {meta[key]!r}")
+    d_model, n_heads = meta["d_model"], meta["n_heads"]
+    if d_model % 2 != 0 or d_model % n_heads != 0:
+        raise DataError(f"{where} d_model {d_model} must be even and divisible by "
+                        f"n_heads {n_heads}")
+    dropout = meta["dropout"]
+    if type(dropout) not in (int, float) or not 0.0 <= dropout < 1.0:
+        raise DataError(f"{where} dropout must be a number in [0, 1), got {dropout!r}")
 
 
 def _check_metadata(path, meta) -> None:
@@ -631,17 +652,10 @@ def _check_metadata(path, meta) -> None:
     for key in (*_META_DIMS, "dropout", "feature_family", "tensors"):
         if key not in meta:
             raise DataError(f"{path}: metadata lacks {key!r}")
-    for key, least in _META_DIMS.items():
-        if type(meta[key]) is not int or meta[key] < least:
-            raise DataError(f"{path}: metadata {key} must be an integer >= {least}, "
-                            f"got {meta[key]!r}")
-    if meta["d_model"] % meta["n_heads"] != 0:
-        raise DataError(f"{path}: d_model {meta['d_model']} not divisible by "
-                        f"n_heads {meta['n_heads']}")
-    for key in ("dropout", "leaky_slope"):
-        value = meta.get(key, 0.0)
-        if type(value) not in (int, float):
-            raise DataError(f"{path}: metadata {key} must be a number, got {value!r}")
+    _check_shape(meta, f"{path}: metadata")
+    if meta.get("leaky_slope", LEAKY_SLOPE) != LEAKY_SLOPE:
+        raise DataError(f"{path}: metadata leaky_slope must be {LEAKY_SLOPE}, "
+                        f"got {meta['leaky_slope']!r}")
     if not isinstance(meta["feature_family"], str):
         raise DataError(f"{path}: metadata feature_family must be a string")
     if not isinstance(meta["tensors"], list):
@@ -670,6 +684,10 @@ def _read_weights(path, f) -> RigModel:
         raise DataError(f"{path}: bad magic {magic!r}")
     if version != WEIGHT_VERSION:
         raise DataError(f"{path}: unsupported version {version}")
+    rest = os.fstat(f.fileno()).st_size - _WHEADER.size
+    if meta_len > rest:  # read() would allocate meta_len bytes up front
+        raise DataError(f"{path}: metadata length {meta_len} exceeds the {rest} bytes "
+                        f"after the header")
     raw = f.read(meta_len)
     try:
         meta = json.loads(raw)
@@ -696,13 +714,12 @@ def _read_weights(path, f) -> RigModel:
             raise DataError(f"{path}: manifest lists {got[0]!r} {got[1]} at offset {got[2]} "
                             f"where the layout has {name!r} {shape} at offset {4 * sl.start}")
 
-    flat = np.empty(layout[-1][2].stop, dtype="<f4")
-    payload = os.fstat(f.fileno()).st_size - _WHEADER.size - meta_len
-    if payload < flat.nbytes:
-        raise DataError(f"{path}: truncated payload: {payload} bytes, "
-                        f"the tensors need {flat.nbytes}")
-    if payload > flat.nbytes:
-        raise DataError(f"{path}: {payload - flat.nbytes} bytes after the last tensor")
+    payload, need = rest - meta_len, 4 * layout[-1][2].stop
+    if payload < need:
+        raise DataError(f"{path}: truncated payload: {payload} bytes, the tensors need {need}")
+    if payload > need:
+        raise DataError(f"{path}: {payload - need} bytes after the last tensor")
+    flat = np.empty(need // 4, dtype="<f4")
     f.readinto(flat)
     return _bind(flat, meta)
 

@@ -72,7 +72,6 @@ class ControllerMap:
         entries = sorted(entries, key=lambda e: e.index)
         _validate_entries(entries)
         self.entries = tuple(entries)
-        self._by_name = {e.name: e for e in self.entries}
 
     @property
     def width(self) -> int:
@@ -81,12 +80,6 @@ class ControllerMap:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)
-
-    def entry(self, name: str) -> ControllerEntry:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise DataError(f"unknown controller name: {name!r}") from None
 
     def region_indices(self, regions) -> list[int]:
         """Sorted indices of all channels whose region is in ``regions``."""
@@ -257,10 +250,10 @@ def default_map() -> ControllerMap:
 
 @dataclass
 class RigSequence:
-    """Controller values over time: one row per frame, one column per channel."""
+    """Controller values over time at RIG_FPS: one row per frame, one column
+    per channel."""
 
     values: np.ndarray
-    fps: float = RIG_FPS
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -270,14 +263,12 @@ class RigSequence:
             )
         if not np.isfinite(self.values).all():
             raise DataError("rig sequence contains non-finite values")
-        if self.fps <= 0:
-            raise DataError(f"fps must be positive, got {self.fps}")
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
     def copy(self) -> "RigSequence":
-        return RigSequence(self.values.copy(), self.fps)
+        return RigSequence(self.values.copy())
 
 
 def write_rig_csv(path, seq: RigSequence, cmap: ControllerMap | None = None) -> None:
@@ -344,10 +335,10 @@ def read_numeric_csv(path, width: int | None, what: str) -> np.ndarray:
     return values
 
 
-def read_rig_csv(path, fps: float = RIG_FPS) -> RigSequence:
+def read_rig_csv(path) -> RigSequence:
     """Read a rig CSV produced by :func:`write_rig_csv`, with or without
     its header row."""
-    return RigSequence(read_numeric_csv(path, RIG_WIDTH, "rig CSV"), fps)
+    return RigSequence(read_numeric_csv(path, RIG_WIDTH, "rig CSV"))
 
 
 def _first_bad_row(lines) -> tuple[int, str] | None:

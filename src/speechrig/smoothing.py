@@ -67,7 +67,7 @@ def smooth_sequence(seq: RigSequence, cfg: SmoothConfig | None = None) -> RigSeq
             np.multiply(padded[k:k + n], w, out=out)
         else:
             out += w * padded[k:k + n]
-    return RigSequence(out, seq.fps)
+    return RigSequence(out)
 
 
 def clamp_sequence(seq: RigSequence, cmap: ControllerMap) -> RigSequence:
@@ -77,4 +77,4 @@ def clamp_sequence(seq: RigSequence, cmap: ControllerMap) -> RigSequence:
         raise DataError(
             f"sequence width {seq.values.shape[1]} does not match map width {cmap.width}"
         )
-    return RigSequence(np.clip(seq.values, lo[None, :], hi[None, :]), seq.fps)
+    return RigSequence(np.clip(seq.values, lo[None, :], hi[None, :]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -26,9 +27,6 @@ from .rig import N_EMOTIONS, RIG_FPS, constant_timeline, emotion_id, read_rig_cs
 @dataclass
 class TrainConfig:
     lr0: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     step_size: int = 100
     gamma: float = 0.995
     epochs: int = 3000
@@ -40,8 +38,8 @@ class TrainConfig:
             raise DataError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.step_size < 1:
             raise DataError(f"step_size must be >= 1, got {self.step_size}")
-        if self.lr0 < 0.0:
-            raise DataError(f"lr0 must be >= 0, got {self.lr0}")
+        if not 0.0 <= self.lr0 < math.inf:  # NaN fails too
+            raise DataError(f"lr0 must be finite and >= 0, got {self.lr0}")
         if self.epochs < 1 or self.batch < 1:
             raise DataError("epochs and batch must be >= 1")
 
@@ -72,7 +70,6 @@ class SyntheticDataset:
     """
 
     items: list[ClipExample]
-    seed: int
     affine: np.ndarray  # (F, width)
     emotion_offsets: np.ndarray  # (7, width)
 
@@ -101,7 +98,7 @@ def gen_synthetic(seed: int, n_items: int, t_range=(40, 80), feature_dim: int = 
         feats = rng.normal(0.0, 1.0, (t, feature_dim))
         target = np.tanh(feats @ affine + offsets[emotion])
         items.append(ClipExample(feats, emotion, target))
-    return SyntheticDataset(items, seed, affine, offsets)
+    return SyntheticDataset(items, affine, offsets)
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -116,8 +113,9 @@ class Adam:
     about 20,000 page faults per desk-scale training request.
     """
 
-    def __init__(self, params: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._a = np.empty_like(params)
@@ -126,15 +124,15 @@ class Adam:
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         m, v, a, b = self.m, self.v, self._a, self._b
-        m *= self.beta1
-        m += np.multiply(grads, 1.0 - self.beta1, out=a)
-        v *= self.beta2
-        v += np.multiply(np.square(grads, out=a), 1.0 - self.beta2, out=a)
+        m *= self.BETA1
+        m += np.multiply(grads, 1.0 - self.BETA1, out=a)
+        v *= self.BETA2
+        v += np.multiply(np.square(grads, out=a), 1.0 - self.BETA2, out=a)
         np.multiply(np.divide(m, bc1, out=a), lr, out=a)  # lr * m_hat
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)  # sqrt(v_hat) + eps
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.EPS, out=b)  # sqrt(v_hat) + eps
         params -= np.divide(a, b, out=a)
 
 
@@ -177,7 +175,7 @@ def train(model: RigModel, dataset, cfg: TrainConfig,
     upcast_to_float64(model)  # a loaded model holds float32 tensors
     rng = np.random.default_rng(cfg.seed)
     grads = grad_buffer(model)  # one buffer, refilled for every batch
-    opt = Adam(model.flat, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = Adam(model.flat)
     history = []
     for epoch in range(cfg.epochs):
         lr = steplr(cfg.lr0, cfg.step_size, cfg.gamma, epoch)

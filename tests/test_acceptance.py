@@ -16,14 +16,13 @@ from speechrig.blink import (
     detect_blinks,
     draw_rates,
     ear,
-    gen_blink_traces,
     threshold_detect_blinks,
 )
 from speechrig.cli import main
 from speechrig.encoders import positional_encoding
 from speechrig.evaluate import lr_correlation, mae
 from speechrig.features import FeatureSequence, resample_features, write_feature_file
-from speechrig.gaze import GazeConfig, sample_gaze_track, track_values
+from speechrig.gaze import sample_gaze_track, track_values
 from speechrig.network import (
     build_model,
     forward_with_attention,
@@ -35,6 +34,8 @@ from speechrig.network import (
 from speechrig.rig import RIG_WIDTH, RigSequence, default_map, read_rig_csv
 from speechrig.smoothing import SmoothConfig, savgol_coeffs, smooth_sequence
 from speechrig.training import TrainConfig, gen_synthetic, train
+
+from blink_corpus import gen_blink_traces
 
 
 def report(criterion, ok, detail):
@@ -137,8 +138,7 @@ class TestAcceptance:
                f"crafted trace {n_clf} vs threshold {n_thr}")
 
     def test_06_gaze_sampler(self):
-        cfg = GazeConfig()
-        track = sample_gaze_track(cfg, n_frames=50 * 10_500, seed=314)
+        track = sample_gaze_track(n_frames=50 * 10_500, seed=314)
         kf = track.keyframes
         assert len(kf) > 10_000
         hv = kf[1:, 1:]
@@ -152,7 +152,7 @@ class TestAcceptance:
 
         interp_max = 0.0
         for seed in range(6):
-            t = sample_gaze_track(cfg, 3000, seed=seed)
+            t = sample_gaze_track(3000, seed=seed)
             dense = track_values(t, 3000)
             interp_max = max(interp_max, float(np.hypot(dense[:, 0], dense[:, 1]).max()))
 

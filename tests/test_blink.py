@@ -14,17 +14,17 @@ from speechrig.blink import (
     draw_rates,
     ear,
     fit_lognormal,
-    gen_blink_traces,
     inject_blinks,
     read_ear_csv,
     sample_blink_times,
     threshold_detect_blinks,
     trace_windows,
     train_blink_classifier,
-    training_windows_from_traces,
 )
 from speechrig.errors import DataError, DegenerateDataError
 from speechrig.rig import RIG_WIDTH, RigSequence, default_map
+
+from blink_corpus import gen_blink_traces, training_windows_from_traces
 
 
 class TestEar:

@@ -189,6 +189,8 @@ class TestWeightFileErrors:
         (_set("n_layers", -1), "n_layers"),
         (_set("n_heads", 3), "divisible"),
         (_set("dropout", "0.1"), "dropout"),
+        (_set("dropout", 1.5), "dropout"),
+        (_set("leaky_slope", 0.3), "leaky_slope"),
         (_set("feature_family", 7), "feature_family"),
         (_set("tensors", {}), "tensors"),
         (lambda meta: meta["tensors"].__setitem__(0, ["content_w"]), "malformed"),
@@ -198,7 +200,7 @@ class TestWeightFileErrors:
         (lambda meta: bytes(8), "8 bytes after the last tensor"),
         (lambda meta: meta["tensors"].pop(), "tensors listed"),
     ], ids=["missing-key", "str-dim", "float-dim", "negative-dim", "indivisible-heads",
-            "str-dropout", "int-family", "tensors-not-list", "tensor-entry-not-object",
+            "str-dropout", "dropout-above-1", "other-leaky-slope", "int-family", "tensors-not-list", "tensor-entry-not-object",
             "float-offset", "reordered-manifest", "overlapping-offset", "trailing-payload",
             "missing-tensor"])
     def test_bad_metadata_exits_3_with_json_line(self, workdir, capsys, edit, needle):
@@ -225,6 +227,11 @@ class TestWeightFileErrors:
 def _infer_argv(w, features="f.emof", emotion=("--emotion", "0"), out="x.csv"):
     return ["infer", "--features", w / features, *emotion, "--weights", w / "w.emow",
             "--out", w / out]
+
+
+def _train_argv(w, *flags):
+    return ["train", "--synthetic", "--items", "2", "--t-min", "4", "--t-max", "6",
+            "--epochs", "1", *flags, "--out", w / "t.emow"]
 
 
 def _manifest_case(name, emotion):
@@ -271,6 +278,22 @@ _BAD_PATHS = {
                          "feature rate", None),
     "feature-rate-inf": (lambda w: [*_infer_argv(w, features="f.csv"), "--feature-rate", "inf"],
                          "feature rate", None),
+    "timeline-fractional-frame": (
+        lambda w: _infer_argv(w, emotion=("--timeline", w / "frac_tl.csv")),
+        "frac_tl.csv", b"frame,label\n0,happy\n30.7,sad\n"),
+    "train-heads-0": (lambda w: _train_argv(w, "--heads", "0"), "n_heads", None),
+    "train-d-model-0": (lambda w: _train_argv(w, "--d-model", "0"), "d_model", None),
+    "train-odd-d-model": (lambda w: _train_argv(w, "--d-model", "3", "--heads", "1"),
+                          "d_model", None),
+    "train-layers-negative": (lambda w: _train_argv(w, "--layers", "-1"), "n_layers", None),
+    "train-feature-dim-0": (lambda w: _train_argv(w, "--feature-dim", "0"), "feature_dim", None),
+    "train-dropout-1.5": (lambda w: _train_argv(w, "--dropout", "1.5"), "dropout", None),
+    "train-dropout-1": (lambda w: _train_argv(w, "--dropout", "1"), "dropout", None),
+    "train-lr0-nan": (lambda w: _train_argv(w, "--lr0", "nan"), "lr0", None),
+    "train-lr0-inf": (lambda w: _train_argv(w, "--lr0", "inf"), "lr0", None),
+    "gradcheck-heads-0": (lambda w: ["gradcheck", "--heads", "0"], "n_heads", None),
+    "gradcheck-eps-0": (lambda w: ["gradcheck", "--eps", "0"], "eps", None),
+    "gradcheck-eps-nan": (lambda w: ["gradcheck", "--eps", "nan"], "eps", None),
 }
 
 

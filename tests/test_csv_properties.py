@@ -1,5 +1,6 @@
-"""Property tests for the numeric CSV readers: damaged files fail only
-with DataError, and the rig CSV writer/reader pair round-trips exactly."""
+"""Property tests for the input readers: damaged numeric CSVs, timeline
+CSVs, feature (EMOF) and weight (EMOW) files fail only with DataError, and
+the rig CSV writer/reader pair round-trips exactly."""
 
 import os
 import tempfile
@@ -10,32 +11,43 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from speechrig.blink import read_ear_csv
+from speechrig.cli import _read_timeline_csv
 from speechrig.errors import DataError
-from speechrig.features import read_feature_csv
+from speechrig.features import FeatureSequence, load_features, read_feature_csv, write_feature_file
+from speechrig.network import build_model, load_model, save_model
 from speechrig.rig import RIG_WIDTH, RigSequence, read_rig_csv, write_rig_csv
 
 
-def _rig_csv() -> bytes:
-    values = np.random.default_rng(3).uniform(-1.0, 1.0, (3, RIG_WIDTH))
+def _written(write) -> bytes:
+    """The bytes ``write(path)`` puts in a fresh file."""
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "rig.csv")
-        write_rig_csv(path, RigSequence(values))
+        path = os.path.join(d, "valid")
+        write(path)
         with open(path, "rb") as f:
             return f.read()
 
 
+_RIG = np.random.default_rng(3).uniform(-1.0, 1.0, (3, RIG_WIDTH))
+_FEATURES = FeatureSequence(np.random.default_rng(4).normal(0.0, 1.0, (3, 2)), 50.0)
+_MODEL = build_model(3, d_model=4, n_layers=1, n_heads=2, d_ff=4, output_dim=2,
+                     dropout=0.0, seed=5)
+
 # reader, a valid file it reads
-_VALID = {
-    "rig": (read_rig_csv, _rig_csv()),
+_NUMERIC_CSVS = {
+    "rig": (read_rig_csv, _written(lambda p: write_rig_csv(p, RigSequence(_RIG)))),
     "ear-trace": (read_ear_csv, b"frame,ear\n0,0.31\n1,0.25\n2,0.07\n3,0.2\n4,0.3\n"),
     "features": (read_feature_csv, b"f0,f1,f2\n0.5,-1.25,3e-2\n1,2,3\n\n-0.5,0.25,1e3\n"),
 }
+_OTHER_INPUTS = {
+    "timeline": (lambda p: _read_timeline_csv(p, 60), b"frame,label\n0,happy\n30,sad\n45,2\n"),
+    "emof": (load_features, _written(lambda p: write_feature_file(p, _FEATURES))),
+    "emow": (load_model, _written(lambda p: save_model(p, _MODEL))),
+}
 
 
-@settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(sorted(_VALID)), data=st.data())
-def test_damaged_numeric_csv_raises_only_data_error(kind, data):
-    read, blob = _VALID[kind]
+def _read_damaged(read, blob, data) -> None:
+    """Flip up to 3 bytes of ``blob``, truncate it, and read it: only a
+    DataError may escape."""
     damaged = bytearray(blob)
     for at, byte in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
                                                  st.integers(0, 255)), max_size=3)):
@@ -49,6 +61,18 @@ def test_damaged_numeric_csv_raises_only_data_error(kind, data):
             read(path)
         except DataError:
             pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_NUMERIC_CSVS)), data=st.data())
+def test_damaged_numeric_csv_raises_only_data_error(kind, data):
+    _read_damaged(*_NUMERIC_CSVS[kind], data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_OTHER_INPUTS)), data=st.data())
+def test_damaged_timeline_feature_and_weight_files_raise_only_data_error(kind, data):
+    _read_damaged(*_OTHER_INPUTS[kind], data)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,8 +5,9 @@ import pytest
 
 from speechrig.errors import DataError, FeatureFileError
 from speechrig.features import (
+    N_COEFFS,
+    N_MELS,
     AudioClip,
-    FallbackConfig,
     FeatureSequence,
     _dct_ii,
     extract_fallback_features,
@@ -97,10 +98,10 @@ class TestFallbackExtractor:
     def test_one_second_at_16k_gives_50_frames(self):
         rng = np.random.default_rng(2)
         clip = AudioClip(rng.uniform(-0.5, 0.5, 16000), 16000)
-        seq = extract_fallback_features(clip, FallbackConfig(frame_hop=320))
+        seq = extract_fallback_features(clip)
         assert seq.n_frames == 50
         assert seq.rate_hz == 50.0
-        assert seq.n_features == FallbackConfig().n_coeffs
+        assert seq.n_features == N_COEFFS
 
     def test_silence_gives_identical_frames(self):
         clip = AudioClip(np.zeros(8000), 16000)
@@ -116,7 +117,7 @@ class TestFallbackExtractor:
         a = extract_fallback_features(AudioClip(samples, 16000))
         b = extract_fallback_features(AudioClip(2.0 * samples, 16000))
         diff = b.data.astype(np.float64) - a.data.astype(np.float64)
-        shift = np.log(4.0) * np.sqrt(FallbackConfig().n_mels)
+        shift = np.log(4.0) * np.sqrt(N_MELS)
         np.testing.assert_allclose(diff[:, 0], shift, atol=1e-4)
         np.testing.assert_allclose(diff[:, 1:], 0.0, atol=1e-4)
 

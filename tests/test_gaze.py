@@ -4,27 +4,26 @@ import numpy as np
 import pytest
 
 from speechrig.errors import DataError
-from speechrig.gaze import GazeConfig, GazeTrack, inject_gaze, sample_gaze_track, track_values
+from speechrig.gaze import RADIUS, GazeTrack, inject_gaze, sample_gaze_track, track_values
 from speechrig.rig import RIG_WIDTH, RigSequence, default_map
 
 
 def _long_track(n_keyframes=10_500, seed=314):
-    cfg = GazeConfig()
     # enough frames that the sampler emits > n_keyframes keyframes
-    track = sample_gaze_track(cfg, n_frames=50 * n_keyframes, seed=seed)
+    track = sample_gaze_track(n_frames=50 * n_keyframes, seed=seed)
     assert len(track.keyframes) >= n_keyframes
     return track
 
 
 class TestSampler:
     def test_deterministic_under_seed(self):
-        a = sample_gaze_track(GazeConfig(), 2000, seed=5)
-        b = sample_gaze_track(GazeConfig(), 2000, seed=5)
+        a = sample_gaze_track(2000, seed=5)
+        b = sample_gaze_track(2000, seed=5)
         assert np.array_equal(a.keyframes, b.keyframes)
 
     def test_different_seeds_differ(self):
-        a = sample_gaze_track(GazeConfig(), 2000, seed=5)
-        b = sample_gaze_track(GazeConfig(), 2000, seed=6)
+        a = sample_gaze_track(2000, seed=5)
+        b = sample_gaze_track(2000, seed=6)
         assert not np.array_equal(a.keyframes, b.keyframes)
 
     def test_noncenter_magnitudes_in_radius_band(self):
@@ -49,7 +48,7 @@ class TestSampler:
         assert gaps.max() <= 45
 
     def test_single_frame_clip(self):
-        track = sample_gaze_track(GazeConfig(), 1, seed=0)
+        track = sample_gaze_track(1, seed=0)
         assert len(track.keyframes) == 1
         assert track.keyframes[0].tolist() == [0.0, 0.0, 0.0]
 
@@ -82,7 +81,7 @@ class TestInjection:
         cmap = default_map()
         rng = np.random.default_rng(2)
         seq = RigSequence(rng.uniform(-0.5, 0.5, (40, RIG_WIDTH)))
-        track = sample_gaze_track(GazeConfig(), 40, seed=3)
+        track = sample_gaze_track(40, seed=3)
         out = inject_gaze(seq, track, cmap)
         gaze = set(cmap.eye_role_indices("gaze_horizontal")) | \
             set(cmap.eye_role_indices("gaze_vertical"))
@@ -92,7 +91,7 @@ class TestInjection:
     def test_conjugate_eyes_receive_identical_values(self):
         cmap = default_map()
         seq = RigSequence(np.zeros((200, RIG_WIDTH)))
-        track = sample_gaze_track(GazeConfig(), 200, seed=4)
+        track = sample_gaze_track(200, seed=4)
         out = inject_gaze(seq, track, cmap)
         h = cmap.eye_role_indices("gaze_horizontal")
         v = cmap.eye_role_indices("gaze_vertical")
@@ -103,17 +102,8 @@ class TestInjection:
     def test_interpolated_magnitude_never_exceeds_radius_max(self):
         # convexity: linear interpolation between in-disk points stays in
         # the disk; checked over many sampled tracks
-        cfg = GazeConfig()
         for seed in range(8):
-            track = sample_gaze_track(cfg, 3000, seed=seed)
+            track = sample_gaze_track(3000, seed=seed)
             dense = track_values(track, 3000)
             mags = np.hypot(dense[:, 0], dense[:, 1])
-            assert mags.max() <= cfg.radius[1] * (1 + 1e-12)
-
-    def test_csv_export(self, tmp_path):
-        track = GazeTrack(np.array([[0.0, 0.0, 0.0], [20.0, 0.15, -0.05]]))
-        path = tmp_path / "gaze.csv"
-        track.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "frame,h,v"
-        assert lines[2].startswith("20,0.15,")
+            assert mags.max() <= RADIUS[1] * (1 + 1e-12)

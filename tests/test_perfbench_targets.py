@@ -1,12 +1,8 @@
 """The traced benchmark finds every program function it wraps."""
 
 import importlib
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # perfbench/ is not installed
-
-from perfbench import layers  # noqa: E402
+from perfbench import layers  # perfbench/ is not installed; pyproject puts "." on the path
 
 
 def _resolve(module, attr):
