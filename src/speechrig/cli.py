@@ -5,7 +5,9 @@ Every run is a pure function of its inputs, flags, seed and BLAS thread
 count: at a fixed thread count (OPENBLAS_NUM_THREADS) running a command
 twice produces byte-identical artifacts. infer runs its encoder stack in
 float32, so across thread counts its outputs differ in the last float32
-digits: by at most 1e-5 relative to the largest output magnitude.
+digits: by at most 1e-5 relative to the largest output magnitude. A clip
+of several chunks runs them on every usable core at one BLAS thread, so
+its output is the one-thread output whatever the thread or core count.
 
 Exit codes: 0 ok, 2 usage, 3 bad data (an unreadable input or an
 unwritable output path included), 4 numeric failure. With --json-errors,
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -196,6 +199,8 @@ def _cmd_blink_detect(args) -> int:
 
 
 def _cmd_blink_fit(args) -> int:
+    if not 0.0 < args.fps < math.inf:  # NaN fails too
+        raise DataError(f"--fps must be finite and > 0, got {args.fps}")
     if args.rates:
         rates = read_numeric_csv(args.rates, 1, "rate CSV")[:, 0]
     else:

@@ -47,8 +47,9 @@ class FeatureSequence:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.ndim != 2 or self.data.shape[0] < 1:
-            raise DataError(f"feature matrix must be 2-D with T >= 1, got {self.data.shape}")
+        if self.data.ndim != 2 or min(self.data.shape) < 1:
+            raise DataError(f"feature matrix must be 2-D with T >= 1 and F >= 1, "
+                            f"got {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise DataError("feature matrix contains non-finite values")
         if not 0.0 < self.rate_hz < math.inf:
@@ -92,6 +93,9 @@ def read_feature_file(path) -> FeatureSequence:
         raise FeatureFileError(f"{path}: bad magic {magic!r}")
     if version != FEATURE_VERSION:
         raise FeatureFileError(f"{path}: unsupported version {version}")
+    if rows < 1 or cols < 1:
+        raise FeatureFileError(f"{path}: header promises {rows}x{cols} features; "
+                               f"need at least 1 row and 1 column")
     expected = rows * cols * 4
     payload = blob[_HEADER.size:]
     if len(payload) < expected:
@@ -228,6 +232,9 @@ def extract_fallback_features(clip: AudioClip) -> FeatureSequence:
 # --- resampling -------------------------------------------------------------
 
 
+_RESAMPLE_ROWS = 256  # output rows per block: float64 temporaries stay small
+
+
 def resample_features(seq: FeatureSequence, dst_rate: float) -> FeatureSequence:
     """Linearly resample a feature stream onto a new frame rate.
 
@@ -247,7 +254,16 @@ def resample_features(seq: FeatureSequence, dst_rate: float) -> FeatureSequence:
 
     pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
     lo = np.minimum(pos.astype(np.int64), n_in - 2)
-    frac = pos - lo
-    data = seq.data.astype(np.float64)
-    out = data[lo] + frac[:, None] * (data[lo + 1] - data[lo])
-    return FeatureSequence(out.astype(np.float32), dst_rate, seq.family)
+    frac = (pos - lo)[:, None]
+    x = seq.data
+    out = np.empty((n_out, seq.n_features), np.float32)
+    # a + frac * (b - a) in float64, a block of rows at a time and in place
+    for r in range(0, n_out, _RESAMPLE_ROWS):
+        rows = slice(r, r + _RESAMPLE_ROWS)
+        a = x[lo[rows]].astype(np.float64)
+        b = x[lo[rows] + 1].astype(np.float64)
+        b -= a
+        b *= frac[rows]
+        b += a
+        out[rows] = b
+    return FeatureSequence(out, dst_rate, seq.family)

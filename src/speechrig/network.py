@@ -31,11 +31,15 @@ bytes and nothing after them.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
 import json
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,8 +294,15 @@ def _dropout_mask(shape, p, rng):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng):
+def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache):
+    """The layer's output and, with ``keep_cache``, what its reverse pass reads.
+
+    Without ``keep_cache`` the attention cache (Q/K/V and the heads x T x T
+    scores) is released before the feed-forward block runs.
+    """
     a, attn_cache = _attention_forward(x, p, n_heads)
+    if not keep_cache:
+        attn_cache = None
     mask1 = None
     if dropout_p > 0.0 and rng is not None:
         mask1 = _dropout_mask(a.shape, dropout_p, rng)
@@ -306,6 +317,8 @@ def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng):
         mask2 = _dropout_mask(f.shape, dropout_p, rng)
         f = f * mask2
     x2, ln2_cache = _layer_norm_forward(x1 + f, p.ln2_g, p.ln2_b)
+    if not keep_cache:
+        return x2, None
     return x2, (attn_cache, mask1, ln1_cache, x1, z, h, mask2, ln2_cache)
 
 
@@ -346,7 +359,8 @@ def _stack_forward(model, h, train, rng, keep_attention):
     caches = [] if train else None
     maps = [] if keep_attention else None
     for i, layer in enumerate(model.layers):
-        h, cache = _layer_forward(h, layer, model.n_heads, dropout_p, rng)
+        h, cache = _layer_forward(h, layer, model.n_heads, dropout_p, rng,
+                                  keep_cache=train or keep_attention)
         if not np.isfinite(h).all():
             raise NumericError(f"non-finite activations after encoder layer {i}")
         if train:
@@ -539,14 +553,19 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     """Predict a 60 fps rig sequence for a feature stream and emotion timeline.
 
     Features at other rates are resampled internally. Long clips run in
-    overlapping chunks whose overlap regions are linearly crossfaded.
-    Positions are global frame indices: each chunk's encoding starts at
-    its own start frame, so a chunk sees the positions it has in the clip.
+    overlapping chunks whose overlap regions are linearly crossfaded; the
+    chunks run on every usable core (see ``chunked_apply``). Positions
+    are global frame indices: each chunk's encoding starts at its own
+    start frame, so a chunk sees the positions it has in the clip.
 
-    The encoder stack and head run in float32: each chunk's encoder
-    output is cast to float32 before the first layer. Reruns are
-    byte-identical at a fixed BLAS thread count; across thread counts
-    they agree within 1e-5 relative to the largest output.
+    Each chunk's feature rows are cast to float64 for the encoders, one
+    chunk at a time, in chunk order; no float64 copy of the whole clip is
+    kept. The encoder stack and head run in float32 and keep no layer
+    caches. Reruns are byte-identical at a fixed BLAS thread count,
+    whatever the number of chunk runners; across thread counts they agree
+    within 1e-5 relative to the largest output. A clip of several chunks
+    runs at one BLAS thread, so its output is the one-thread output at
+    any count.
     """
     cfg = cfg or InferenceConfig()
     if features.n_features != model.feature_dim:
@@ -558,19 +577,19 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
         features = resample_features(features, RIG_FPS)
     n = features.n_frames
     labels = validate_timeline(timeline, n)
-    data = features.data.astype(np.float64)
     etab = encode_emotion_table(model.encoder)
     stack = _bind(np.asarray(model.flat, np.float32), _model_meta(model))
 
-    def run_chunk(s, e):
+    def encode(s, e):
         # Positions are global frame indices, so a clip shorter than one
         # chunk is bit-identical to an unchunked pass.
-        content = encode_content(data[s:e], model.encoder, pos_offset=s)
-        h0 = np.asarray(content + etab[labels[s:e]], np.float32)
-        y, _, _ = _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)
-        return y
+        content = encode_content(features.data[s:e], model.encoder, pos_offset=s)
+        return np.asarray(content + etab[labels[s:e]], np.float32)
 
-    return RigSequence(chunked_apply(run_chunk, n, model.output_dim, cfg))
+    def run_stack(h0):
+        return _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)[0]
+
+    return RigSequence(chunked_apply(run_stack, n, model.output_dim, cfg, prepare=encode))
 
 
 def upcast_to_float64(model: RigModel) -> None:
@@ -583,30 +602,120 @@ def upcast_to_float64(model: RigModel) -> None:
         vars(model).update(vars(_bind(model.flat.astype(np.float64), _model_meta(model))))
 
 
-def chunked_apply(run_chunk, n_frames: int, out_dim: int,
-                  cfg: InferenceConfig) -> np.ndarray:
+def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig,
+                  prepare=None) -> np.ndarray:
     """Cover [0, n_frames) with overlapping chunks and linearly crossfade
     each overlap region; chunks that agree on the overlap pass through
-    unchanged there."""
+    unchanged there.
+
+    Chunk [s, e) is ``run_chunk(s, e)``, or ``run_chunk(prepare(s, e))``
+    when ``prepare`` is given; either returns an (e - s, out_dim) array.
+    ``prepare`` runs for one chunk at a time, in chunk order. Several
+    chunks run on min(usable CPUs, chunks) runners, the calling thread
+    being one, with numpy's OpenBLAS held at one thread, so the result
+    does not depend on the number of runners; where the BLAS thread count
+    cannot be set, they run one after another. A failing chunk's
+    exception reaches the caller unchanged: the earliest one, as in a
+    serial run.
+    """
     if n_frames <= cfg.chunk_frames:
-        return run_chunk(0, n_frames)
-    out = np.zeros((n_frames, out_dim))
-    stride = cfg.chunk_frames - cfg.overlap_frames
-    start, covered = 0, 0
-    while covered < n_frames:
-        end = min(start + cfg.chunk_frames, n_frames)
-        y = run_chunk(start, end)
-        if start == 0:
-            out[:end] = y
-        else:
-            ov = covered - start  # overlap with what is already written
-            w = (np.arange(ov, dtype=np.float64) + 1.0) / (ov + 1.0)
-            prev = out[start:covered]
-            out[start:covered] = prev + w[:, None] * (y[:ov] - prev)
-            out[covered:end] = y[ov:]
-        covered = end
-        start += stride
+        return _run_chunks(run_chunk, prepare, [(0, n_frames)], 1)[0]
+    ov = cfg.overlap_frames
+    bounds = [(s, min(s + cfg.chunk_frames, n_frames))
+              for s in range(0, n_frames - ov, cfg.chunk_frames - ov)]
+    with _one_blas_thread() as pinned:
+        runners = min(len(os.sched_getaffinity(0)), len(bounds)) if pinned else 1
+        ys = _run_chunks(run_chunk, prepare, bounds, runners)
+
+    out = np.empty((n_frames, out_dim))
+    w = ((np.arange(ov, dtype=np.float64) + 1.0) / (ov + 1.0))[:, None]
+    for (s, e), y in zip(bounds, ys):
+        if s == 0:
+            out[:e] = y
+        else:  # rows s .. s + ov overlap the previous chunk
+            prev = out[s:s + ov]
+            out[s:s + ov] = prev + w * (y[:ov] - prev)
+            out[s + ov:e] = y[ov:]
     return out
+
+
+def _run_chunks(run_chunk, prepare, bounds, runners: int) -> list:
+    """Every chunk's output, computed on ``runners`` threads, the calling
+    thread one of them.
+
+    Chunks are taken in order under a lock, ``prepare`` included. After a
+    failure no runner takes another chunk, and every earlier chunk was
+    taken before it and runs to its end; the earliest failing chunk's
+    exception is raised.
+    """
+    results, errors = [None] * len(bounds), {}
+    todo, lock = iter(range(len(bounds))), threading.Lock()
+
+    def runner():
+        i = None
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(todo, None)
+                    if i is None:
+                        return
+                    args = bounds[i] if prepare is None else (prepare(*bounds[i]),)
+                results[i] = run_chunk(*args)
+        except Exception as exc:
+            errors[i] = exc
+
+    workers = [threading.Thread(target=runner) for _ in range(runners - 1)]
+    for t in workers:
+        t.start()
+    try:
+        runner()
+    finally:
+        with lock:  # after an interrupt too, leave the workers nothing to take
+            for _ in todo:
+                pass
+        for t in workers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+@functools.lru_cache(maxsize=1)
+def _blas_thread_control():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, or None.
+
+    The library is looked up among the files this process has mapped.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({ln.split()[-1] for ln in f if "scipy_openblas" in ln})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread and restore its count after;
+    yields whether it could (if not, nothing is changed)."""
+    blas = _blas_thread_control()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(old)
 
 
 # --- weight files --------------------------------------------------------------

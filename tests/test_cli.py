@@ -294,6 +294,10 @@ _BAD_PATHS = {
     "gradcheck-heads-0": (lambda w: ["gradcheck", "--heads", "0"], "n_heads", None),
     "gradcheck-eps-0": (lambda w: ["gradcheck", "--eps", "0"], "eps", None),
     "gradcheck-eps-nan": (lambda w: ["gradcheck", "--eps", "nan"], "eps", None),
+    **{f"blink-fit-fps-{fps}": (
+        lambda w, fps=fps: ["blink-fit", "--trace", w / "ok_ear.csv", "--fps", fps,
+                            "--out", w / "fit.json"], "--fps", None)
+       for fps in ("0", "-30", "nan")},
 }
 
 
@@ -309,6 +313,16 @@ def test_bad_paths_and_rows_exit_3_with_json_line(workdir, capsys, case):
     payload = json.loads(line)
     assert payload["error"] == "DataError"
     assert name in payload["message"]
+
+
+def test_zero_width_feature_file_exits_3_naming_it(workdir, capsys):
+    path = workdir / "zero_cols.emof"
+    path.write_bytes(struct.pack("<4sIIIf", b"EMOF", 1, 5, 0, 50.0))  # 20 bytes, no payload
+    assert run("--json-errors", *_infer_argv(workdir, features=path.name)) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "FeatureFileError"
+    assert str(path) in payload["message"] and "5x0" in payload["message"]
 
 
 _RIG_ROW = ",".join(["0.25"] * RIG_WIDTH)

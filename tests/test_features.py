@@ -1,5 +1,7 @@
 """Feature file format, fallback extraction, and resampling contracts."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,18 @@ class TestFeatureFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="feature rate"):
             read_feature_file(path)
+
+    @pytest.mark.parametrize("rows, cols", [(5, 0), (0, 3)])
+    def test_empty_header_dims_rejected_with_path(self, tmp_path, rows, cols):
+        path = tmp_path / "f.emof"
+        path.write_bytes(struct.pack("<4sIIIf", b"EMOF", 1, rows, cols, 50.0))
+        with pytest.raises(FeatureFileError, match=f"{rows}x{cols}") as exc:
+            read_feature_file(path)
+        assert str(path) in str(exc.value)
+
+    def test_zero_width_matrix_rejected(self):
+        with pytest.raises(DataError, match="F >= 1"):
+            FeatureSequence(np.zeros((5, 0), dtype=np.float32), 50.0)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "f.emof"
@@ -199,6 +213,25 @@ class TestResampling:
         two = FeatureSequence(np.ones((2, 2), dtype=np.float32), 50.0)
         with pytest.raises(DataError):
             resample_features(two, -1.0)
+
+    # (input frames, width, source rate, target rate): up- and downsampling,
+    # outputs of 524, 3600 and 583 rows (not multiples of the 256-row
+    # block) and of 512 rows (a multiple)
+    @pytest.mark.parametrize("n_in, width, src, dst", [
+        (437, 13, 50.0, 60.0), (3000, 24, 50.0, 60.0), (700, 7, 60.0, 50.0),
+        (427, 5, 50.0, 60.0)])
+    def test_blocks_match_the_whole_array_formula(self, n_in, width, src, dst):
+        rng = np.random.default_rng(n_in)
+        x = rng.normal(0, 3, (n_in, width)).astype(np.float32)
+        out = resample_features(FeatureSequence(x, src), dst).data
+        n_out = round(n_in * dst / src)
+        pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
+        lo = np.minimum(pos.astype(np.int64), n_in - 2)
+        frac = (pos - lo)[:, None]
+        data = x.astype(np.float64)
+        want = (data[lo] + frac * (data[lo + 1] - data[lo])).astype(np.float32)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -50.0])
     def test_rates_must_be_finite_and_positive(self, rate):

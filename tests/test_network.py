@@ -1,9 +1,15 @@
 """Transformer core: forward contracts, chunked inference, gradients,
 and the weight file format."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import speechrig.network as network
 from speechrig.encoders import encode_content, encode_emotion_table
 from speechrig.errors import DataError, NumericError
 from speechrig.features import FeatureSequence
@@ -81,6 +87,21 @@ class TestForward:
     def test_hidden_width_checked(self, model):
         with pytest.raises(DataError):
             forward(model, np.zeros((4, 15)))
+
+    def test_inference_pass_without_caches_is_bit_equal(self, model):
+        # model is float64 with dropout 0: the cache-free inference pass must
+        # compute exactly what the training pass and forward_with_attention do
+        rng = np.random.default_rng(5)
+        hidden = rng.normal(0, 1, (11, 16))
+        y, caches, maps = network._stack_forward(model, hidden, train=False, rng=None,
+                                                 keep_attention=False)
+        assert caches is None and maps is None
+        y_train, train_caches, _ = network._stack_forward(model, hidden, train=True,
+                                                          rng=None, keep_attention=False)
+        assert len(train_caches) == model.n_layers + 1
+        assert y.dtype == np.float64
+        assert np.array_equal(y, y_train)
+        assert np.array_equal(y, forward(model, hidden))
 
 
 class TestEmotionPathway:
@@ -204,6 +225,128 @@ class TestChunkedInference:
         infer(feats, constant_timeline(2, 75), m, InferenceConfig(30, 6))
         # stride 24: chunks [0, 30), [24, 54), [48, 75)
         assert calls == [(0, 30), (24, 30), (48, 27)]
+
+
+class TestChunkPool:
+    # 130 frames in 30-frame chunks at stride 24: six chunks
+    CFG = InferenceConfig(30, 6)
+
+    def test_pool_output_equals_the_serial_run(self, monkeypatch):
+        m = tiny_model(layers=2, output_dim=174)
+        rng = np.random.default_rng(18)
+        feats = FeatureSequence(rng.normal(0, 1, (130, 8)).astype(np.float32), 60.0)
+        switched = np.array([0] * 50 + [4] * 80)
+        pooled = infer(feats, switched, m, self.CFG).values
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = infer(feats, switched, m, self.CFG).values
+        assert np.array_equal(pooled, serial)
+
+    def test_more_runners_than_cores_take_each_chunk_once(self, monkeypatch):
+        # 8 runners on 2-frame-stride chunks, switching threads as often as
+        # the interpreter allows: a chunk taken twice or skipped, or a
+        # result stored in the wrong slot, changes the output
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        cfg = InferenceConfig(3, 1)
+        prepared = []
+
+        def prepare(s, e):
+            time.sleep(0)  # lets another runner in if taking were not atomic
+            prepared.append(s)
+            return s, e
+
+        def run(bounds):
+            s, e = bounds
+            return np.arange(s, e, dtype=np.float64)[:, None] * np.ones(4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = chunked_apply(run, 401, 4, cfg, prepare=prepare)
+        finally:
+            sys.setswitchinterval(interval)
+        assert prepared == list(range(0, 400, 2))
+        assert np.array_equal(out, np.arange(401.0)[:, None] * np.ones(4))
+
+    @pytest.mark.parametrize("failing", [(48,), (48, 96), (96, 0)])
+    def test_earliest_failing_chunk_raises_unchanged(self, failing):
+        def run(s, e):
+            if s in failing:
+                raise NumericError(f"chunk at {s}")
+            return np.zeros((e - s, 3))
+
+        with pytest.raises(NumericError, match=f"chunk at {min(failing)}$"):
+            chunked_apply(run, 130, 3, self.CFG)
+
+    def test_prepare_runs_in_chunk_order_with_its_result_passed_on(self):
+        seen = []
+
+        def prepare(s, e):
+            seen.append(s)
+            return np.full((e - s, 2), float(s))
+
+        out = chunked_apply(lambda x: x + 1.0, 130, 2, self.CFG, prepare=prepare)
+        assert seen == [0, 24, 48, 72, 96, 120]
+        assert out[0, 0] == 1.0 and out[-1, 0] == 121.0
+
+    def test_a_later_chunk_failing_first_does_not_win(self):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two runners")
+        later_failed = threading.Event()
+
+        def run(s, e):
+            if s == 24:  # taken before chunk 48; fails only once 48 has
+                later_failed.wait(10.0)
+                raise NumericError("chunk at 24")
+            if s == 48:
+                later_failed.set()
+                raise NumericError("chunk at 48")
+            return np.zeros((e - s, 3))
+
+        with pytest.raises(NumericError, match="chunk at 24$"):
+            chunked_apply(run, 130, 3, self.CFG)
+        assert later_failed.is_set()
+
+    def test_interrupt_on_the_calling_thread_stops_the_workers(self):
+        ran = []
+
+        def run(s, e):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            ran.append(s)
+            return np.zeros((e - s, 3))
+
+        with pytest.raises(KeyboardInterrupt):
+            chunked_apply(run, 130, 3, self.CFG)
+        assert len(ran) <= 2  # only chunks a worker had taken before the interrupt
+
+    def test_blas_held_at_one_thread_then_restored(self):
+        blas = network._blas_thread_control()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        get, put = blas
+        before = get()
+        inside = []
+
+        def run(s, e):
+            inside.append(get())
+            if s == 72:
+                raise NumericError("chunk at 72")
+            return np.zeros((e - s, 3))
+
+        put(2)
+        try:
+            m = tiny_model(layers=1, output_dim=174)
+            rng = np.random.default_rng(19)
+            feats = FeatureSequence(rng.normal(0, 1, (130, 8)).astype(np.float32), 60.0)
+            infer(feats, constant_timeline(1, 130), m, self.CFG)
+            assert get() == 2
+            with pytest.raises(NumericError):
+                chunked_apply(run, 130, 3, self.CFG)
+            assert get() == 2
+            assert inside and set(inside) == {1}
+        finally:
+            put(before)
 
 
 class TestGradients:
