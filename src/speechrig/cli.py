@@ -43,6 +43,7 @@ from .network import (
 from .rig import (
     RIG_FPS,
     ControllerMap,
+    atomic_write,
     constant_timeline,
     default_map,
     emotion_id,
@@ -134,7 +135,7 @@ def _cmd_infer(args) -> int:
         "blink": bool(args.blink),
         "gaze": bool(args.gaze),
     }
-    with open(str(args.out) + ".json", "w", encoding="utf-8") as f:
+    with atomic_write(str(args.out) + ".json") as f:
         json.dump(sidecar, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {args.out} ({n} frames x {cmap.width} channels at {RIG_FPS:g} fps)")

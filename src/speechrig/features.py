@@ -19,6 +19,7 @@ Feature file layout (little-endian):
 from __future__ import annotations
 
 import math
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -50,7 +51,8 @@ class FeatureSequence:
         if self.data.ndim != 2 or min(self.data.shape) < 1:
             raise DataError(f"feature matrix must be 2-D with T >= 1 and F >= 1, "
                             f"got {self.data.shape}")
-        if not np.isfinite(self.data).all():
+        # a NaN or inf reaches the min or the max; no T x F mask is built
+        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise DataError("feature matrix contains non-finite values")
         if not 0.0 < self.rate_hz < math.inf:
             raise DataError(f"feature rate must be finite and positive, got {self.rate_hz}")
@@ -83,32 +85,37 @@ class AudioClip:
 
 
 def read_feature_file(path) -> FeatureSequence:
-    """Read a binary feature file, checking magic, version, and payload."""
+    """Read a binary feature file, checking magic, version, and payload.
+
+    The payload is read straight into the matrix it becomes."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _HEADER.size:
-        raise FeatureFileError(f"{path}: too short for a feature header")
-    magic, version, rows, cols, rate_hz = _HEADER.unpack_from(blob)
-    if magic != FEATURE_MAGIC:
-        raise FeatureFileError(f"{path}: bad magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise FeatureFileError(f"{path}: unsupported version {version}")
-    if rows < 1 or cols < 1:
-        raise FeatureFileError(f"{path}: header promises {rows}x{cols} features; "
-                               f"need at least 1 row and 1 column")
-    expected = rows * cols * 4
-    payload = blob[_HEADER.size:]
-    if len(payload) < expected:
-        raise FeatureFileError(
-            f"{path}: truncated payload ({len(payload)} bytes, header promises {expected})"
-        )
-    if len(payload) > expected:
-        raise FeatureFileError(f"{path}: {len(payload) - expected} bytes after the "
-                               f"{rows}x{cols} payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
-    if not np.isfinite(data).all():
-        raise FeatureFileError(f"{path}: payload contains non-finite values")
-    return FeatureSequence(data.copy(), float(rate_hz))
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FeatureFileError(f"{path}: too short for a feature header")
+        magic, version, rows, cols, rate_hz = _HEADER.unpack(header)
+        if magic != FEATURE_MAGIC:
+            raise FeatureFileError(f"{path}: bad magic {magic!r}")
+        if version != FEATURE_VERSION:
+            raise FeatureFileError(f"{path}: unsupported version {version}")
+        if rows < 1 or cols < 1:
+            raise FeatureFileError(f"{path}: header promises {rows}x{cols} features; "
+                                   f"need at least 1 row and 1 column")
+        expected = rows * cols * 4
+        payload = os.fstat(f.fileno()).st_size - _HEADER.size
+        if payload < expected:
+            raise FeatureFileError(
+                f"{path}: truncated payload ({payload} bytes, header promises {expected})"
+            )
+        if payload > expected:
+            raise FeatureFileError(f"{path}: {payload - expected} bytes after the "
+                                   f"{rows}x{cols} payload")
+        data = np.empty((rows, cols), dtype="<f4")
+        if f.readinto(data) != expected:
+            raise FeatureFileError(f"{path}: payload changed while it was read")
+    try:
+        return FeatureSequence(data, float(rate_hz))
+    except DataError as exc:  # non-finite values or rate
+        raise FeatureFileError(f"{path}: {exc}") from None
 
 
 def write_feature_file(path, seq: FeatureSequence) -> None:

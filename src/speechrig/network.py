@@ -255,10 +255,16 @@ def _merge_heads(x):
     return x.transpose(1, 0, 2).reshape(t, h * dh)
 
 
-def _attention_forward(x, p: LayerParams, n_heads):
-    qh = _split_heads(x @ p.wq + p.bq, n_heads)
-    kh = _split_heads(x @ p.wk + p.bk, n_heads)
-    vh = _split_heads(x @ p.wv + p.bv, n_heads)
+def _kv_forward(x, p: LayerParams):
+    """The key and value rows of input rows ``x``."""
+    return x @ p.wk + p.bk, x @ p.wv + p.bv
+
+
+def _attention_forward(x, p: LayerParams, n_heads, kv=None):
+    """Rows ``x`` attend over the keys and values ``kv``, by default their
+    own (see ``_kv_forward``); then the output projection."""
+    k, v = _kv_forward(x, p) if kv is None else kv
+    qh, kh, vh = (_split_heads(t, n_heads) for t in (x @ p.wq + p.bq, k, v))
     # a Python float keeps float32 scores float32
     scale = float(1.0 / np.sqrt(qh.shape[-1]))
     scores = qh @ kh.transpose(0, 2, 1)
@@ -294,13 +300,17 @@ def _dropout_mask(shape, p, rng):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache):
-    """The layer's output and, with ``keep_cache``, what its reverse pass reads.
+def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache, kv=None):
+    """Rows ``x`` through the layer: attention over the keys and values
+    ``kv`` (see ``_attention_forward``), residual and norm, feed-forward,
+    residual and norm. Returns the output rows and, with ``keep_cache``,
+    what the reverse pass reads.
 
-    Without ``keep_cache`` the attention cache (Q/K/V and the heads x T x T
+    Every step but the attention works on each row alone. Without
+    ``keep_cache`` the attention cache (Q/K/V and the heads x rows x keys
     scores) is released before the feed-forward block runs.
     """
-    a, attn_cache = _attention_forward(x, p, n_heads)
+    a, attn_cache = _attention_forward(x, p, n_heads, kv)
     if not keep_cache:
         attn_cache = None
     mask1 = None
@@ -361,18 +371,26 @@ def _stack_forward(model, h, train, rng, keep_attention):
     for i, layer in enumerate(model.layers):
         h, cache = _layer_forward(h, layer, model.n_heads, dropout_p, rng,
                                   keep_cache=train or keep_attention)
-        if not np.isfinite(h).all():
-            raise NumericError(f"non-finite activations after encoder layer {i}")
+        _check_finite(h, f"after encoder layer {i}")
         if train:
             caches.append(cache)
         if keep_attention:
             maps.append(cache[0][4])
-    y = h @ model.head_w + model.head_b
-    if not np.isfinite(y).all():
-        raise NumericError("non-finite activations in output head")
+    y = _head_forward(model, h)
     if train:
         caches.append(h)  # head input
     return y, caches, maps
+
+
+def _head_forward(model, h):
+    y = h @ model.head_w + model.head_b
+    _check_finite(y, "in output head")
+    return y
+
+
+def _check_finite(h, where: str) -> None:
+    if not np.isfinite(h).all():
+        raise NumericError(f"non-finite activations {where}")
 
 
 def training_forward(model: RigModel, features: np.ndarray, labels: np.ndarray,
@@ -552,20 +570,22 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
           cfg: InferenceConfig | None = None) -> RigSequence:
     """Predict a 60 fps rig sequence for a feature stream and emotion timeline.
 
-    Features at other rates are resampled internally. Long clips run in
-    overlapping chunks whose overlap regions are linearly crossfaded; the
-    chunks run on every usable core (see ``chunked_apply``). Positions
-    are global frame indices: each chunk's encoding starts at its own
-    start frame, so a chunk sees the positions it has in the clip.
+    Features at other rates are resampled internally. A clip of one chunk
+    runs its encoder rows in blocks on every usable core (see
+    ``_blocked_stack_forward``). Longer clips run in overlapping chunks
+    whose overlap regions are linearly crossfaded; the chunks run on
+    every usable core (see ``chunked_apply``). Positions are global frame
+    indices: each chunk's encoding starts at its own start frame, so a
+    chunk sees the positions it has in the clip.
 
     Each chunk's feature rows are cast to float64 for the encoders, one
     chunk at a time, in chunk order; no float64 copy of the whole clip is
     kept. The encoder stack and head run in float32 and keep no layer
     caches. Reruns are byte-identical at a fixed BLAS thread count,
-    whatever the number of chunk runners; across thread counts they agree
-    within 1e-5 relative to the largest output. A clip of several chunks
-    runs at one BLAS thread, so its output is the one-thread output at
-    any count.
+    whatever the number of runners; across thread counts they agree
+    within 1e-5 relative to the largest output. A clip of several chunks,
+    or of one chunk in several row blocks, runs at one BLAS thread, so
+    its output is the one-thread output at any count.
     """
     cfg = cfg or InferenceConfig()
     if features.n_features != model.feature_dim:
@@ -581,10 +601,13 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     stack = _bind(np.asarray(model.flat, np.float32), _model_meta(model))
 
     def encode(s, e):
-        # Positions are global frame indices, so a clip shorter than one
-        # chunk is bit-identical to an unchunked pass.
+        # Positions are global frame indices, so a chunk's rows encode as
+        # they would in an unchunked pass.
         content = encode_content(features.data[s:e], model.encoder, pos_offset=s)
         return np.asarray(content + etab[labels[s:e]], np.float32)
+
+    if n <= cfg.chunk_frames:
+        return RigSequence(_blocked_stack_forward(stack, encode(0, n)))
 
     def run_stack(h0):
         return _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)[0]
@@ -610,7 +633,7 @@ def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig,
 
     Chunk [s, e) is ``run_chunk(s, e)``, or ``run_chunk(prepare(s, e))``
     when ``prepare`` is given; either returns an (e - s, out_dim) array.
-    ``prepare`` runs for one chunk at a time, in chunk order. Several
+    ``prepare`` runs on the calling thread, in chunk order. Several
     chunks run on min(usable CPUs, chunks) runners, the calling thread
     being one, with numpy's OpenBLAS held at one thread, so the result
     does not depend on the number of runners; where the BLAS thread count
@@ -624,8 +647,7 @@ def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig,
     bounds = [(s, min(s + cfg.chunk_frames, n_frames))
               for s in range(0, n_frames - ov, cfg.chunk_frames - ov)]
     with _one_blas_thread() as pinned:
-        runners = min(len(os.sched_getaffinity(0)), len(bounds)) if pinned else 1
-        ys = _run_chunks(run_chunk, prepare, bounds, runners)
+        ys = _run_chunks(run_chunk, prepare, bounds, _runners(pinned, len(bounds)))
 
     out = np.empty((n_frames, out_dim))
     w = ((np.arange(ov, dtype=np.float64) + 1.0) / (ov + 1.0))[:, None]
@@ -640,44 +662,165 @@ def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig,
 
 
 def _run_chunks(run_chunk, prepare, bounds, runners: int) -> list:
-    """Every chunk's output, computed on ``runners`` threads, the calling
-    thread one of them.
+    """Every chunk's output, computed on ``runners`` runners (see
+    ``_on_runners``).
 
-    Chunks are taken in order under a lock, ``prepare`` included. After a
-    failure no runner takes another chunk, and every earlier chunk was
-    taken before it and runs to its end; the earliest failing chunk's
-    exception is raised.
+    Runners take chunks in order. ``prepare`` runs on the calling thread
+    only, in chunk order: each time that runner takes a chunk it prepares
+    every chunk taken so far and one more for each other runner, so the
+    others mostly find theirs ready. A failure in ``prepare`` or
+    ``run_chunk`` counts as its chunk's: no chunk after the earliest
+    failing one is taken, every earlier one runs to its end, and the
+    earliest failing chunk's exception is raised.
     """
-    results, errors = [None] * len(bounds), {}
-    todo, lock = iter(range(len(bounds))), threading.Lock()
+    n = len(bounds)
+    results, ready, errors = [None] * n, {}, {}
+    cond = threading.Condition()
+    at = {"taken": 0, "prepared": n if prepare is None else 0, "end": n}
 
-    def runner():
-        i = None
-        try:
-            while True:
-                with lock:
-                    i = None if errors else next(todo, None)
-                    if i is None:
-                        return
-                    args = bounds[i] if prepare is None else (prepare(*bounds[i]),)
-                results[i] = run_chunk(*args)
-        except Exception as exc:
+    def fail(i, exc):
+        with cond:
             errors[i] = exc
+            at["end"] = min(at["end"], i)
+            cond.notify_all()
 
-    workers = [threading.Thread(target=runner) for _ in range(runners - 1)]
-    for t in workers:
-        t.start()
-    try:
-        runner()
-    finally:
-        with lock:  # after an interrupt too, leave the workers nothing to take
-            for _ in todo:
-                pass
-        for t in workers:
-            t.join()
+    def feed(upto):
+        while at["prepared"] < min(upto, at["end"]):
+            j = at["prepared"]
+            try:
+                args = (prepare(*bounds[j]),)
+            except Exception as exc:
+                fail(j, exc)
+                return
+            with cond:
+                ready[j] = args
+                at["prepared"] = j + 1
+                cond.notify_all()
+
+    def task(r):
+        while True:
+            with cond:
+                i = at["taken"]
+                if i < at["end"]:
+                    at["taken"] = i + 1
+            if r == 0:
+                feed(at["taken"] + runners - 1)
+            with cond:
+                cond.wait_for(lambda: at["prepared"] > i or i >= at["end"])
+                if i >= at["end"]:
+                    return
+                args = bounds[i] if prepare is None else ready.pop(i)
+            try:
+                results[i] = run_chunk(*args)
+            except Exception as exc:
+                fail(i, exc)
+
+    def stop():
+        with cond:
+            at["end"] = 0
+            cond.notify_all()
+
+    _on_runners(runners, task, stop)
     if errors:
         raise errors[min(errors)]
     return results
+
+
+# One-chunk clips of at least twice this many frames run in row blocks.
+_ROW_BLOCK = 256
+
+
+def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """``n_rows // _ROW_BLOCK`` (at least one) near-equal row blocks: a
+    function of the row count only."""
+    k = max(1, n_rows // _ROW_BLOCK)
+    edges = [n_rows * b // k for b in range(k + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _blocked_stack_forward(stack: RigModel, h0: np.ndarray) -> np.ndarray:
+    """The encoder stack and head on rows ``h0``, its query rows cut into
+    ``_row_blocks(len(h0))``.
+
+    Each block's rows attend over all keys, the query-block partition of
+    FlashAttention (Dao et al. 2022, arXiv 2205.14135), and every other
+    step works on each row alone, so a block computes its rows as the
+    unblocked pass does (bit for bit where BLAS picks the same kernels
+    for both row counts). Several blocks run on min(usable CPUs, blocks)
+    runners (see ``_on_runners``), with numpy's OpenBLAS held at one
+    thread; where its thread count cannot be set, one after another.
+    Blocks are dealt to runners round robin; per layer each runner writes
+    its rows' keys and values into one shared pair of buffers and waits at
+    a barrier for the others, then finishes the layer for its own rows.
+    A second barrier keeps the next layer's writes until every runner is
+    done reading; a second pair of buffers in its place would hold 2.4 MB
+    more at 600 frames of width 512. A block's arithmetic does not depend
+    on the runner that does it, so neither does the output.
+    """
+    blocks = _row_blocks(len(h0))
+    if len(blocks) == 1:
+        return _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)[0]
+    k, v = np.empty((2, *h0.shape), h0.dtype)
+    out = np.empty((len(h0), stack.output_dim), h0.dtype)
+    with _one_blas_thread() as pinned:
+        runners = _runners(pinned, len(blocks))
+        barrier = threading.Barrier(runners)
+
+        def task(r):
+            mine = [(s, e, h0[s:e]) for s, e in blocks[r::runners]]
+            for i, layer in enumerate(stack.layers):
+                barrier.wait()  # the previous layer's keys and values are read
+                for s, e, h in mine:
+                    k[s:e], v[s:e] = _kv_forward(h, layer)
+                barrier.wait()  # this layer's are written
+                for b, (s, e, h) in enumerate(mine):
+                    h = _layer_forward(h, layer, stack.n_heads, 0.0, None, keep_cache=False,
+                                       kv=(k, v))[0]
+                    _check_finite(h, f"after encoder layer {i}")
+                    mine[b] = s, e, h
+            for s, e, h in mine:
+                out[s:e] = _head_forward(stack, h)
+
+        _on_runners(runners, task, barrier.abort)
+    return out
+
+
+def _runners(pinned: bool, jobs: int) -> int:
+    """Runners for ``jobs`` parallel jobs: one per usable CPU while BLAS is
+    held at one thread, else one."""
+    return min(len(os.sched_getaffinity(0)), jobs) if pinned else 1
+
+
+def _on_runners(runners: int, task, stop) -> None:
+    """Call ``task(r)`` for every r in range(runners), r = 0 on the calling
+    thread and each other on a thread of its own; return once all have.
+
+    An exception escaping a call, an interrupt of the calling thread
+    included, calls ``stop()``, which must make the other calls return
+    soon; once they have, it is raised. Of several, the lowest r's is
+    raised, a ``BrokenBarrierError`` (what ``stop`` may cause) only if
+    there is no other.
+    """
+    errors = {}
+
+    def guarded(r):
+        try:
+            task(r)
+        except BaseException as exc:  # an interrupt too: no runner may wait for this one
+            errors[r] = exc
+            stop()
+
+    workers = [threading.Thread(target=guarded, args=(r,)) for r in range(1, runners)]
+    for t in workers:
+        t.start()
+    try:
+        guarded(0)
+    finally:
+        for t in workers:
+            t.join()
+    if errors:
+        r = min(errors, key=lambda r: (isinstance(errors[r], threading.BrokenBarrierError), r))
+        raise errors[r]
 
 
 @functools.lru_cache(maxsize=1)

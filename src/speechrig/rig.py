@@ -9,8 +9,10 @@ channel index is hard-coded anywhere in the pipeline.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -209,7 +211,7 @@ def _entry_from_document(obj: dict) -> ControllerEntry:
             vmin=float(obj.get("min", -1.0)),
             vmax=float(obj.get("max", 1.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # 1e999 -> int
         raise MapError("bad-entry", f"malformed controller entry {obj!r}: {exc}") from None
 
 
@@ -229,7 +231,7 @@ def load_controller_map(path) -> ControllerMap:
             document = json.load(f)
     except OSError as exc:
         raise DataError(f"cannot read controller map {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise MapError("bad-document", f"controller map {path} is not valid JSON: {exc}") from None
     return load_controller_map_document(document)
 
@@ -277,10 +279,39 @@ def write_rig_csv(path, seq: RigSequence, cmap: ControllerMap | None = None) -> 
     names = cmap.names if cmap is not None else tuple(
         f"ch{i:03d}" for i in range(seq.values.shape[1]))
     row = ",".join(["%.9g"] * seq.values.shape[1]) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, newline="") as f:
         f.write(",".join(names) + "\n")
         for r in seq.values:
             f.write(row % tuple(r.tolist()))
+
+
+@contextlib.contextmanager
+def atomic_write(path, **open_args):
+    """A text file to write ``path`` through: a temporary file next to it
+    that replaces ``path`` only once written in full, and is removed if
+    writing fails, so ``path`` never holds a partial file.
+
+    A symbolic link stays: the file it names is replaced. A path that is
+    not a regular file (``/dev/stdout``, a pipe) is written in place.
+    """
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(path, "w", encoding="utf-8", **open_args) as f:
+            yield f
+        return
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        f = open(tmp, "w", encoding="utf-8", **open_args)
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            yield f
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _data_lines(path) -> list[str]:

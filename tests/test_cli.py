@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import speechrig
+import speechrig.cli as cli
 from speechrig.blink import read_ear_csv
 from speechrig.cli import _read_timeline_csv, build_parser, main
 from speechrig.errors import DataError
@@ -259,6 +260,8 @@ _BAD_PATHS = {
                                      w / "fit.json"], "abc_rates.csv", b"rate\n12\nabc\n"),
     "pred-not-utf8": (lambda w: ["analyze", "--pred", w / "bin_pred.csv", "--corr-out",
                                  w / "c.csv"], "bin_pred.csv", b"\xff\xfe\x00\x01\n"),
+    "map-not-utf8": (lambda w: [*_infer_argv(w), "--map", w / "bin_map.json"],
+                     "bin_map.json", b"\xff\xfe[1"),
     "classifier-non-numeric-weight": (
         lambda w: ["blink-detect", "--trace", w / "ok_ear.csv", "--classifier", w / "clf.json"],
         "clf.json", b'{"weights": ["a", 1, 1, 1, 1, 1, 1], "bias": 0}'),
@@ -301,6 +304,10 @@ _BAD_PATHS = {
 }
 
 
+# the error a case's JSON line names where it is a DataError subclass
+_BAD_PATH_ERRORS = {"map-not-utf8": "MapError"}
+
+
 @pytest.mark.parametrize("case", _BAD_PATHS)
 def test_bad_paths_and_rows_exit_3_with_json_line(workdir, capsys, case):
     argv, name, content = _BAD_PATHS[case]
@@ -311,7 +318,7 @@ def test_bad_paths_and_rows_exit_3_with_json_line(workdir, capsys, case):
     assert "Traceback" not in err
     (line,) = err.splitlines()
     payload = json.loads(line)
-    assert payload["error"] == "DataError"
+    assert payload["error"] == _BAD_PATH_ERRORS.get(case, "DataError")
     assert name in payload["message"]
 
 
@@ -323,6 +330,55 @@ def test_zero_width_feature_file_exits_3_naming_it(workdir, capsys):
     payload = json.loads(line)
     assert payload["error"] == "FeatureFileError"
     assert str(path) in payload["message"] and "5x0" in payload["message"]
+
+
+class _RowsFailingMidway:
+    """Rig values whose second row cannot be written, as on a full disk."""
+
+    shape = (3, RIG_WIDTH)
+
+    def __iter__(self):
+        yield np.zeros(RIG_WIDTH)
+        raise OSError(28, "No space left on device")
+
+
+def _clamp_then_fail(seq, cmap):
+    seq = clamp_sequence(seq, cmap)
+    seq.values = _RowsFailingMidway()
+    return seq
+
+
+def _dump_then_fail(obj, f, **kwargs):
+    f.write('{"fps": ')
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("failing", ["csv", "sidecar"])
+def test_failed_write_leaves_no_partial_output(workdir, monkeypatch, capsys, failing, existing):
+    out = workdir / f"atomic_{failing}_{existing}.csv"
+    sidecar = workdir / (out.name + ".json")
+    old = {out: b"old csv\n", sidecar: b"old sidecar\n"}
+    if existing:
+        for path, blob in old.items():
+            path.write_bytes(blob)
+    if failing == "csv":
+        monkeypatch.setattr(cli, "clamp_sequence", _clamp_then_fail)
+    else:
+        monkeypatch.setattr(cli.json, "dump", _dump_then_fail)
+    assert run("--json-errors", *_infer_argv(workdir, out=out.name)) == 3
+    assert "No space left" in json.loads(capsys.readouterr().err)["message"]
+    # the CSV is complete before the sidecar is written
+    written = {out} if failing == "sidecar" else set()
+    for path, blob in old.items():
+        if path in written:
+            assert read_rig_csv(path).values.shape == (60, RIG_WIDTH)
+        elif existing:
+            assert path.read_bytes() == blob
+        else:
+            assert not path.exists()
+    assert sorted(p.name for p in workdir.iterdir() if p.name.startswith(out.name)) == \
+        sorted(p.name for p in old if p.exists())
 
 
 _RIG_ROW = ",".join(["0.25"] * RIG_WIDTH)

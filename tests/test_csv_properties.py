@@ -1,6 +1,7 @@
 """Property tests for the input readers: damaged numeric CSVs, timeline
-CSVs, feature (EMOF) and weight (EMOW) files fail only with DataError, and
-the rig CSV writer/reader pair round-trips exactly."""
+CSVs, feature (EMOF) and weight (EMOW) files and controller maps fail
+only with DataError, and the rig CSV writer/reader pair round-trips
+exactly."""
 
 import os
 import tempfile
@@ -15,7 +16,14 @@ from speechrig.cli import _read_timeline_csv
 from speechrig.errors import DataError
 from speechrig.features import FeatureSequence, load_features, read_feature_csv, write_feature_file
 from speechrig.network import build_model, load_model, save_model
-from speechrig.rig import RIG_WIDTH, RigSequence, read_rig_csv, write_rig_csv
+from speechrig.rig import (
+    RIG_WIDTH,
+    RigSequence,
+    default_map,
+    load_controller_map,
+    read_rig_csv,
+    write_rig_csv,
+)
 
 
 def _written(write) -> bytes:
@@ -73,6 +81,16 @@ def test_damaged_numeric_csv_raises_only_data_error(kind, data):
 @given(kind=st.sampled_from(sorted(_OTHER_INPUTS)), data=st.data())
 def test_damaged_timeline_feature_and_weight_files_raise_only_data_error(kind, data):
     _read_damaged(*_OTHER_INPUTS[kind], data)
+
+
+_MAP = _written(default_map().save)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_controller_map_raises_only_data_error(data):
+    # MapError, the schema violations' error, is a DataError
+    _read_damaged(load_controller_map, _MAP, data)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,8 @@
 """Feature file format, fallback extraction, and resampling contracts."""
 
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +99,30 @@ class TestFeatureFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(FeatureFileError, match="non-finite"):
             read_feature_file(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_named_with_its_path(self, tmp_path, bad):
+        data = np.ones((4, 3), dtype=np.float32)
+        data[3, 2] = bad
+        path = tmp_path / "f.emof"
+        write_feature_file(path, FeatureSequence(np.ones((4, 3)), 50.0))
+        path.write_bytes(path.read_bytes()[:20] + data.astype("<f4").tobytes())
+        with pytest.raises(FeatureFileError, match=f"^{re.escape(str(path))}: .*non-finite"):
+            read_feature_file(path)
+
+    def test_load_holds_one_copy_of_the_matrix(self, tmp_path):
+        # the 60 s benchmark clip's size: 3000 x 768 at 50 Hz
+        seq = FeatureSequence(np.random.default_rng(1).normal(0, 1, (3000, 768)), 50.0)
+        path = tmp_path / "f.emof"
+        write_feature_file(path, seq)
+        tracemalloc.start()
+        try:
+            back = read_feature_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, seq.data)
+        assert peak <= 1.2 * seq.data.nbytes
 
     def test_csv_import(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -251,7 +251,7 @@ class TestChunkPool:
 
         def prepare(s, e):
             time.sleep(0)  # lets another runner in if taking were not atomic
-            prepared.append(s)
+            prepared.append((s, threading.current_thread()))
             return s, e
 
         def run(bounds):
@@ -264,7 +264,7 @@ class TestChunkPool:
             out = chunked_apply(run, 401, 4, cfg, prepare=prepare)
         finally:
             sys.setswitchinterval(interval)
-        assert prepared == list(range(0, 400, 2))
+        assert prepared == [(s, threading.current_thread()) for s in range(0, 400, 2)]
         assert np.array_equal(out, np.arange(401.0)[:, None] * np.ones(4))
 
     @pytest.mark.parametrize("failing", [(48,), (48, 96), (96, 0)])
@@ -347,6 +347,129 @@ class TestChunkPool:
             assert inside and set(inside) == {1}
         finally:
             put(before)
+
+
+def _float32_stack():
+    """A tiny two-layer model in the float32 layout ``infer`` runs."""
+    m = tiny_model(layers=2, output_dim=174)
+    return network._bind(m.flat.astype(np.float32), network._model_meta(m))
+
+
+def _plant_after(monkeypatch, layer, rows, action):
+    """Make ``_layer_forward`` call ``action(y)`` on its output for
+    ``layer`` when it runs on ``rows`` rows."""
+    original = network._layer_forward
+
+    def planted(x, p, *args, **kwargs):
+        y, cache = original(x, p, *args, **kwargs)
+        if p is layer and len(x) == rows:
+            action(y)
+        return y, cache
+
+    monkeypatch.setattr(network, "_layer_forward", planted)
+
+
+class TestRowBlocks:
+    # 767 rows: two blocks, of 383 and 384 rows, told apart by their size
+    ROWS, FIRST, LAST = 767, 383, 384
+
+    def _hidden(self, rows=ROWS):
+        return np.random.default_rng(20).normal(0, 1, (rows, 16)).astype(np.float32)
+
+    def test_partition_depends_on_the_row_count_only(self, monkeypatch):
+        assert network._row_blocks(511) == [(0, 511)]
+        assert network._row_blocks(512) == [(0, 256), (256, 512)]
+        assert network._row_blocks(600) == [(0, 300), (300, 600)]
+        assert network._row_blocks(1100) == [(0, 275), (275, 550), (550, 825), (825, 1100)]
+        stack, sizes = _float32_stack(), {}
+        original = network._layer_forward
+
+        def spy(x, *args, **kwargs):
+            sizes.setdefault(cpus, []).append(len(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(network, "_layer_forward", spy)
+        for cpus in (1, 3, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            network._blocked_stack_forward(stack, self._hidden(1100))
+        assert all(sorted(got) == [275] * 8 for got in sizes.values())
+
+    @pytest.mark.parametrize("rows, cpus", [(600, 2), (1100, 3), (1100, 8)])
+    def test_output_does_not_depend_on_the_runner_count(self, monkeypatch, rows, cpus):
+        # 1100 rows on 3 runners: the calling thread takes blocks 0 and 3.
+        # On 8 CPUs, 4 runners switch threads as often as the interpreter
+        # allows: a key or value row read before it was written, or
+        # overwritten by the next layer's, changes the output.
+        m = tiny_model(layers=2, output_dim=174)
+        rng = np.random.default_rng(21)
+        feats = FeatureSequence(rng.normal(0, 1, (rows, 8)).astype(np.float32), 60.0)
+        labels = np.array([0] * (rows // 2) + [4] * (rows - rows // 2))
+        cfg = InferenceConfig(1200, 60)  # one chunk
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocked = infer(feats, labels, m, cfg).values
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = infer(feats, labels, m, cfg).values
+        assert np.array_equal(blocked, serial)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("block", ["first", "last"])
+    def test_non_finite_rows_raise_the_serial_pass_error(self, monkeypatch, layer, block):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        stack, h0 = _float32_stack(), self._hidden()
+        s, e = (0, self.FIRST) if block == "first" else (self.FIRST, self.ROWS)
+
+        def nan_rows(y):  # all of a block's output; rows s:e of the serial pass's
+            y[(slice(s, e) if len(y) == self.ROWS else slice(None))] = np.nan
+
+        _plant_after(monkeypatch, stack.layers[layer], self.ROWS, nan_rows)
+        with pytest.raises(NumericError) as serial:
+            network._stack_forward(stack, h0, train=False, rng=None, keep_attention=False)
+        _plant_after(monkeypatch, stack.layers[layer], e - s, nan_rows)
+        with pytest.raises(NumericError) as blocked:
+            network._blocked_stack_forward(stack, h0)
+        assert str(blocked.value) == str(serial.value) == \
+            f"non-finite activations after encoder layer {layer}"
+
+    @pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("block", ["first", "last"])  # the calling thread's, a worker's
+    def test_a_failing_runner_releases_the_one_at_the_barrier(self, monkeypatch, error, block):
+        blas = network._blas_thread_control()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here, so one runner")
+        get, put = blas
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        stack = _float32_stack()
+
+        def fail(y):
+            time.sleep(0.2)  # the other runner is waiting at layer 1's barrier by now
+            raise error
+
+        _plant_after(monkeypatch, stack.layers[0], self.FIRST if block == "first" else self.LAST,
+                     fail)
+        outcome = []
+
+        def call():
+            try:
+                network._blocked_stack_forward(stack, self._hidden())
+            except BaseException as exc:
+                outcome.append(exc)
+
+        before = get()
+        put(2)
+        try:
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(10.0)
+            assert not caller.is_alive(), "a runner still waits at the barrier"
+            assert get() == 2
+        finally:
+            put(before)
+        assert outcome == [error]
 
 
 class TestGradients:

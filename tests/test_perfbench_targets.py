@@ -1,15 +1,32 @@
-"""The traced benchmark finds every program function it wraps."""
+"""The traced benchmark finds every program function it wraps, and each
+runs on the thread that called the CLI."""
 
+import functools
 import importlib
+import os
+import threading
 
+import numpy as np
+
+import speechrig.network as network
 from perfbench import layers  # perfbench/ is not installed; pyproject puts "." on the path
+from speechrig.cli import main
+from speechrig.features import FeatureSequence, write_feature_file
+from speechrig.network import build_model, save_model
+from speechrig.rig import RIG_WIDTH
+
+
+def _owner(module, attr):
+    """The object holding ``attr`` (which may be ``Class.method``), and its last name."""
+    owner = importlib.import_module(module)
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, leaf
 
 
 def _resolve(module, attr):
-    owner = importlib.import_module(module)
-    for part in attr.split("."):
-        owner = getattr(owner, part)
-    return owner
+    return getattr(*_owner(module, attr))
 
 
 def test_instrument_wraps_every_target_and_uninstall_restores_it():
@@ -22,3 +39,45 @@ def test_instrument_wraps_every_target_and_uninstall_restores_it():
         tracer.uninstall()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [_resolve(*t) for t in targets] == originals
+
+
+def _recording(fn, name, calls):
+    @functools.wraps(fn)
+    def recorded(*args, **kwargs):
+        calls.append((name, threading.current_thread()))
+        return fn(*args, **kwargs)
+    return recorded
+
+
+def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
+    # perfbench/spans.py keeps one span stack per process, so a span
+    # opened on a worker thread would nest under whatever the calling
+    # thread has open
+    calls, layer_threads = [], set()
+    for module, attr, span, _ in layers.TARGETS:
+        owner, leaf = _owner(module, attr)
+        monkeypatch.setattr(owner, leaf, _recording(getattr(owner, leaf), span, calls))
+    layer_forward = network._layer_forward
+
+    def spy(*args, **kwargs):
+        layer_threads.add(threading.current_thread())
+        return layer_forward(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_layer_forward", spy)
+    model = build_model(8, d_model=16, n_layers=2, n_heads=2, d_ff=32, output_dim=RIG_WIDTH,
+                        dropout=0.0, seed=1)
+    save_model(tmp_path / "w.emow", model)
+    rng = np.random.default_rng(2)
+    # 600 frames: one chunk in two row blocks; 1300 frames: three chunks
+    for frames in (600, 1300):
+        feats = tmp_path / f"f{frames}.emof"
+        write_feature_file(feats, FeatureSequence(rng.normal(0, 1, (frames, 8)), 60.0))
+        argv = ["infer", "--features", feats, "--emotion", "happy", "--weights",
+                tmp_path / "w.emow", "--blink", "--gaze", "--out", tmp_path / f"o{frames}.csv"]
+        assert main([str(a) for a in argv]) == 0
+
+    assert {"encoders.encode_content", "network.infer", "rig.write_rig_csv"} <= \
+        {name for name, _ in calls}
+    assert [name for name, thread in calls if thread is not threading.current_thread()] == []
+    if network._blas_thread_control() is not None and len(os.sched_getaffinity(0)) > 1:
+        assert len(layer_threads) > 1  # the runners did run

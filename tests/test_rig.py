@@ -1,5 +1,9 @@
 """Controller map, emotion labels, and rig sequence contracts."""
 
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from speechrig.rig import (
     REGIONS,
     RIG_WIDTH,
     RigSequence,
+    atomic_write,
     constant_timeline,
     default_map,
     emotion_id,
@@ -113,6 +118,15 @@ class TestMapValidation:
         with pytest.raises(MapError) as exc:
             load_controller_map_document(doc)
         assert exc.value.code == "bad-bounds"
+
+    @pytest.mark.parametrize("key", ["index", "pair"])
+    def test_infinite_integer_field_rejected(self, key):
+        # JSON 1e999 parses to float inf, which int() cannot take
+        doc = self._doc()
+        doc[0][key] = float("inf")
+        with pytest.raises(MapError) as exc:
+            load_controller_map_document(doc)
+        assert exc.value.code == "bad-entry"
 
 
 class TestRegionIndices:
@@ -228,6 +242,33 @@ class TestRigCsvReader:
         path.write_bytes(content)
         with pytest.raises(DataError, match="bad_take.csv"):
             read_rig_csv(path)
+
+
+def test_atomic_write_keeps_links_and_writes_other_files_in_place(tmp_path):
+    target = tmp_path / "real.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    with atomic_write(link) as f:
+        f.write("new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+
+    def read():
+        with open(pipe) as f:
+            got.append(f.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    with atomic_write(pipe) as f:
+        f.write("through\n")
+    reader.join(10.0)
+    assert not reader.is_alive() and got == ["through\n"]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "pipe", "real.csv"]
 
 
 class TestTimelines:
