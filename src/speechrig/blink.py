@@ -293,7 +293,7 @@ def sample_blink_times(model: BlinkFrequencyModel, duration_s: float,
     starts = []
     while True:
         rate = float(draw_rates(model, 1, rng)[0])
-        t += 60.0 / rate
+        t += 60.0 / rate if rate else math.inf  # a rate that underflowed to 0: no more blinks
         if t >= duration_s:
             break
         starts.append(int(round(t * RIG_FPS)))

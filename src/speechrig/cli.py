@@ -27,7 +27,7 @@ import numpy as np
 
 from . import blink as blinkmod
 from . import gaze as gazemod
-from .errors import DataError, RigPipelineError
+from .errors import DataError, NumericError, RigPipelineError
 from .evaluate import lr_correlation, mae_report, write_correlation_csv, write_mae_report
 from .features import extract_fallback_features, load_features, read_wav, resample_features
 from .network import (
@@ -202,7 +202,7 @@ def _cmd_blink_detect(args) -> int:
 def _cmd_blink_fit(args) -> int:
     if not 0.0 < args.fps < math.inf:  # NaN fails too
         raise DataError(f"--fps must be finite and > 0, got {args.fps}")
-    if args.rates:
+    if args.rates is not None:
         rates = read_numeric_csv(args.rates, 1, "rate CSV")[:, 0]
     else:
         clf = (blinkmod.BlinkClassifier.load(args.classifier)
@@ -231,12 +231,20 @@ def _cmd_gradcheck(args) -> int:
     err = grad_check(model, features, labels, target, eps=args.eps)
     print(f"max relative gradient error: {err:.3e}")
     if args.fail_above is not None and err > args.fail_above:
-        print(f"exceeds threshold {args.fail_above:.3e}", file=sys.stderr)
-        return 4
+        raise NumericError(f"max relative gradient error {err:.3e} exceeds threshold "
+                           f"{args.fail_above:.3e}")
     return 0
 
 
 # --- parser ----------------------------------------------------------------------
+
+
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy seeds only from integers >= 0."""
+    seed = int(text)  # argparse reports a ValueError as an invalid value
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     emo.add_argument("--timeline", help="per-frame emotion CSV (frame,label), step-hold")
     p.add_argument("--weights", required=True, help="model weight file")
     p.add_argument("--map", help=f"controller map JSON (default ${MAP_ENV_VAR} or built-in)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--blink", action="store_true", help="inject sampled blinks")
     p.add_argument("--gaze", action="store_true", help="inject a sampled gaze track")
     p.add_argument("--no-smooth", action="store_true")
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr0", type=float, default=3e-3)
     p.add_argument("--step-size", type=int, default=100)
     p.add_argument("--gamma", type=float, default=0.995)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--log-every", type=int, default=0)
     p.add_argument("--loss-csv")
     p.add_argument("--out", required=True)
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dim", type=int, default=12)
     p.add_argument("--frames", type=int, default=4)
     p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--fail-above", type=float, default=None)
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -514,10 +514,10 @@ def grad_check(model: RigModel, features, labels, target, eps: float = 1e-5,
 def _kink_margin(model: RigModel, features, labels) -> float:
     """Smallest |pre-activation| at any ReLU or leaky-ReLU input."""
     _, cache = training_forward(model, features, labels, rng=None)
-    margin = float(np.min(np.abs(cache["z1"]))) if cache["z1"].size else np.inf
+    margin = float(np.min(np.abs(cache["z1"]), initial=np.inf))
     for layer_cache in cache["stack"][:-1]:
         z = layer_cache[4]
-        margin = min(margin, float(np.min(np.abs(z))))
+        margin = min(margin, float(np.min(np.abs(z), initial=np.inf)))
     return margin
 
 
@@ -531,6 +531,8 @@ def gradcheck_probe(feature_dim: int = 8, d_model: int = 16, n_layers: int = 1,
     keeps a wide margin. The scan is deterministic for a given seed.
     """
     _check_eps(eps)
+    if frames < 1:
+        raise DataError(f"the probe needs frames >= 1, got {frames}")
     for trial in range(64):
         s = seed + 1000 * trial
         model = build_model(feature_dim, d_model=d_model, n_layers=n_layers,
@@ -578,14 +580,17 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     indices: each chunk's encoding starts at its own start frame, so a
     chunk sees the positions it has in the clip.
 
-    Each chunk's feature rows are cast to float64 for the encoders, one
-    chunk at a time, in chunk order; no float64 copy of the whole clip is
-    kept. The encoder stack and head run in float32 and keep no layer
-    caches. Reruns are byte-identical at a fixed BLAS thread count,
-    whatever the number of runners; across thread counts they agree
-    within 1e-5 relative to the largest output. A clip of several chunks,
-    or of one chunk in several row blocks, runs at one BLAS thread, so
-    its output is the one-thread output at any count.
+    Every chunk's encoder input is built on the calling thread, in chunk
+    order, before any chunk runs: its feature rows are cast to float64
+    for the encoders and the sum is kept in float32; no float64 copy of
+    the whole clip is kept. Each input, ``chunk_frames * d_model * 4``
+    bytes, is held until its chunk is taken. The encoder stack and head
+    run in float32 and keep no layer caches. Reruns are byte-identical at
+    a fixed BLAS thread count, whatever the number of runners; across
+    thread counts they agree within 1e-5 relative to the largest output.
+    A clip of several chunks, or of one chunk in several row blocks, runs
+    at one BLAS thread, so its output is the one-thread output at any
+    count.
     """
     cfg = cfg or InferenceConfig()
     if features.n_features != model.feature_dim:
@@ -599,20 +604,16 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     labels = validate_timeline(timeline, n)
     etab = encode_emotion_table(model.encoder)
     stack = _bind(np.asarray(model.flat, np.float32), _model_meta(model))
+    bounds = _chunk_bounds(n, cfg)
+    h0 = {s: np.asarray(encode_content(features.data[s:e], model.encoder, pos_offset=s)
+                        + etab[labels[s:e]], np.float32) for s, e in bounds}
+    if len(bounds) == 1:
+        return RigSequence(_blocked_stack_forward(stack, h0.pop(0)))
 
-    def encode(s, e):
-        # Positions are global frame indices, so a chunk's rows encode as
-        # they would in an unchunked pass.
-        content = encode_content(features.data[s:e], model.encoder, pos_offset=s)
-        return np.asarray(content + etab[labels[s:e]], np.float32)
+    def run_chunk(s, e):
+        return _stack_forward(stack, h0.pop(s), train=False, rng=None, keep_attention=False)[0]
 
-    if n <= cfg.chunk_frames:
-        return RigSequence(_blocked_stack_forward(stack, encode(0, n)))
-
-    def run_stack(h0):
-        return _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)[0]
-
-    return RigSequence(chunked_apply(run_stack, n, model.output_dim, cfg, prepare=encode))
+    return RigSequence(chunked_apply(run_chunk, n, model.output_dim, cfg))
 
 
 def upcast_to_float64(model: RigModel) -> None:
@@ -625,30 +626,34 @@ def upcast_to_float64(model: RigModel) -> None:
         vars(model).update(vars(_bind(model.flat.astype(np.float64), _model_meta(model))))
 
 
-def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig,
-                  prepare=None) -> np.ndarray:
-    """Cover [0, n_frames) with overlapping chunks and linearly crossfade
-    each overlap region; chunks that agree on the overlap pass through
-    unchanged there.
+def _chunk_bounds(n_frames: int, cfg: InferenceConfig) -> list[tuple[int, int]]:
+    """The chunks [s, e) covering [0, n_frames), each overlapping the one
+    before by ``cfg.overlap_frames``; one chunk if the clip fits in one."""
+    ov = cfg.overlap_frames
+    return [(s, min(s + cfg.chunk_frames, n_frames))
+            for s in range(0, max(n_frames - ov, 1), cfg.chunk_frames - ov)]
 
-    Chunk [s, e) is ``run_chunk(s, e)``, or ``run_chunk(prepare(s, e))``
-    when ``prepare`` is given; either returns an (e - s, out_dim) array.
-    ``prepare`` runs on the calling thread, in chunk order. Several
+
+def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig) -> np.ndarray:
+    """Cover [0, n_frames) with the overlapping chunks of ``_chunk_bounds``
+    and linearly crossfade each overlap region; chunks that agree on the
+    overlap pass through unchanged there.
+
+    Chunk [s, e) is ``run_chunk(s, e)``, an (e - s, out_dim) array. The
     chunks run on min(usable CPUs, chunks) runners, the calling thread
     being one, with numpy's OpenBLAS held at one thread, so the result
     does not depend on the number of runners; where the BLAS thread count
-    cannot be set, they run one after another. A failing chunk's
-    exception reaches the caller unchanged: the earliest one, as in a
-    serial run.
+    cannot be set, they run one after another. ``infer`` builds every
+    chunk's float32 input before this starts and frees each as its chunk
+    is taken, so each costs ``chunk_frames * d_model * 4`` bytes until
+    then. A failing chunk's exception reaches the caller unchanged: the
+    earliest one, as in a serial run.
     """
-    if n_frames <= cfg.chunk_frames:
-        return _run_chunks(run_chunk, prepare, [(0, n_frames)], 1)[0]
-    ov = cfg.overlap_frames
-    bounds = [(s, min(s + cfg.chunk_frames, n_frames))
-              for s in range(0, n_frames - ov, cfg.chunk_frames - ov)]
-    with _one_blas_thread() as pinned:
-        ys = _run_chunks(run_chunk, prepare, bounds, _runners(pinned, len(bounds)))
+    bounds = _chunk_bounds(n_frames, cfg)
+    with _pinned_runners(len(bounds)) as runners:
+        ys = _run_chunks(run_chunk, bounds, runners)
 
+    ov = cfg.overlap_frames
     out = np.empty((n_frames, out_dim))
     w = ((np.arange(ov, dtype=np.float64) + 1.0) / (ov + 1.0))[:, None]
     for (s, e), y in zip(bounds, ys):
@@ -661,64 +666,35 @@ def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig,
     return out
 
 
-def _run_chunks(run_chunk, prepare, bounds, runners: int) -> list:
+def _run_chunks(run_chunk, bounds, runners: int) -> list:
     """Every chunk's output, computed on ``runners`` runners (see
     ``_on_runners``).
 
-    Runners take chunks in order. ``prepare`` runs on the calling thread
-    only, in chunk order: each time that runner takes a chunk it prepares
-    every chunk taken so far and one more for each other runner, so the
-    others mostly find theirs ready. A failure in ``prepare`` or
-    ``run_chunk`` counts as its chunk's: no chunk after the earliest
-    failing one is taken, every earlier one runs to its end, and the
-    earliest failing chunk's exception is raised.
+    Runners take chunks in order. A failure counts as its chunk's: no
+    chunk after the earliest failing one is taken, every earlier one runs
+    to its end, and the earliest failing chunk's exception is raised.
     """
-    n = len(bounds)
-    results, ready, errors = [None] * n, {}, {}
-    cond = threading.Condition()
-    at = {"taken": 0, "prepared": n if prepare is None else 0, "end": n}
-
-    def fail(i, exc):
-        with cond:
-            errors[i] = exc
-            at["end"] = min(at["end"], i)
-            cond.notify_all()
-
-    def feed(upto):
-        while at["prepared"] < min(upto, at["end"]):
-            j = at["prepared"]
-            try:
-                args = (prepare(*bounds[j]),)
-            except Exception as exc:
-                fail(j, exc)
-                return
-            with cond:
-                ready[j] = args
-                at["prepared"] = j + 1
-                cond.notify_all()
+    results, errors = [None] * len(bounds), {}
+    lock = threading.Lock()
+    at = {"taken": 0, "end": len(bounds)}
 
     def task(r):
         while True:
-            with cond:
+            with lock:
                 i = at["taken"]
-                if i < at["end"]:
-                    at["taken"] = i + 1
-            if r == 0:
-                feed(at["taken"] + runners - 1)
-            with cond:
-                cond.wait_for(lambda: at["prepared"] > i or i >= at["end"])
                 if i >= at["end"]:
                     return
-                args = bounds[i] if prepare is None else ready.pop(i)
+                at["taken"] = i + 1
             try:
-                results[i] = run_chunk(*args)
+                results[i] = run_chunk(*bounds[i])
             except Exception as exc:
-                fail(i, exc)
+                with lock:
+                    errors[i] = exc
+                    at["end"] = min(at["end"], i)
 
     def stop():
-        with cond:
+        with lock:
             at["end"] = 0
-            cond.notify_all()
 
     _on_runners(runners, task, stop)
     if errors:
@@ -762,8 +738,7 @@ def _blocked_stack_forward(stack: RigModel, h0: np.ndarray) -> np.ndarray:
         return _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)[0]
     k, v = np.empty((2, *h0.shape), h0.dtype)
     out = np.empty((len(h0), stack.output_dim), h0.dtype)
-    with _one_blas_thread() as pinned:
-        runners = _runners(pinned, len(blocks))
+    with _pinned_runners(len(blocks)) as runners:
         barrier = threading.Barrier(runners)
 
         def task(r):
@@ -783,12 +758,6 @@ def _blocked_stack_forward(stack: RigModel, h0: np.ndarray) -> np.ndarray:
 
         _on_runners(runners, task, barrier.abort)
     return out
-
-
-def _runners(pinned: bool, jobs: int) -> int:
-    """Runners for ``jobs`` parallel jobs: one per usable CPU while BLAS is
-    held at one thread, else one."""
-    return min(len(os.sched_getaffinity(0)), jobs) if pinned else 1
 
 
 def _on_runners(runners: int, task, stop) -> None:
@@ -845,18 +814,20 @@ def _blas_thread_control():
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread and restore its count after;
-    yields whether it could (if not, nothing is changed)."""
+def _pinned_runners(jobs: int):
+    """Hold numpy's OpenBLAS at one thread, restoring its count after, and
+    yield the runners for ``jobs`` parallel jobs: one per usable CPU, at
+    most ``jobs``. Where the thread count cannot be set, nothing is
+    changed and it yields 1."""
     blas = _blas_thread_control()
     if blas is None:
-        yield False
+        yield 1
         return
     get, put = blas
     old = get()
     put(1)
     try:
-        yield True
+        yield min(len(os.sched_getaffinity(0)), jobs)
     finally:
         put(old)
 

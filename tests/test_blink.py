@@ -1,5 +1,7 @@
 """EAR, blink classification/detection, rate modeling, and injection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -296,6 +298,15 @@ class TestSampling:
         num, _ = integrate.quad(lambda x: x * pdf(x), 1e-9, model.max_rate)
         den, _ = integrate.quad(pdf, 1e-9, model.max_rate)
         assert rates.mean() == pytest.approx(num / den, abs=1.0)
+
+    def test_a_rate_drawn_as_zero_ends_the_blinks(self):
+        # at sigma 1000 the first draw of seed 5 underflows to a rate of
+        # 0.0, an infinite gap: no blink, and no division by zero
+        model = BlinkFrequencyModel(sigma_ln=1000.0)
+        assert draw_rates(model, 1, np.random.default_rng(5))[0] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_blink_times(model, 10.0, seed=5).size == 0
 
     def test_different_seeds_differ(self):
         model = BlinkFrequencyModel()

@@ -105,6 +105,14 @@ class TestInfer:
             run("infer", "--features", workdir / "f.emof")  # no emotion/weights/out
         assert exc.value.code == 2
 
+    def test_blink_rate_drawn_as_zero_ends_the_blinks(self, workdir, capsys):
+        # sigma 1000 at seed 3 draws a rate that underflows to 0.0
+        out = workdir / "zero_rate.csv"
+        assert run("--json-errors", *_infer_argv(workdir, out=out.name), "--blink",
+                   "--blink-sigma", 1000, "--seed", 3) == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
+
     def test_map_env_var_used(self, workdir, monkeypatch):
         cmap = default_map()
         doc = cmap.to_document()
@@ -297,6 +305,10 @@ _BAD_PATHS = {
     "gradcheck-heads-0": (lambda w: ["gradcheck", "--heads", "0"], "n_heads", None),
     "gradcheck-eps-0": (lambda w: ["gradcheck", "--eps", "0"], "eps", None),
     "gradcheck-eps-nan": (lambda w: ["gradcheck", "--eps", "nan"], "eps", None),
+    "gradcheck-frames-negative": (lambda w: ["gradcheck", "--frames", "-1"], "frames", None),
+    # an empty path is a path that cannot be opened, not an absent --rates
+    "blink-fit-rates-empty-path": (lambda w: ["blink-fit", "--rates", "", "--out",
+                                              w / "fit.json"], "No such file", None),
     **{f"blink-fit-fps-{fps}": (
         lambda w, fps=fps: ["blink-fit", "--trace", w / "ok_ear.csv", "--fps", fps,
                             "--out", w / "fit.json"], "--fps", None)
@@ -606,3 +618,31 @@ class TestGradcheckCommand:
                    "--fail-above", 1e-4)
         assert code == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    def test_above_threshold_exits_4_with_json_line(self, capsys):
+        assert run("--json-errors", "gradcheck", "--fail-above", 0) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "NumericError"
+        assert "exceeds threshold 0.000e+00" in payload["message"]
+
+    def test_empty_feed_forward_has_no_kink_to_avoid(self, capsys):
+        assert run("--json-errors", "gradcheck", "--d-ff", 0) == 0
+        captured = capsys.readouterr()
+        assert "max relative gradient error" in captured.out
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    lambda w: [*_infer_argv(w), "--blink"],
+    lambda w: [*_infer_argv(w), "--gaze"],
+    lambda w: _train_argv(w),
+    lambda w: ["gradcheck"],
+], ids=["infer-blink", "infer-gaze", "train", "gradcheck"])
+def test_negative_seed_is_a_usage_error(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run("--json-errors", *argv(workdir), "--seed", -1)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "argument --seed: must be an integer >= 0, got -1" in err

@@ -137,6 +137,12 @@ class TestChunkedInference:
         tight = infer(feats, tl, m, InferenceConfig(41, 5))
         assert np.array_equal(wide.values, tight.values)
 
+    def test_chunk_bounds_overlap_and_a_short_clip_is_one_chunk(self):
+        cfg = InferenceConfig(30, 6)
+        assert network._chunk_bounds(75, cfg) == [(0, 30), (24, 54), (48, 75)]
+        assert [network._chunk_bounds(n, cfg) for n in (0, 6, 30)] == \
+            [[(0, 0)], [(0, 6)], [(0, 30)]]
+
     def test_crossfade_passes_agreeing_chunks_through(self):
         rng = np.random.default_rng(8)
         const = np.tile(rng.normal(0, 1, (1, 6)), (26, 1))
@@ -247,24 +253,20 @@ class TestChunkPool:
         # result stored in the wrong slot, changes the output
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         cfg = InferenceConfig(3, 1)
-        prepared = []
+        taken = []
 
-        def prepare(s, e):
+        def run(s, e):
             time.sleep(0)  # lets another runner in if taking were not atomic
-            prepared.append((s, threading.current_thread()))
-            return s, e
-
-        def run(bounds):
-            s, e = bounds
+            taken.append(s)
             return np.arange(s, e, dtype=np.float64)[:, None] * np.ones(4)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = chunked_apply(run, 401, 4, cfg, prepare=prepare)
+            out = chunked_apply(run, 401, 4, cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert prepared == [(s, threading.current_thread()) for s in range(0, 400, 2)]
+        assert sorted(taken) == list(range(0, 400, 2))
         assert np.array_equal(out, np.arange(401.0)[:, None] * np.ones(4))
 
     @pytest.mark.parametrize("failing", [(48,), (48, 96), (96, 0)])
@@ -276,17 +278,6 @@ class TestChunkPool:
 
         with pytest.raises(NumericError, match=f"chunk at {min(failing)}$"):
             chunked_apply(run, 130, 3, self.CFG)
-
-    def test_prepare_runs_in_chunk_order_with_its_result_passed_on(self):
-        seen = []
-
-        def prepare(s, e):
-            seen.append(s)
-            return np.full((e - s, 2), float(s))
-
-        out = chunked_apply(lambda x: x + 1.0, 130, 2, self.CFG, prepare=prepare)
-        assert seen == [0, 24, 48, 72, 96, 120]
-        assert out[0, 0] == 1.0 and out[-1, 0] == 121.0
 
     def test_a_later_chunk_failing_first_does_not_win(self):
         if len(os.sched_getaffinity(0)) < 2:
