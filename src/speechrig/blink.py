@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
-from .rig import RIG_FPS, ControllerMap, RigSequence, read_numeric_csv
+from .rig import RIG_FPS, ControllerMap, RigSequence, read_numeric_csv, write_json
 
 WINDOW = 7  # classifier input: current frame +/- 3 at 30 fps
 BLINK_SPAN = 13  # injection window at 60 fps
@@ -75,11 +75,8 @@ class BlinkClassifier:
         return (self.decision(windows) >= 0.0).astype(np.int64)
 
     def save(self, path) -> None:
-        doc = {"weights": self.weights.tolist(), "bias": self.bias,
-               "metadata": self.metadata}
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        write_json(path, {"weights": self.weights.tolist(), "bias": self.bias,
+                          "metadata": self.metadata})
 
     @classmethod
     def load(cls, path) -> "BlinkClassifier":
@@ -239,10 +236,8 @@ class BlinkFrequencyModel:
                             f"max_rate {self.max_rate}; at least 1% is needed")
 
     def save(self, path) -> None:
-        doc = {"mu_ln": self.mu_ln, "sigma_ln": self.sigma_ln, "max_rate": self.max_rate}
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        write_json(path, {"mu_ln": self.mu_ln, "sigma_ln": self.sigma_ln,
+                          "max_rate": self.max_rate})
 
     @classmethod
     def load(cls, path) -> "BlinkFrequencyModel":

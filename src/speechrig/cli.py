@@ -11,13 +11,13 @@ its output is the one-thread output whatever the thread or core count.
 
 Exit codes: 0 ok, 2 usage, 3 bad data (an unreadable input or an
 unwritable output path included), 4 numeric failure. With --json-errors,
-failures also emit one machine-readable JSON line on stderr.
+a failure, a usage error included, is reported as one machine-readable
+JSON line on stderr in place of the plain message.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import blink as blinkmod
 from . import gaze as gazemod
-from .errors import DataError, NumericError, RigPipelineError
+from .errors import DataError, NumericError, RigPipelineError, UsageError
 from .evaluate import lr_correlation, mae_report, write_correlation_csv, write_mae_report
 from .features import extract_fallback_features, load_features, read_wav, resample_features
 from .network import (
@@ -43,7 +43,6 @@ from .network import (
 from .rig import (
     RIG_FPS,
     ControllerMap,
-    atomic_write,
     constant_timeline,
     default_map,
     emotion_id,
@@ -52,6 +51,8 @@ from .rig import (
     read_numeric_csv,
     read_rig_csv,
     timeline_from_rows,
+    write_csv,
+    write_json,
     write_rig_csv,
 )
 from .smoothing import SmoothConfig, clamp_sequence, smooth_sequence
@@ -135,9 +136,7 @@ def _cmd_infer(args) -> int:
         "blink": bool(args.blink),
         "gaze": bool(args.gaze),
     }
-    with atomic_write(str(args.out) + ".json") as f:
-        json.dump(sidecar, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(str(args.out) + ".json", sidecar, sort_keys=True)
     print(f"wrote {args.out} ({n} frames x {cmap.width} channels at {RIG_FPS:g} fps)")
     return 0
 
@@ -190,11 +189,7 @@ def _cmd_blink_detect(args) -> int:
     trace = blinkmod.read_ear_csv(args.trace)
     events = blinkmod.detect_blinks(trace, clf)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["start", "end"])
-            for ev in events:
-                w.writerow([ev.start, ev.end])
+        write_csv(args.out, ["start", "end"], ([ev.start, ev.end] for ev in events))
     print(f"{len(events)} blink(s) in {len(trace)} frames")
     return 0
 
@@ -247,8 +242,16 @@ def _seed(text: str) -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors for ``main`` to report, in place of exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}",
+                         f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="speechrig",
         description="Speech features + emotion labels -> facial rig controller curves",
     )
@@ -347,9 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(json_errors=False)  # set before any usage error is found
     try:
         try:
+            build_parser().parse_args(argv, args)
             return args.func(args)
         except OSError as exc:  # an unreadable input or unwritable output path
             raise DataError(str(exc)) from None
@@ -361,7 +365,9 @@ def main(argv=None) -> int:
                 payload["code"] = code
             print(json.dumps(payload), file=sys.stderr)
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            print(getattr(exc, "text", f"error: {exc}\n"), end="", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            raise SystemExit(exc.exit_code) from None  # as argparse exits
         return exc.exit_code
 
 

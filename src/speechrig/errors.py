@@ -1,6 +1,6 @@
 """Exception types shared across the pipeline.
 
-Exit codes mirror the CLI contract: 2 usage (argparse), 3 data, 4 numeric.
+Exit codes mirror the CLI contract: 2 usage, 3 data, 4 numeric.
 """
 
 
@@ -8,6 +8,16 @@ class RigPipelineError(Exception):
     """Base class for all pipeline errors."""
 
     exit_code = 1
+
+
+class UsageError(RigPipelineError):
+    """A command line the parser rejects; ``text`` is argparse's report of it."""
+
+    exit_code = 2
+
+    def __init__(self, message, text):
+        super().__init__(message)
+        self.text = text
 
 
 class DataError(RigPipelineError):

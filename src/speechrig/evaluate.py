@@ -3,14 +3,12 @@ channel correlation."""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .rig import ControllerMap, RigSequence
+from .rig import ControllerMap, RigSequence, write_csv, write_json
 
 
 def mae(pred: RigSequence, gt: RigSequence, indices=None) -> float:
@@ -39,9 +37,7 @@ def mae_report(pred: RigSequence, gt: RigSequence, cmap: ControllerMap) -> dict:
 
 
 def write_mae_report(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=1)
-        f.write("\n")
+    write_json(path, report)
 
 
 @dataclass
@@ -96,8 +92,6 @@ def lr_correlation(seq: RigSequence, cmap: ControllerMap) -> CorrelationResult:
 def write_correlation_csv(path, result: CorrelationResult) -> None:
     """Matrix CSV: right-channel names across the header, one row per left
     channel with its name in the first column."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["", *result.right_names])
-        for name, row in zip(result.left_names, result.matrix):
-            w.writerow([name, *(f"{v:.9g}" for v in row)])
+    write_csv(path, ["", *result.right_names],
+              ([name, *(f"{v:.9g}" for v in row)]
+               for name, row in zip(result.left_names, result.matrix)))

@@ -132,9 +132,7 @@ class ControllerMap:
         ]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_document(), f, indent=1)
-            f.write("\n")
+        write_json(path, self.to_document())
 
     def __eq__(self, other):
         return isinstance(other, ControllerMap) and self.entries == other.entries
@@ -285,23 +283,41 @@ def write_rig_csv(path, seq: RigSequence, cmap: ControllerMap | None = None) -> 
             f.write(row % tuple(r.tolist()))
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the ``header`` row, then ``rows``, as CSV."""
+    with atomic_write(path, newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path, doc, sort_keys=False) -> None:
+    """Write ``doc`` as JSON indented by one space, and a newline."""
+    with atomic_write(path) as f:
+        json.dump(doc, f, indent=1, sort_keys=sort_keys)
+        f.write("\n")
+
+
 @contextlib.contextmanager
-def atomic_write(path, **open_args):
-    """A text file to write ``path`` through: a temporary file next to it
-    that replaces ``path`` only once written in full, and is removed if
-    writing fails, so ``path`` never holds a partial file.
+def atomic_write(path, mode="w", **open_args):
+    """A file to write ``path`` through, UTF-8 text unless ``mode`` is
+    "wb": a temporary file next to it that replaces ``path`` only once
+    written in full, and is removed if writing fails, so ``path`` never
+    holds a partial file.
 
     A symbolic link stays: the file it names is replaced. A path that is
     not a regular file (``/dev/stdout``, a pipe) is written in place.
     """
+    if mode == "w":
+        open_args["encoding"] = "utf-8"
     real = os.path.realpath(path)
     if os.path.exists(real) and not os.path.isfile(real):
-        with open(path, "w", encoding="utf-8", **open_args) as f:
+        with open(path, mode, **open_args) as f:
             yield f
         return
     tmp = f"{real}.{os.getpid()}.tmp"
     try:
-        f = open(tmp, "w", encoding="utf-8", **open_args)
+        f = open(tmp, mode, **open_args)
     except OSError as exc:  # name the path asked for, not the temporary file
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:

@@ -10,7 +10,6 @@ attention always spans the full clip.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import DataError, NumericError
 from .features import load_features, resample_features
 from .network import RigModel, clip_loss_and_grads, grad_buffer, upcast_to_float64
-from .rig import N_EMOTIONS, RIG_FPS, constant_timeline, emotion_id, read_rig_csv
+from .rig import N_EMOTIONS, RIG_FPS, constant_timeline, emotion_id, read_rig_csv, write_csv
 
 
 @dataclass
@@ -203,11 +202,8 @@ def train(model: RigModel, dataset, cfg: TrainConfig,
 
 
 def write_loss_csv(path, history) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "lr", "loss"])
-        for epoch, lr, loss in history:
-            w.writerow([epoch, f"{lr:.9g}", f"{loss:.9g}"])
+    write_csv(path, ["epoch", "lr", "loss"],
+              ([epoch, f"{lr:.9g}", f"{loss:.9g}"] for epoch, lr, loss in history))
 
 
 # --- manifest loading -----------------------------------------------------------
@@ -222,7 +218,7 @@ def load_manifest(path) -> list[ClipExample]:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise DataError(f"cannot read training manifest {path}: {exc}") from None
     entries = doc.get("items") if isinstance(doc, dict) else doc
     if not isinstance(entries, list) or not entries:

@@ -11,6 +11,7 @@ import pytest
 
 import speechrig
 import speechrig.cli as cli
+import speechrig.rig as rig
 from speechrig.blink import read_ear_csv
 from speechrig.cli import _read_timeline_csv, build_parser, main
 from speechrig.errors import DataError
@@ -273,6 +274,8 @@ _BAD_PATHS = {
     "classifier-non-numeric-weight": (
         lambda w: ["blink-detect", "--trace", w / "ok_ear.csv", "--classifier", w / "clf.json"],
         "clf.json", b'{"weights": ["a", 1, 1, 1, 1, 1, 1], "bias": 0}'),
+    "manifest-not-utf8": (lambda w: ["train", "--manifest", w / "bin_manifest.json",
+                                     "--out", w / "t.emow"], "bin_manifest.json", b"\xff\xfe{"),
     "manifest-emotion-list": _manifest_case("m_list.json", b"[1]"),
     "manifest-emotion-float": _manifest_case("m_float.json", b"1.5"),
     "manifest-emotion-null": _manifest_case("m_null.json", b"null"),
@@ -391,6 +394,81 @@ def test_failed_write_leaves_no_partial_output(workdir, monkeypatch, capsys, fai
             assert not path.exists()
     assert sorted(p.name for p in workdir.iterdir() if p.name.startswith(out.name)) == \
         sorted(p.name for p in old if p.exists())
+
+
+class _FullDisk:
+    """A file open for writing that takes one write, then fails as a full
+    disk does."""
+
+    def __init__(self, f):
+        self._f, self._writes = f, 0
+
+    def write(self, data):
+        if self._writes:
+            raise OSError(28, "No space left on device")
+        self._writes += 1
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _write_output_inputs(d):
+    """The inputs of the commands in ``_OUTPUTS``, written under ``d``."""
+    rng = np.random.default_rng(33)
+    write_rig_csv(d / "pred.csv", RigSequence(rng.uniform(-1, 1, (30, RIG_WIDTH))))
+    trace = np.full(240, 0.30)
+    for s in (40, 160):  # two blinks, so blink-detect writes rows after its header
+        trace[s:s + 5] = [0.22, 0.08, 0.03, 0.08, 0.22]
+    (d / "ear.csv").write_text("frame,ear\n" + "".join(f"{i},{v:.6f}\n"
+                                                       for i, v in enumerate(trace)))
+    (d / "rates.csv").write_text("rate\n12\n20\n15\n18\n")
+
+
+# every output the CLI writes besides the rig CSV and its sidecar: (argv under the
+# work dir, the output's name)
+_OUTPUTS = {
+    "train-out": (lambda d: _train_argv(d), "t.emow"),
+    "train-loss-csv": (lambda d: _train_argv(d, "--loss-csv", d / "loss.csv"), "loss.csv"),
+    "analyze-mae-out": (lambda d: ["analyze", "--pred", d / "pred.csv", "--gt", d / "pred.csv",
+                                   "--mae-out", d / "mae.json"], "mae.json"),
+    "analyze-corr-out": (lambda d: ["analyze", "--pred", d / "pred.csv", "--corr-out",
+                                    d / "corr.csv"], "corr.csv"),
+    "blink-detect-out": (lambda d: ["blink-detect", "--trace", d / "ear.csv", "--out",
+                                    d / "events.csv"], "events.csv"),
+    "blink-fit-out": (lambda d: ["blink-fit", "--rates", d / "rates.csv", "--out",
+                                 d / "fit.json"], "fit.json"),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("case", _OUTPUTS)
+def test_every_output_failing_midway_leaves_the_previous_file_or_none(
+        tmp_path, monkeypatch, capsys, case, existing):
+    argv, name = _OUTPUTS[case]
+    _write_output_inputs(tmp_path)
+    out = tmp_path / name
+    if existing:
+        out.write_bytes(b"old\n")
+    target = os.path.realpath(out)
+
+    def open_failing(file, mode="r", *args, **kwargs):  # only writes of ``out``
+        f = open(file, mode, *args, **kwargs)
+        return _FullDisk(f) if "w" in mode and str(file).startswith(target) else f
+
+    # every output is written through rig.atomic_write, which opens it here
+    monkeypatch.setattr(rig, "open", open_failing, raising=False)
+    assert run("--json-errors", *argv(tmp_path)) == 3
+    assert "No space left" in json.loads(capsys.readouterr().err)["message"]
+    assert (out.read_bytes() == b"old\n") if existing else not out.exists()
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(name)] == \
+        ([name] if existing else [])
 
 
 _RIG_ROW = ",".join(["0.25"] * RIG_WIDTH)
@@ -631,6 +709,42 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "max relative gradient error" in captured.out
         assert captured.err == ""
+
+
+_USAGE_ERRORS = {
+    "bad-value": (["gradcheck", "--seed", "abc"],
+                  "speechrig gradcheck: argument --seed: invalid _seed value: 'abc'"),
+    "missing-flag": (["infer", "--emotion", "happy"],
+                     "speechrig infer: the following arguments are required"),
+    "unknown-subcommand": (["bogus"], "speechrig: argument command: invalid choice: 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", _USAGE_ERRORS)
+def test_usage_errors_give_one_json_line_with_json_errors(capsys, case):
+    argv, message = _USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as exc:
+        run("--json-errors", *argv)
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "UsageError"
+    assert payload["message"].startswith(message)
+    # without --json-errors, argparse's own report: the usage, then the error
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    prog, detail = message.split(": ", 1)
+    assert err.startswith(f"usage: {prog} ") and f"\n{prog}: error: {detail}" in err
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--json-errors", "infer", "--help")
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: speechrig infer ") and captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [

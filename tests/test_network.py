@@ -311,6 +311,34 @@ class TestChunkPool:
             chunked_apply(run, 130, 3, self.CFG)
         assert len(ran) <= 2  # only chunks a worker had taken before the interrupt
 
+    def test_an_interrupt_in_a_chunk_reaches_the_caller_and_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        blas = network._blas_thread_control()
+        # where the BLAS thread count cannot be set, one runner and nothing to restore
+        runners, (get, put) = (2, blas) if blas else (1, (lambda: 2, lambda threads: None))
+        interrupt, started = KeyboardInterrupt(), []
+
+        def run(s, e):
+            started.append(s)
+            if s == 0:
+                raise interrupt
+            # a thread's chunk outlasts the caller's, which then sees the interrupt
+            time.sleep(0.05 if threading.current_thread() is threading.main_thread() else 0.3)
+            return np.zeros((e - s, 3))
+
+        before = get()
+        put(2)
+        try:
+            with pytest.raises(KeyboardInterrupt) as caught:
+                chunked_apply(run, 130, 3, self.CFG)
+            assert caught.value is interrupt
+            assert get() == 2
+        finally:
+            put(before)
+        # of six chunks, only those a runner took before the caller saw the
+        # interrupt ran: at most one more per runner
+        assert 0 in started and len(started) <= 1 + runners
+
     def test_blas_held_at_one_thread_then_restored(self):
         blas = network._blas_thread_control()
         if blas is None:
