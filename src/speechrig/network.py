@@ -866,21 +866,37 @@ def _check_metadata(path, meta) -> None:
         raise DataError(f"{path}: metadata tensors must be a list")
 
 
-def load_model(path) -> RigModel:
+def load_model(path, digest=None) -> RigModel:
     """Read a weight file into a model whose tensors stay float32.
 
     The payload is read in one go into ``flat``; ``infer`` uses it as it
-    is, and ``train`` / ``grad_check`` upcast it to float64.
+    is, and ``train`` / ``grad_check`` upcast it to float64. A hashlib
+    ``digest``, if given, is fed the header and metadata bytes read;
+    ``weights_hexdigest`` adds the payload, so the file is read once.
     """
     try:
         with open(path, "rb") as f:
-            return _read_weights(path, f)
+            # a throwaway digest of a few header bytes costs microseconds
+            return _read_weights(path, f, hashlib.sha256() if digest is None else digest)
     except OSError as exc:
         raise DataError(f"cannot read weight file {path}: {exc}") from None
 
 
-def _read_weights(path, f) -> RigModel:
+def weights_hexdigest(model: RigModel, digest) -> str:
+    """Finish the ``digest`` given to ``load_model`` for ``model``: the hash
+    of the weight-file bytes loaded, as ``file_sha256`` gives for that file.
+
+    ``flat``'s bytes are the file's payload until ``flat`` is written or
+    upcast. hashlib drops the GIL on large updates, so this can run on a
+    worker thread while ``infer`` reads ``flat``.
+    """
+    digest.update(memoryview(model.flat).cast("B"))
+    return digest.hexdigest()
+
+
+def _read_weights(path, f, digest) -> RigModel:
     header = f.read(_WHEADER.size)
+    digest.update(header)
     if len(header) < _WHEADER.size:
         raise DataError(f"{path}: too short for a weight header")
     magic, version, meta_len = _WHEADER.unpack(header)
@@ -893,6 +909,7 @@ def _read_weights(path, f) -> RigModel:
         raise DataError(f"{path}: metadata length {meta_len} exceeds the {rest} bytes "
                         f"after the header")
     raw = f.read(meta_len)
+    digest.update(raw)
     try:
         meta = json.loads(raw)
     except ValueError as exc:  # bad JSON or bad UTF-8
@@ -924,7 +941,9 @@ def _read_weights(path, f) -> RigModel:
     if payload > need:
         raise DataError(f"{path}: {payload - need} bytes after the last tensor")
     flat = np.empty(need // 4, dtype="<f4")
-    f.readinto(flat)
+    got = f.readinto(flat)
+    if got < need:  # the file shrank after the size check
+        raise DataError(f"{path}: truncated payload: {got} bytes, the tensors need {need}")
     return _bind(flat, meta)
 
 

@@ -1,20 +1,23 @@
 """End-to-end CLI behavior: determinism, injector wiring, exit codes."""
 
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import speechrig
 import speechrig.cli as cli
+import speechrig.network as network
 import speechrig.rig as rig
 from speechrig.blink import read_ear_csv
 from speechrig.cli import _read_timeline_csv, build_parser, main
-from speechrig.errors import DataError
+from speechrig.errors import DataError, NumericError
 from speechrig.features import FeatureSequence, read_feature_csv, write_feature_file
 from speechrig.network import InferenceConfig, build_model, infer, load_model, save_model
 from speechrig.rig import RIG_WIDTH, RigSequence, constant_timeline, default_map, read_rig_csv, write_rig_csv
@@ -175,14 +178,14 @@ class TestInfer:
         assert outs[0] == outs[1]
 
 
-def _rewrite_metadata(src, dst, edit):
+def _rewrite_metadata(src, dst, edit, ensure_ascii=True):
     """Copy a weight file, passing its metadata JSON through ``edit``; bytes
     that ``edit`` returns are appended to the payload."""
     blob = src.read_bytes()
     magic, version, n = struct.unpack_from("<4sII", blob)
     meta = json.loads(blob[12:12 + n])
     tail = edit(meta)
-    new = json.dumps(meta).encode("utf-8")
+    new = json.dumps(meta, ensure_ascii=ensure_ascii).encode("utf-8")
     tail = tail if isinstance(tail, bytes) else b""
     dst.write_bytes(struct.pack("<4sII", magic, version, len(new)) + new + blob[12 + n:] + tail)
 
@@ -222,6 +225,21 @@ class TestWeightFileErrors:
     def test_unreadable_weights_exit_3_with_json_line(self, workdir, capsys, name):
         self._assert_data_error(workdir, capsys, workdir / name, "cannot read weight file")
 
+    def test_payload_shrunk_after_the_size_check_exits_3(self, workdir, tmp_path, capsys,
+                                                          monkeypatch):
+        short = tmp_path / "short.emow"
+        short.write_bytes((workdir / "w.emow").read_bytes()[:-4])
+        fstat = os.fstat
+
+        def stale(fd):  # the size the file had before it lost its last 4 bytes
+            st = fstat(fd)
+            return os.stat_result((*st[:6], st.st_size + 4, *st[7:]))
+
+        monkeypatch.setattr(network.os, "fstat", stale)
+        with pytest.raises(DataError, match="truncated payload"):
+            load_model(short)
+        self._assert_data_error(workdir, capsys, short, "truncated payload")
+
     @staticmethod
     def _assert_data_error(workdir, capsys, weights, needle):
         code = run("--json-errors", "infer", "--features", workdir / "f.emof",
@@ -232,6 +250,91 @@ class TestWeightFileErrors:
         payload = json.loads(err.strip())
         assert payload["error"] == "DataError"
         assert needle in payload["message"]
+
+
+class TestWeightDigest:
+    """The sidecar's ``weights_sha256`` and the thread that computes it."""
+
+    @pytest.mark.parametrize("family", ["external", "Stimme-ü-音声"])
+    def test_sidecar_digest_is_the_files_sha256(self, workdir, tmp_path, family):
+        weights = tmp_path / "w.emow"
+        _rewrite_metadata(workdir / "w.emow", weights, _set("feature_family", family),
+                          ensure_ascii=False)
+        assert family.encode("utf-8") in weights.read_bytes()  # as UTF-8, not \u escapes
+        out = tmp_path / "o.csv"
+        assert run("infer", "--features", workdir / "f.emof", "--emotion", "0",
+                   "--weights", weights, "--out", out) == 0
+        want = hashlib.sha256(weights.read_bytes()).hexdigest()
+        assert json.loads((tmp_path / "o.csv.json").read_text())["weights_sha256"] == want
+        assert cli.file_sha256(weights) == want
+
+    def test_digest_names_the_bytes_loaded_not_a_file_swapped_in(self, workdir, tmp_path,
+                                                                monkeypatch):
+        weights, other = tmp_path / "w.emow", tmp_path / "other.emow"
+        weights.write_bytes((workdir / "w.emow").read_bytes())
+        _rewrite_metadata(weights, other, _set("feature_family", "other"))
+        loaded = cli.file_sha256(weights)
+        real_infer = cli.infer
+
+        def swap_then_infer(*args, **kwargs):
+            os.replace(other, weights)
+            return real_infer(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "infer", swap_then_infer)
+        out = tmp_path / "o.csv"
+        assert run("infer", "--features", workdir / "f.emof", "--emotion", "0",
+                   "--weights", weights, "--out", out) == 0
+        assert cli.file_sha256(weights) != loaded
+        assert json.loads((tmp_path / "o.csv.json").read_text())["weights_sha256"] == loaded
+
+    @staticmethod
+    def _raise(exc):
+        def infer(*args, **kwargs):
+            raise exc
+        return infer
+
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("out-in-missing-dir", 3), ("numeric-error", 4)])
+    def test_no_thread_outlives_main(self, workdir, monkeypatch, capsys, case, code):
+        hashed = []
+        digest = cli.weights_hexdigest
+        monkeypatch.setattr(cli, "weights_hexdigest",
+                            lambda *a: hashed.append(1) or digest(*a))
+        if case == "numeric-error":
+            monkeypatch.setattr(cli, "infer", self._raise(NumericError("non-finite output")))
+        out = "nodir/x.csv" if case == "out-in-missing-dir" else "threads.csv"
+        before = threading.active_count()
+        assert run("--json-errors", *_infer_argv(workdir, out=out)) == code
+        assert threading.active_count() == before
+        assert hashed == [1]  # the hash had started
+        if code:
+            (line,) = capsys.readouterr().err.splitlines()
+            assert json.loads(line)["error"] == ("DataError" if code == 3 else "NumericError")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="thread priorities are set on Linux")
+    def test_hash_runs_at_the_lowest_priority_and_the_caller_keeps_its_own(self, workdir,
+                                                                          monkeypatch):
+        def thread_nice():
+            return os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+
+        nice, digest = [], cli.weights_hexdigest
+        monkeypatch.setattr(cli, "weights_hexdigest",
+                            lambda *a: nice.append(thread_nice()) or digest(*a))
+        before = thread_nice()
+        assert run(*_infer_argv(workdir, out="nice.csv")) == 0
+        assert nice == [19]
+        assert thread_nice() == before
+
+    def test_interrupt_in_infer_reaches_the_caller_and_leaves_no_thread(self, workdir,
+                                                                        monkeypatch):
+        interrupt = KeyboardInterrupt()
+        monkeypatch.setattr(cli, "infer", self._raise(interrupt))
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt) as exc:
+            run(*_infer_argv(workdir, out="interrupted.csv"))
+        assert exc.value is interrupt
+        assert threading.active_count() == before
+        assert not (workdir / "interrupted.csv").exists()
 
 
 def _infer_argv(w, features="f.emof", emotion=("--emotion", "0"), out="x.csv"):
