@@ -268,6 +268,22 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _log_every(text: str) -> int:
+    """The type of --log-every: 0 logs no epoch, n > 0 every n-th."""
+    every = int(text)
+    if every < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {every}")
+    return every
+
+
+def _threshold(text: str) -> float:
+    """The type of --fail-above: a float that an error can exceed, so not NaN."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"must be a number, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises its usage errors for ``main`` to report, in place of exiting."""
 
@@ -329,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-size", type=int, default=100)
     p.add_argument("--gamma", type=float, default=0.995)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--log-every", type=int, default=0)
+    p.add_argument("--log-every", type=_log_every, default=0)
     p.add_argument("--loss-csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -369,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=4)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--fail-above", type=float, default=None)
+    p.add_argument("--fail-above", type=_threshold, default=None)
     p.set_defaults(func=_cmd_gradcheck)
 
     return ap

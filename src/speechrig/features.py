@@ -255,15 +255,19 @@ def resample_features(seq: FeatureSequence, dst_rate: float) -> FeatureSequence:
     n_in = seq.n_frames
     if n_in < 2:
         raise DataError(f"resampling needs at least 2 frames, got {n_in}")
-    n_out = max(1, int(np.floor(n_in * dst_rate / seq.rate_hz + 0.5)))
-    if n_out == 1:
-        return FeatureSequence(seq.data[:1].copy(), dst_rate, seq.family)
-
-    pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
+    frames = n_in * dst_rate / seq.rate_hz
+    try:
+        n_out = max(1, int(np.floor(frames + 0.5)))  # inf overflows
+        if n_out == 1:
+            return FeatureSequence(seq.data[:1].copy(), dst_rate, seq.family)
+        pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
+        out = np.empty((n_out, seq.n_features), np.float32)
+    except (OverflowError, ValueError, MemoryError):  # numpy refuses the allocation
+        raise DataError(f"cannot resample {n_in} frames at {seq.rate_hz:g} Hz to {dst_rate:g} Hz: "
+                        f"{frames:.3g} frames is more than numpy can allocate") from None
     lo = np.minimum(pos.astype(np.int64), n_in - 2)
     frac = (pos - lo)[:, None]
     x = seq.data
-    out = np.empty((n_out, seq.n_features), np.float32)
     # a + frac * (b - a) in float64, a block of rows at a time and in place
     for r in range(0, n_out, _RESAMPLE_ROWS):
         rows = slice(r, r + _RESAMPLE_ROWS)

@@ -226,13 +226,17 @@ def _softmax_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _layer_norm_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+def _layer_norm_forward(x, g, b, keep_cache):
+    """Layer norm of rows ``x``, computed in ``x``: the caller passes a
+    temporary it gives up. With ``keep_cache`` the normalised rows stay
+    in ``x`` for the reverse pass and the output is a new array."""
+    x -= x.mean(axis=-1, keepdims=True)
+    var = np.mean(x * x, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    x *= inv
+    out = x * g if keep_cache else np.multiply(x, g, out=x)
+    out += b
+    return out, (x, inv, g) if keep_cache else None
 
 
 def _layer_norm_backward(dout, cache, dg, db):
@@ -256,24 +260,49 @@ def _merge_heads(x):
     return x.transpose(1, 0, 2).reshape(t, h * dh)
 
 
-def _kv_forward(x, p: LayerParams):
-    """The key and value rows of input rows ``x``."""
-    return x @ p.wk + p.bk, x @ p.wv + p.bv
+def _affine(x, w, b, out=None):
+    """``x @ w + b``, the bias added in place, into ``out`` if given."""
+    y = np.matmul(x, w, out=out)
+    y += b
+    return y
 
 
-def _attention_forward(x, p: LayerParams, n_heads, kv=None):
+def _kv_forward(x, p: LayerParams, k=None, v=None):
+    """The key and value rows of input rows ``x``, into ``k`` and ``v`` if given."""
+    return _affine(x, p.wk, p.bk, k), _affine(x, p.wv, p.bv, v)
+
+
+def _attention_forward(x, p: LayerParams, n_heads, keep_cache, kv=None):
     """Rows ``x`` attend over the keys and values ``kv``, by default their
-    own (see ``_kv_forward``); then the output projection."""
+    own (see ``_kv_forward``); then the output projection.
+
+    With ``keep_cache`` every head's scores are one heads x rows x keys
+    product, which the reverse pass and ``forward_with_attention`` read.
+    Without, one head's rows x keys scores are held at a time: each head
+    is computed by the same matrix products the batched one makes for it,
+    so the output is the same bit for bit.
+    """
     k, v = _kv_forward(x, p) if kv is None else kv
-    qh, kh, vh = (_split_heads(t, n_heads) for t in (x @ p.wq + p.bq, k, v))
+    q = _affine(x, p.wq, p.bq)
+    dh = q.shape[1] // n_heads
     # a Python float keeps float32 scores float32
-    scale = float(1.0 / np.sqrt(qh.shape[-1]))
-    scores = qh @ kh.transpose(0, 2, 1)
-    scores *= scale
-    attn = _softmax_inplace(scores)
-    merged = _merge_heads(attn @ vh)
-    out = merged @ p.wo + p.bo
-    return out, (x, qh, kh, vh, attn, merged, scale)
+    scale = float(1.0 / np.sqrt(dh))
+    if keep_cache:
+        qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
+        attn = qh @ kh.transpose(0, 2, 1)
+        attn *= scale
+        _softmax_inplace(attn)
+        merged = _merge_heads(attn @ vh)
+        cache = (x, qh, kh, vh, attn, merged, scale)
+    else:
+        merged, cache = np.empty_like(q), None
+        scores = np.empty((len(q), len(k)), q.dtype)
+        for c in (slice(i, i + dh) for i in range(0, q.shape[1], dh)):
+            np.matmul(q[:, c], k[:, c].T, out=scores)
+            scores *= scale
+            _softmax_inplace(scores)
+            np.matmul(scores, v[:, c], out=merged[:, c])
+    return _affine(merged, p.wo, p.bo), cache
 
 
 def _attention_backward(dout, cache, p: LayerParams, g: LayerParams):
@@ -308,26 +337,29 @@ def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache, kv=No
     what the reverse pass reads.
 
     Every step but the attention works on each row alone. Without
-    ``keep_cache`` the attention cache (Q/K/V and the heads x rows x keys
-    scores) is released before the feed-forward block runs.
+    ``keep_cache`` the attention holds one head's rows x keys scores at
+    a time and frees them before the feed-forward block runs. Biases,
+    residuals, the ReLU and the norms are applied in place to the
+    temporaries the layer made, never to ``x``, with the same arithmetic
+    as a fresh array would get.
     """
-    a, attn_cache = _attention_forward(x, p, n_heads, kv)
-    if not keep_cache:
-        attn_cache = None
+    a, attn_cache = _attention_forward(x, p, n_heads, keep_cache, kv)
     mask1 = None
     if dropout_p > 0.0 and rng is not None:
         mask1 = _dropout_mask(a.shape, dropout_p, rng)
         a = a * mask1
-    x1, ln1_cache = _layer_norm_forward(x + a, p.ln1_g, p.ln1_b)
+    a += x
+    x1, ln1_cache = _layer_norm_forward(a, p.ln1_g, p.ln1_b, keep_cache)
 
-    z = x1 @ p.w1 + p.b1
-    h = np.maximum(z, 0.0)
-    f = h @ p.w2 + p.b2
+    z = _affine(x1, p.w1, p.b1)
+    h = np.maximum(z, 0.0) if keep_cache else np.maximum(z, 0.0, out=z)
+    f = _affine(h, p.w2, p.b2)
     mask2 = None
     if dropout_p > 0.0 and rng is not None:
         mask2 = _dropout_mask(f.shape, dropout_p, rng)
         f = f * mask2
-    x2, ln2_cache = _layer_norm_forward(x1 + f, p.ln2_g, p.ln2_b)
+    f += x1
+    x2, ln2_cache = _layer_norm_forward(f, p.ln2_g, p.ln2_b, keep_cache)
     if not keep_cache:
         return x2, None
     return x2, (attn_cache, mask1, ln1_cache, x1, z, h, mask2, ln2_cache)
@@ -384,7 +416,7 @@ def _stack_forward(model, h, train, rng, keep_attention):
 
 
 def _head_forward(model, h):
-    y = h @ model.head_w + model.head_b
+    y = _affine(h, model.head_w, model.head_b)
     _check_finite(y, "in output head")
     return y
 
@@ -717,9 +749,10 @@ def _blocked_stack_forward(stack: RigModel, h0: np.ndarray) -> np.ndarray:
     for both row counts). Several blocks run on min(usable CPUs, blocks)
     runners at one BLAS thread (see ``_runner_pool``), the calling thread
     being runner 0. Blocks are dealt to runners round robin; per layer
-    each runner writes its rows' keys and values into one shared pair of
-    buffers and waits at a barrier for the others, then finishes the layer
-    for its own rows.
+    each runner computes its rows' keys and values straight into one
+    shared pair of buffers and waits at a barrier for the others, then
+    finishes the layer for its own rows, holding one head's block rows x
+    keys scores at a time.
     A second barrier keeps the next layer's writes until every runner is
     done reading; a second pair of buffers in its place would hold 2.4 MB
     more at 600 frames of width 512. A block's arithmetic does not depend
@@ -744,7 +777,7 @@ def _blocked_stack_forward(stack: RigModel, h0: np.ndarray) -> np.ndarray:
                 for i, layer in enumerate(stack.layers):
                     barrier.wait()  # the previous layer's keys and values are read
                     for s, e, h in mine:
-                        k[s:e], v[s:e] = _kv_forward(h, layer)
+                        _kv_forward(h, layer, k[s:e], v[s:e])
                     barrier.wait()  # this layer's are written
                     for b, (s, e, h) in enumerate(mine):
                         h = _layer_forward(h, layer, stack.n_heads, 0.0, None, keep_cache=False,

@@ -35,6 +35,11 @@ def workdir(tmp_path_factory):
     write_feature_file(root / "f.emof", feats)
     (root / "f.csv").write_text("".join(f"{k},0.5\n" for k in range(100)))
     (root / "ok_ear.csv").write_text("frame,ear\n" + "".join(f"{i},0.3\n" for i in range(20)))
+    # a header rate so low that no resampled clip can be allocated
+    write_feature_file(root / "slow.emof", FeatureSequence(feats.data, 1e-30))
+    (root / "slow_manifest.json").write_text(
+        '{"items": [{"features": "slow.emof", "target": "t.csv", "emotion": 0}]}')
+    (root / "f12.csv").write_text("".join(",".join(["0.5"] * 12) + "\n" for _ in range(50)))
     return root
 
 
@@ -395,6 +400,13 @@ _BAD_PATHS = {
                          "feature rate", None),
     "feature-rate-inf": (lambda w: [*_infer_argv(w, features="f.csv"), "--feature-rate", "inf"],
                          "feature rate", None),
+    "feature-rate-1e-300": (lambda w: [*_infer_argv(w, features="f12.csv"),
+                                       "--feature-rate", "1e-300"], "50 frames at 1e-300 Hz", None),
+    "emof-rate-1e-30": (lambda w: _infer_argv(w, features="slow.emof"),
+                        "50 frames at 1e-30 Hz", None),
+    "manifest-rate-1e-30": (lambda w: ["train", "--manifest", w / "slow_manifest.json",
+                                       "--epochs", "1", "--out", w / "t.emow"],
+                            "50 frames at 1e-30 Hz", None),
     "timeline-fractional-frame": (
         lambda w: _infer_argv(w, emotion=("--timeline", w / "frac_tl.csv")),
         "frac_tl.csv", b"frame,label\n0,happy\n30.7,sad\n"),
@@ -820,6 +832,13 @@ _USAGE_ERRORS = {
     "missing-flag": (["infer", "--emotion", "happy"],
                      "speechrig infer: the following arguments are required"),
     "unknown-subcommand": (["bogus"], "speechrig: argument command: invalid choice: 'bogus'"),
+    # err > nan is never true, so this gate could never fail
+    "fail-above-nan": (["gradcheck", "--fail-above", "nan"],
+                       "speechrig gradcheck: argument --fail-above: must be a number, got nan"),
+    # epoch % -1 == 0 would log every epoch
+    "log-every-negative": (["train", "--synthetic", "--log-every", "-1"],
+                           "speechrig train: argument --log-every: must be an integer >= 0, "
+                           "got -1"),
 }
 
 

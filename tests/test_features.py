@@ -266,3 +266,10 @@ class TestResampling:
         seq = FeatureSequence(np.ones((100, 2), dtype=np.float32), 50.0)
         with pytest.raises(DataError, match="target rate"):
             resample_features(seq, rate)
+
+    # output sizes numpy refuses at once: past its size limit, and infinite
+    @pytest.mark.parametrize("src", [1e-30, 1e-300, 5e-324])
+    def test_an_output_numpy_cannot_allocate_is_a_data_error(self, src):
+        seq = FeatureSequence(np.ones((50, 3), dtype=np.float32), src)
+        with pytest.raises(DataError, match=rf"50 frames at {src:g} Hz to 60 Hz"):
+            resample_features(seq, 60.0)

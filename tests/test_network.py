@@ -1,10 +1,12 @@
 """Transformer core: forward contracts, chunked inference, gradients,
 and the weight file format."""
 
+import functools
 import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +104,41 @@ class TestForward:
         assert y.dtype == np.float64
         assert np.array_equal(y, y_train)
         assert np.array_equal(y, forward(model, hidden))
+        # a layer without a cache runs one head at a time; with one, every
+        # head's scores are one batched product: both give the same bits,
+        # in either precision, on a block's own keys or on all rows' keys
+        for n_heads, d_model in [(1, 16), (2, 64), (4, 128), (8, 512)]:
+            m = build_model(8, d_model=d_model, n_layers=1, n_heads=n_heads, d_ff=2 * d_model,
+                            output_dim=12, dropout=0.0, seed=n_heads)
+            for dtype in (np.float32, np.float64):
+                layer = network._bind(m.flat.astype(dtype), network._model_meta(m)).layers[0]
+                for rows in (11, 700):
+                    x = rng.normal(0, 1, (rows, d_model)).astype(dtype)
+                    for kv in (None, network._kv_forward(x, layer)):
+                        block = x if kv is None else x[rows // 3:]
+                        run = functools.partial(network._layer_forward, block, layer, n_heads,
+                                                0.0, None, kv=kv)
+                        head_loop, all_heads = run(keep_cache=False)[0], run(keep_cache=True)[0]
+                        assert head_loop.dtype == dtype
+                        assert np.array_equal(head_loop, all_heads), \
+                            (n_heads, d_model, dtype, rows, kv is None)
+
+    def test_attention_holds_one_head_of_scores_at_a_time(self):
+        # at 1200 rows of width 64 the scores of all 8 heads take 46 MB, one
+        # head's 5.8 MB: the layer's peak stays far below the first
+        heads, rows = 8, 1200
+        m = build_model(8, d_model=64, n_layers=1, n_heads=heads, d_ff=128, output_dim=12,
+                        dropout=0.0, seed=1)
+        layer = network._bind(m.flat.astype(np.float32), network._model_meta(m)).layers[0]
+        x = np.random.default_rng(6).normal(0, 1, (rows, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            network._layer_forward(x, layer, heads, 0.0, None, keep_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        all_heads = heads * rows * rows * 4
+        assert peak < all_heads / 4, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestEmotionPathway:
@@ -215,6 +252,33 @@ class TestChunkedInference:
         assert np.abs(got - want).max() <= 1e-4
         # the caller's model is left float64
         assert all(p.dtype == np.float64 for _, p in named_parameters(m))
+
+    def test_head_loop_output_equals_the_all_heads_product(self, monkeypatch):
+        # 300 frames: one row block; 600: two row blocks; 3600: seven chunks
+        blas = network._blas_thread_control()
+        m = build_model(8, d_model=64, n_layers=2, n_heads=4, d_ff=128, output_dim=174,
+                        dropout=0.0, seed=4)
+        rng = np.random.default_rng(18)
+        attention = network._attention_forward
+
+        def all_heads(x, p, n_heads, keep_cache, kv=None):
+            return attention(x, p, n_heads, True, kv)
+
+        before = blas[0]() if blas else None
+        if blas:
+            blas[1](1)
+        try:
+            for frames in (300, 600, 3600):
+                feats = FeatureSequence(rng.normal(0, 1, (frames, 8)).astype(np.float32), 60.0)
+                labels = rng.integers(0, 7, frames)
+                head_loop = infer(feats, labels, m).values
+                with monkeypatch.context() as patch:
+                    patch.setattr(network, "_attention_forward", all_heads)
+                    want = infer(feats, labels, m).values
+                assert head_loop.tobytes() == want.tobytes(), frames
+        finally:
+            if blas:
+                blas[1](before)
 
     def test_chunks_encode_at_their_global_start_frame(self, monkeypatch):
         import speechrig.network as network
