@@ -31,7 +31,6 @@ from .features import (
 )
 from .gaze import GazeTrack, inject_gaze, sample_gaze_track
 from .network import (
-    InferenceConfig,
     RigModel,
     build_model,
     grad_check,
@@ -50,7 +49,7 @@ from .rig import (
     default_map,
     load_controller_map,
 )
-from .smoothing import SmoothConfig, clamp_sequence, savgol_coeffs, smooth_sequence
+from .smoothing import clamp_sequence, savgol_coeffs, smooth_sequence
 from .training import TrainConfig, gen_synthetic, steplr, train
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ from .errors import DataError, NumericError, RigPipelineError, UsageError
 from .evaluate import lr_correlation, mae_report, write_correlation_csv, write_mae_report
 from .features import extract_fallback_features, load_features, read_wav, resample_features
 from .network import (
-    InferenceConfig,
     build_model,
     file_sha256,  # noqa: F401  unused here; perfbench traces speechrig.cli.file_sha256
     grad_check,
@@ -60,7 +59,7 @@ from .rig import (
     write_json,
     write_rig_csv,
 )
-from .smoothing import SmoothConfig, clamp_sequence, smooth_sequence
+from .smoothing import clamp_sequence, smooth_sequence
 from .training import TrainConfig, gen_synthetic, load_manifest, train, write_loss_csv
 
 MAP_ENV_VAR = "SPEECHRIG_MAP"
@@ -111,7 +110,7 @@ def _cmd_infer(args) -> int:
         "weights_sha256": weights_sha256,
         "feature_family": feats.family,
         "model_feature_family": model.feature_family,
-        "smoothed": not args.no_smooth,
+        "smoothed": True,  # every run smooths; perfbench's output check reads the key
         "blink": bool(args.blink),
         "gaze": bool(args.gaze),
     }
@@ -149,11 +148,7 @@ def _predict(args, cmap: ControllerMap, model):
     else:
         timeline = constant_timeline(emotion_id(args.emotion), n)
 
-    cfg = InferenceConfig(args.chunk, args.overlap)
-    seq = infer(feats, timeline, model, cfg)
-    if not args.no_smooth:
-        seq = smooth_sequence(seq, SmoothConfig(args.smooth_window, args.smooth_order))
-    seq = clamp_sequence(seq, cmap)
+    seq = clamp_sequence(smooth_sequence(infer(feats, timeline, model)), cmap)
 
     if args.blink:
         freq = blinkmod.BlinkFrequencyModel(args.blink_mu, args.blink_sigma)
@@ -168,8 +163,7 @@ def _predict(args, cmap: ControllerMap, model):
 
 
 def _cmd_train(args) -> int:
-    cfg = TrainConfig(lr0=args.lr0, step_size=args.step_size, gamma=args.gamma,
-                      epochs=args.epochs, batch=args.batch, seed=args.seed)
+    cfg = TrainConfig(lr0=args.lr0, epochs=args.epochs, batch=args.batch, seed=args.seed)
     data = load_manifest(args.manifest) if args.manifest else None
     # the model (and so its dims check) comes before any synthetic data
     model = build_model(
@@ -237,7 +231,7 @@ def _cmd_blink_fit(args) -> int:
         if not intervals:
             raise DataError("no blink intervals found in the given traces")
         rates = 60.0 / np.asarray(intervals)
-    model = blinkmod.fit_lognormal(rates, args.max_rate)
+    model = blinkmod.fit_lognormal(rates)
     model.save(args.out)
     print(f"fitted ln-mean {model.mu_ln:.4f}, ln-std {model.sigma_ln:.4f} "
           f"from {rates.size} rate samples; wrote {args.out}")
@@ -261,19 +255,12 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _seed(text: str) -> int:
-    """The type of every --seed: numpy seeds only from integers >= 0."""
-    seed = int(text)  # argparse reports a ValueError as an invalid value
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
-    return seed
-
-
-def _log_every(text: str) -> int:
-    """The type of --log-every: 0 logs no epoch, n > 0 every n-th."""
-    every = int(text)
-    if every < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {every}")
-    return every
+    """The type of every --seed and of --log-every: an integer >= 0.
+    numpy seeds only from those; --log-every 0 logs no epoch, n > 0 every n-th."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
+    return value
 
 
 def _threshold(text: str) -> float:
@@ -315,13 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--blink", action="store_true", help="inject sampled blinks")
     p.add_argument("--gaze", action="store_true", help="inject a sampled gaze track")
-    p.add_argument("--no-smooth", action="store_true")
-    p.add_argument("--smooth-window", type=int, default=15)
-    p.add_argument("--smooth-order", type=int, default=3)
     p.add_argument("--blink-mu", type=float, default=blinkmod.DEFAULT_MU_LN)
     p.add_argument("--blink-sigma", type=float, default=blinkmod.DEFAULT_SIGMA_LN)
-    p.add_argument("--chunk", type=int, default=600)
-    p.add_argument("--overlap", type=int, default=60)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_infer)
 
@@ -342,10 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=2000)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--lr0", type=float, default=3e-3)
-    p.add_argument("--step-size", type=int, default=100)
-    p.add_argument("--gamma", type=float, default=0.995)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--log-every", type=_log_every, default=0)
+    p.add_argument("--log-every", type=_seed, default=0)
     p.add_argument("--loss-csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -371,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--rates", help="CSV of blinks-per-minute samples")
     p.add_argument("--classifier", help="classifier JSON (default: built-in)")
     p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--max-rate", type=float, default=blinkmod.MAX_RATE)
     p.add_argument("--out", required=True, help="write the fitted model JSON here")
     p.set_defaults(func=_cmd_blink_fit)
 

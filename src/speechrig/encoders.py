@@ -9,7 +9,6 @@ place the emotion label enters the network.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,31 +49,26 @@ def encoder_shapes(feature_dim: int, d_model: int) -> dict[str, tuple[int, ...]]
             "emotion_w2": (d_model, d_model), "emotion_b2": (d_model,)}
 
 
-@functools.lru_cache(maxsize=32)
-def _positional_encoding_cached(start: int, n_frames: int, d_model: int) -> np.ndarray:
+def positional_encoding(n_frames: int, d_model: int = D_MODEL, start: int = 0) -> np.ndarray:
+    """Sinusoidal position table for positions start .. start + n_frames - 1:
+    sin(pos / 10000^(2i/d)) on even columns, cos of the same angle on the
+    following odd column.
+
+    Computed on every call (a 600 x 512 table takes a few milliseconds),
+    so a chunk at a late offset holds only its own rows, and only while
+    it is encoded.
+    """
+    if n_frames < 1:
+        raise DataError(f"positional encoding needs n_frames >= 1, got {n_frames}")
+    if d_model % 2 != 0 or d_model < 2:
+        raise DataError(f"d_model must be a positive even number, got {d_model}")
     pos = np.arange(start, start + n_frames, dtype=np.float64)[:, None]
     two_i = np.arange(0, d_model, 2, dtype=np.float64)
     angles = pos / (10000.0 ** (two_i / d_model))[None, :]
     pe = np.empty((n_frames, d_model))
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles)
-    pe.setflags(write=False)
     return pe
-
-
-def positional_encoding(n_frames: int, d_model: int = D_MODEL, start: int = 0) -> np.ndarray:
-    """Sinusoidal position table for positions start .. start + n_frames - 1:
-    sin(pos / 10000^(2i/d)) on even columns, cos of the same angle on the
-    following odd column.
-
-    Cached per (start, n_frames, d_model), so a chunk at a late offset
-    holds only its own rows; callers must not mutate the result.
-    """
-    if n_frames < 1:
-        raise DataError(f"positional encoding needs n_frames >= 1, got {n_frames}")
-    if d_model % 2 != 0 or d_model < 2:
-        raise DataError(f"d_model must be a positive even number, got {d_model}")
-    return _positional_encoding_cached(int(start), int(n_frames), int(d_model))
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:

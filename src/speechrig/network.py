@@ -184,7 +184,14 @@ def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
             "n_layers": n_layers, "n_heads": n_heads, "d_ff": d_ff, "output_dim": output_dim,
             "dropout": dropout}
     _check_shape(meta, "model")
-    model = _bind(np.zeros(_layout(meta)[-1][2].stop), meta)
+    size = _layout(meta)[-1][2].stop
+    try:
+        flat = np.zeros(size)
+    except (OverflowError, ValueError, MemoryError):  # numpy refuses the allocation
+        dims = ", ".join(f"{k} {meta[k]}" for k in _META_DIMS)
+        raise DataError(f"a model of {size} parameters ({dims}) is more than numpy can "
+                        f"allocate") from None
+    model = _bind(flat, meta)
     rng = np.random.default_rng(seed)
     for name, p in named_parameters(model):
         if name == "encoder.emotion_embed":
@@ -575,9 +582,13 @@ def gradcheck_probe(feature_dim: int = 8, d_model: int = 16, n_layers: int = 1,
         # the tiny default embedding init parks the emotion pre-activations
         # right at the leaky kink; the probe needs them at a healthy scale
         model.encoder.emotion_embed[...] = rng.normal(0.0, 0.5, model.encoder.emotion_embed.shape)
-        features = rng.normal(0.0, 1.0, (frames, feature_dim))
-        labels = rng.integers(0, N_EMOTIONS, frames)
-        target = rng.normal(0.0, 0.5, (frames, output_dim))
+        try:
+            features = rng.normal(0.0, 1.0, (frames, feature_dim))
+            labels = rng.integers(0, N_EMOTIONS, frames)
+            target = rng.normal(0.0, 0.5, (frames, output_dim))
+        except (OverflowError, ValueError, MemoryError):  # numpy refuses the allocation
+            raise DataError(f"a probe of {frames} frames x {feature_dim} features, "
+                            f"{output_dim} outputs is more than numpy can allocate") from None
         if _kink_margin(model, features, labels) > 50.0 * eps:
             return model, features, labels, target
     raise NumericError("no kink-free gradient probe found; reduce eps")
@@ -586,38 +597,28 @@ def gradcheck_probe(feature_dim: int = 8, d_model: int = 16, n_layers: int = 1,
 # --- inference ----------------------------------------------------------------
 
 
-@dataclass
-class InferenceConfig:
-    """Chunking bounds the quadratic attention cost on long clips."""
-
-    chunk_frames: int = 600
-    overlap_frames: int = 60
-
-    def __post_init__(self):
-        if not self.chunk_frames > 2 * self.overlap_frames >= 0:
-            raise DataError(
-                f"need chunk_frames > 2*overlap_frames >= 0, got "
-                f"{self.chunk_frames} / {self.overlap_frames}"
-            )
+# Chunking bounds the quadratic attention cost on long clips: 10 s chunks,
+# each overlapping the one before by 1 s.
+CHUNK_FRAMES, OVERLAP_FRAMES = 600, 60
 
 
-def infer(features: FeatureSequence, timeline, model: RigModel,
-          cfg: InferenceConfig | None = None) -> RigSequence:
+def infer(features: FeatureSequence, timeline, model: RigModel) -> RigSequence:
     """Predict a 60 fps rig sequence for a feature stream and emotion timeline.
 
-    Features at other rates are resampled internally. A clip of one chunk
-    runs its encoder rows in blocks on every usable core (see
-    ``_blocked_stack_forward``). Longer clips run in overlapping chunks
-    whose overlap regions are linearly crossfaded; the chunks run on
-    every usable core (see ``chunked_apply``); a failure raises what a
-    serial run raises, though chunks after a failing one may still run.
+    Features at other rates are resampled internally. A clip of at most
+    ``CHUNK_FRAMES`` frames is one chunk, and runs its encoder rows in
+    blocks on every usable core (see ``_blocked_stack_forward``). Longer
+    clips run in chunks that overlap by ``OVERLAP_FRAMES``, whose overlap
+    regions are linearly crossfaded; the chunks run on every usable core
+    (see ``chunked_apply``); a failure raises what a serial run raises,
+    though chunks after a failing one may still run.
     Positions are global frame indices: each chunk's encoding starts at
     its own start frame, so a chunk sees the positions it has in the clip.
 
     Every chunk's encoder input is built on the calling thread, in chunk
     order, before any chunk runs: its feature rows are cast to float64
     for the encoders and the sum is kept in float32; no float64 copy of
-    the whole clip is kept. Each input, ``chunk_frames * d_model * 4``
+    the whole clip is kept. Each input, ``CHUNK_FRAMES * d_model * 4``
     bytes, is held until its chunk starts. The encoder stack and head
     run in float32 and keep no layer caches. Reruns are byte-identical at
     a fixed BLAS thread count, whatever the number of runners; across
@@ -626,7 +627,6 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     at one BLAS thread, so its output is the one-thread output at any
     count.
     """
-    cfg = cfg or InferenceConfig()
     if features.n_features != model.feature_dim:
         raise DataError(
             f"feature width {features.n_features} does not match model "
@@ -638,7 +638,7 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     labels = validate_timeline(timeline, n)
     etab = encode_emotion_table(model.encoder)
     stack = _bind(np.asarray(model.flat, np.float32), _model_meta(model))
-    bounds = _chunk_bounds(n, cfg)
+    bounds = _chunk_bounds(n)
     h0 = {s: np.asarray(encode_content(features.data[s:e], model.encoder, pos_offset=s)
                         + etab[labels[s:e]], np.float32) for s, e in bounds}
     if len(bounds) == 1:
@@ -647,7 +647,7 @@ def infer(features: FeatureSequence, timeline, model: RigModel,
     def run_chunk(s, e):
         return _stack_forward(stack, h0.pop(s), train=False, rng=None, keep_attention=False)[0]
 
-    return RigSequence(chunked_apply(run_chunk, n, model.output_dim, cfg))
+    return RigSequence(chunked_apply(run_chunk, n, model.output_dim))
 
 
 def upcast_to_float64(model: RigModel) -> None:
@@ -660,18 +660,18 @@ def upcast_to_float64(model: RigModel) -> None:
         vars(model).update(vars(_bind(model.flat.astype(np.float64), _model_meta(model))))
 
 
-def _chunk_bounds(n_frames: int, cfg: InferenceConfig) -> list[tuple[int, int]]:
-    """The chunks [s, e) covering [0, n_frames), each overlapping the one
-    before by ``cfg.overlap_frames``; one chunk if the clip fits in one."""
-    ov = cfg.overlap_frames
-    return [(s, min(s + cfg.chunk_frames, n_frames))
-            for s in range(0, max(n_frames - ov, 1), cfg.chunk_frames - ov)]
+def _chunk_bounds(n_frames: int) -> list[tuple[int, int]]:
+    """The chunks [s, e) of at most ``CHUNK_FRAMES`` frames covering
+    [0, n_frames), each overlapping the one before by ``OVERLAP_FRAMES``;
+    one chunk if the clip fits in one."""
+    return [(s, min(s + CHUNK_FRAMES, n_frames))
+            for s in range(0, max(n_frames - OVERLAP_FRAMES, 1), CHUNK_FRAMES - OVERLAP_FRAMES)]
 
 
-def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig) -> np.ndarray:
+def chunked_apply(run_chunk, n_frames: int, out_dim: int) -> np.ndarray:
     """Cover [0, n_frames) with the overlapping chunks of ``_chunk_bounds``
-    and linearly crossfade each overlap region; chunks that agree on the
-    overlap pass through unchanged there.
+    and linearly crossfade each ``OVERLAP_FRAMES``-row overlap region;
+    chunks that agree on the overlap pass through unchanged there.
 
     Chunk [s, e) is ``run_chunk(s, e)``, an (e - s, out_dim) array. The
     chunks start in order on min(usable CPUs, chunks) runners at one BLAS
@@ -681,7 +681,7 @@ def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig) 
     that only waited would hold the memory it encoded the chunks in while
     one more thread allocated its own: +6.7% peak RSS on a 60 s clip.)
     ``infer`` builds every chunk's float32 input before this starts and
-    frees each as its chunk starts, so each costs ``chunk_frames *
+    frees each as its chunk starts, so each costs ``CHUNK_FRAMES *
     d_model * 4`` bytes until then.
 
     The earliest failing chunk's exception reaches the caller unchanged,
@@ -689,7 +689,7 @@ def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig) 
     threads may start later chunks. An interrupt of the calling thread is
     raised once the threads' running chunks have ended.
     """
-    bounds = _chunk_bounds(n_frames, cfg)
+    bounds = _chunk_bounds(n_frames)
     with _runner_pool(len(bounds)) as (runners, pool):
         failed = threading.Event()
 
@@ -713,7 +713,7 @@ def chunked_apply(run_chunk, n_frames: int, out_dim: int, cfg: InferenceConfig) 
                     runs[i].set_exception(exc)
         ys = [r.result() for r in runs]
 
-    ov = cfg.overlap_frames
+    ov = OVERLAP_FRAMES
     out = np.empty((n_frames, out_dim))
     w = ((np.arange(ov, dtype=np.float64) + 1.0) / (ov + 1.0))[:, None]
     for (s, e), y in zip(bounds, ys):

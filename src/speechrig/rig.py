@@ -330,28 +330,29 @@ def atomic_write(path, mode="w", **open_args):
         raise
 
 
-def _data_lines(path) -> list[str]:
-    """The non-blank lines of a CSV input, without its header.
+def _data_lines(path) -> tuple[list[str], list[int]]:
+    """The non-blank lines of a CSV input, without its header, and the
+    1-based line number of each in the file.
 
     The first line is a header, and is dropped, when its first cell does
     not parse as a float. Every CSV input follows this rule.
     """
     try:
         with open(path, encoding="utf-8") as f:
-            lines = [line for line in f if line != "\n"]
-        if lines:
-            float(next(csv.reader(lines[:1]))[0])
+            kept = [(n, line) for n, line in enumerate(f, 1) if line != "\n"]
+        if kept:
+            float(next(csv.reader([kept[0][1]]))[0])
     except (UnicodeDecodeError, csv.Error) as exc:  # before ValueError, UnicodeDecodeError's base
         raise DataError(f"{path}: not a readable CSV: {exc}") from None
     except ValueError:
-        del lines[0]  # the header
-    return lines
+        del kept[0]  # the header
+    return [line for _, line in kept], [n for n, _ in kept]
 
 
 def read_csv_rows(path) -> list[list[str]]:
     """The data rows of a CSV input split into cells; callers convert them."""
     try:
-        return list(csv.reader(_data_lines(path)))
+        return list(csv.reader(_data_lines(path)[0]))
     except csv.Error as exc:
         raise DataError(f"{path}: not a readable CSV: {exc}") from None
 
@@ -364,7 +365,7 @@ def read_numeric_csv(path, width: int | None, what: str) -> np.ndarray:
     unless None), every value finite. Errors name ``path``, call the file
     ``what`` and, where one line is at fault, give its 1-based line.
     """
-    lines = _data_lines(path)
+    lines, numbers = _data_lines(path)
     if not lines:
         raise DataError(f"{path}: {what} has no data rows")
     try:
@@ -373,12 +374,12 @@ def read_numeric_csv(path, width: int | None, what: str) -> np.ndarray:
         where = _first_bad_row(lines)
         if where is None:
             raise DataError(f"{path}: non-numeric {what}: {exc}") from None
-        raise DataError(f"{path}: line {_file_line(path, lines, where[0])}: {where[1]}") from None
+        raise DataError(f"{path}: line {numbers[where[0]]}: {where[1]}") from None
     if width is not None and values.shape[1] != width:
         raise DataError(f"{path}: {what} rows have {values.shape[1]} cells, expected {width}")
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
-        raise DataError(f"{path}: line {_file_line(path, lines, bad[0])}: non-finite value")
+        raise DataError(f"{path}: line {numbers[bad[0]]}: non-finite value")
     return values
 
 
@@ -400,13 +401,6 @@ def _first_bad_row(lines) -> tuple[int, str] | None:
         except ValueError:
             return k, "a cell is not a plain decimal number"
     return None
-
-
-def _file_line(path, lines, k: int) -> int:
-    """1-based line of ``path`` that holds ``lines[k]``; ``lines`` is ``_data_lines(path)``."""
-    with open(path, encoding="utf-8") as f:
-        kept = [n for n, line in enumerate(f, 1) if line != "\n"]
-    return kept[len(kept) - len(lines) + k]
 
 
 # --- emotion timelines ----------------------------------------------------

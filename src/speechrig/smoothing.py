@@ -1,32 +1,20 @@
 """Least-squares polynomial smoothing of rig curves, plus bound clamping.
 
-The smoother fits a degree-``order`` polynomial to each window of
-``window`` frames and replaces the center sample with the fit's value
-there. Defaults (window 15, order 3) remove frame-to-frame jitter while
+The smoother fits a degree-``ORDER`` polynomial to each window of
+``WINDOW`` frames and replaces the center sample with the fit's value
+there. Window 15 and order 3 remove frame-to-frame jitter while
 reproducing any cubic trend exactly. Boundaries use mirror padding so
 short clips keep their endpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
 from .rig import ControllerMap, RigSequence
 
-
-@dataclass
-class SmoothConfig:
-    window: int = 15
-    order: int = 3
-
-    def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
-            raise DataError(f"window must be a positive odd number, got {self.window}")
-        if not 0 <= self.order < self.window:
-            raise DataError(f"order must satisfy 0 <= order < window, got {self.order}")
+WINDOW, ORDER = 15, 3
 
 
 def savgol_coeffs(window: int, order: int) -> np.ndarray:
@@ -36,23 +24,25 @@ def savgol_coeffs(window: int, order: int) -> np.ndarray:
     x = -h..h and Vandermonde A[i, j] = x_i^j, the smoothed center value
     is row 0 of pinv(A) dotted with the window. Weights sum to 1.
     """
-    SmoothConfig(window, order)  # reuse its validation
+    if window < 1 or window % 2 == 0:
+        raise DataError(f"window must be a positive odd number, got {window}")
+    if not 0 <= order < window:
+        raise DataError(f"order must satisfy 0 <= order < window, got {order}")
     half = window // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     design = np.vander(x, order + 1, increasing=True)
     return np.linalg.pinv(design)[0]
 
 
-def smooth_sequence(seq: RigSequence, cfg: SmoothConfig | None = None) -> RigSequence:
-    """Smooth every channel with the configured window; length preserved.
+def smooth_sequence(seq: RigSequence) -> RigSequence:
+    """Smooth every channel at ``WINDOW`` and ``ORDER``; length preserved.
 
     Sequences shorter than the window fall back to the largest odd window
     that fits (clamping the order below it); a single frame is returned
     unchanged.
     """
-    cfg = cfg or SmoothConfig()
     n = len(seq)
-    window, order = cfg.window, cfg.order
+    window, order = WINDOW, ORDER
     if n < window:
         window = n if n % 2 == 1 else n - 1
         if window < 3:

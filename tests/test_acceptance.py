@@ -32,7 +32,7 @@ from speechrig.network import (
     save_model,
 )
 from speechrig.rig import RIG_WIDTH, RigSequence, default_map, read_rig_csv
-from speechrig.smoothing import SmoothConfig, savgol_coeffs, smooth_sequence
+from speechrig.smoothing import savgol_coeffs, smooth_sequence
 from speechrig.training import TrainConfig, gen_synthetic, train
 
 from blink_corpus import gen_blink_traces
@@ -74,7 +74,7 @@ class TestAcceptance:
         cubic = 0.8 * t ** 3 - 0.3 * t ** 2 + 0.5 * t - 0.1
         values = np.zeros((80, RIG_WIDTH))
         values[:, 0] = cubic
-        smoothed = smooth_sequence(RigSequence(values), SmoothConfig(15, 3))
+        smoothed = smooth_sequence(RigSequence(values))
         cubic_err = np.abs(smoothed.values[7:-7, 0] - cubic[7:-7]).max()
 
         report(2, err52 < 1e-12 and center_err < 1e-9 and cubic_err < 1e-9,
@@ -249,13 +249,13 @@ class TestAcceptance:
 
         run_infer(tmp_path / "plain.csv")
         got = read_rig_csv(tmp_path / "plain.csv")
-        from speechrig.network import InferenceConfig, infer, load_model
+        from speechrig.network import infer, load_model
         from speechrig.rig import constant_timeline
         from speechrig.smoothing import clamp_sequence
         # reference goes through the weight file like the CLI does (f32)
         seq = infer(resample_features(feats, 60.0), constant_timeline(1, 60),
-                    load_model(tmp_path / "w.emow"), InferenceConfig())
-        expected = clamp_sequence(smooth_sequence(seq, SmoothConfig()), default_map())
+                    load_model(tmp_path / "w.emow"))
+        expected = clamp_sequence(smooth_sequence(seq), default_map())
         eye_idx = default_map().eye_area_indices()
         eye_err = float(np.abs(got.values[:, eye_idx] - expected.values[:, eye_idx]).max())
 

@@ -19,9 +19,9 @@ from speechrig.blink import read_ear_csv
 from speechrig.cli import _read_timeline_csv, build_parser, main
 from speechrig.errors import DataError, NumericError
 from speechrig.features import FeatureSequence, read_feature_csv, write_feature_file
-from speechrig.network import InferenceConfig, build_model, infer, load_model, save_model
+from speechrig.network import build_model, infer, load_model, save_model
 from speechrig.rig import RIG_WIDTH, RigSequence, constant_timeline, default_map, read_rig_csv, write_rig_csv
-from speechrig.smoothing import SmoothConfig, clamp_sequence, smooth_sequence
+from speechrig.smoothing import clamp_sequence, smooth_sequence
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +68,8 @@ class TestInfer:
         model = load_model(workdir / "w.emow")
         from speechrig.features import read_feature_file, resample_features
         feats = resample_features(read_feature_file(workdir / "f.emof"), 60.0)
-        seq = infer(feats, constant_timeline(2, feats.n_frames), model, InferenceConfig())
-        expected = clamp_sequence(smooth_sequence(seq, SmoothConfig()), default_map())
+        seq = infer(feats, constant_timeline(2, feats.n_frames), model)
+        expected = clamp_sequence(smooth_sequence(seq), default_map())
         np.testing.assert_allclose(got.values, expected.values, atol=2e-9)
 
     def test_blink_gaze_change_only_eye_channels(self, workdir):
@@ -424,6 +424,16 @@ _BAD_PATHS = {
     "gradcheck-eps-0": (lambda w: ["gradcheck", "--eps", "0"], "eps", None),
     "gradcheck-eps-nan": (lambda w: ["gradcheck", "--eps", "nan"], "eps", None),
     "gradcheck-frames-negative": (lambda w: ["gradcheck", "--frames", "-1"], "frames", None),
+    # allocations sized from flags, which numpy refuses at once
+    "gradcheck-frames-1e12": (lambda w: ["gradcheck", "--frames", "1000000000000"],
+                              "1000000000000 frames x 8 features", None),
+    "gradcheck-frames-1e19": (lambda w: ["gradcheck", "--frames", "10000000000000000000"],
+                              "10000000000000000000 frames x 8 features", None),
+    "train-feature-dim-1e12": (lambda w: _train_argv(w, "--feature-dim", "1000000000000"),
+                               "feature_dim 1000000000000", None),
+    "train-t-1e12": (lambda w: _train_argv(w, "--t-min", "1000000000000",
+                                           "--t-max", "1000000000000"),
+                     "1000000000000 frames x 32 features", None),
     # an empty path is a path that cannot be opened, not an absent --rates
     "blink-fit-rates-empty-path": (lambda w: ["blink-fit", "--rates", "", "--out",
                                               w / "fit.json"], "No such file", None),
@@ -826,6 +836,11 @@ class TestGradcheckCommand:
         assert captured.err == ""
 
 
+_INFER = ["infer", "--features", "f.emof", "--emotion", "happy", "--weights", "w.emow",
+          "--out", "x.csv"]
+_TRAIN = ["train", "--manifest", "m.json", "--out", "t.emow"]
+_BLINK_FIT = ["blink-fit", "--rates", "r.csv", "--out", "fit.json"]
+
 _USAGE_ERRORS = {
     "bad-value": (["gradcheck", "--seed", "abc"],
                   "speechrig gradcheck: argument --seed: invalid _seed value: 'abc'"),
@@ -839,6 +854,14 @@ _USAGE_ERRORS = {
     "log-every-negative": (["train", "--synthetic", "--log-every", "-1"],
                            "speechrig train: argument --log-every: must be an integer >= 0, "
                            "got -1"),
+    # settings that are module constants now
+    **{f"removed-{flag[2:]}": ([*argv, flag, *value],
+                               f"speechrig: unrecognized arguments: {' '.join([flag, *value])}")
+       for argv, flag, value in [
+           (_INFER, "--chunk", ["600"]), (_INFER, "--overlap", ["60"]),
+           (_INFER, "--no-smooth", []), (_INFER, "--smooth-window", ["15"]),
+           (_INFER, "--smooth-order", ["3"]), (_TRAIN, "--step-size", ["100"]),
+           (_TRAIN, "--gamma", ["0.995"]), (_BLINK_FIT, "--max-rate", ["100"])]},
 }
 
 

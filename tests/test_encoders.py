@@ -1,5 +1,7 @@
 """Positional encoding and the content/emotion encoders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ class TestPositionalEncoding:
         full = positional_encoding(3600, 512)
         for start, n in ((0, 600), (540, 600), (3060, 540), (1, 1)):
             assert np.array_equal(positional_encoding(n, 512, start=start), full[start:start + n])
+
+    def test_no_table_outlives_its_call(self):
+        # a table kept for reuse would hold 600 x 512 x 8 B = 2.46 MB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            positional_encoding(600, 512, start=540)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024, f"{(after - before) / 1e6:.2f} MB kept"
 
     def test_odd_width_rejected(self):
         with pytest.raises(DataError):

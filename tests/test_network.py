@@ -16,7 +16,6 @@ from speechrig.encoders import encode_content, encode_emotion_table
 from speechrig.errors import DataError, NumericError
 from speechrig.features import FeatureSequence
 from speechrig.network import (
-    InferenceConfig,
     build_model,
     chunked_apply,
     clip_loss_and_grads,
@@ -170,31 +169,31 @@ class TestChunkedInference:
         rng = np.random.default_rng(7)
         feats = FeatureSequence(rng.normal(0, 1, (40, 8)).astype(np.float32), 60.0)
         tl = constant_timeline(1, 40)
-        wide = infer(feats, tl, m, InferenceConfig(600, 60))
-        tight = infer(feats, tl, m, InferenceConfig(41, 5))
-        assert np.array_equal(wide.values, tight.values)
+        h0 = encode_content(feats.data, m.encoder) + encode_emotion_table(m.encoder)[tl]
+        stack = network._bind(m.flat.astype(np.float32), network._model_meta(m))
+        single = network._stack_forward(stack, h0.astype(np.float32), train=False, rng=None,
+                                        keep_attention=False)[0]
+        assert np.array_equal(infer(feats, tl, m).values, single)
 
     def test_chunk_bounds_overlap_and_a_short_clip_is_one_chunk(self):
-        cfg = InferenceConfig(30, 6)
-        assert network._chunk_bounds(75, cfg) == [(0, 30), (24, 54), (48, 75)]
-        assert [network._chunk_bounds(n, cfg) for n in (0, 6, 30)] == \
-            [[(0, 0)], [(0, 6)], [(0, 30)]]
+        assert network._chunk_bounds(1300) == [(0, 600), (540, 1140), (1080, 1300)]
+        assert [network._chunk_bounds(n) for n in (0, 60, 600)] == \
+            [[(0, 0)], [(0, 60)], [(0, 600)]]
+        assert network._chunk_bounds(601) == [(0, 600), (540, 601)]
 
     def test_crossfade_passes_agreeing_chunks_through(self):
         rng = np.random.default_rng(8)
-        const = np.tile(rng.normal(0, 1, (1, 6)), (26, 1))
-        cfg = InferenceConfig(20, 4)
-        out = chunked_apply(lambda s, e: const[s:e].copy(), 26, 6, cfg)
+        const = np.tile(rng.normal(0, 1, (1, 6)), (1300, 1))
+        out = chunked_apply(lambda s, e: const[s:e].copy(), 1300, 6)
         assert np.array_equal(out, const)
 
     def test_deterministic_across_runs(self):
         m = tiny_model(layers=1, output_dim=174, dropout=0.3)  # dropout off at inference
         rng = np.random.default_rng(9)
-        feats = FeatureSequence(rng.normal(0, 1, (75, 8)).astype(np.float32), 60.0)
-        tl = constant_timeline(2, 75)
-        cfg = InferenceConfig(30, 6)
-        a = infer(feats, tl, m, cfg)
-        b = infer(feats, tl, m, cfg)
+        feats = FeatureSequence(rng.normal(0, 1, (1300, 8)).astype(np.float32), 60.0)
+        tl = constant_timeline(2, 1300)
+        a = infer(feats, tl, m)
+        b = infer(feats, tl, m)
         assert np.array_equal(a.values, b.values)
 
     def test_resamples_internally(self):
@@ -215,10 +214,6 @@ class TestChunkedInference:
         feats = FeatureSequence(np.zeros((30, 9), dtype=np.float32), 60.0)
         with pytest.raises(DataError):
             infer(feats, constant_timeline(0, 30), m)
-
-    def test_chunk_config_invariant(self):
-        with pytest.raises(DataError):
-            InferenceConfig(chunk_frames=10, overlap_frames=5)
 
     def test_timeline_variation_within_clip_changes_output(self):
         m = tiny_model(layers=1, output_dim=174)
@@ -291,32 +286,32 @@ class TestChunkedInference:
         monkeypatch.setattr(network, "encode_content", spy)
         m = tiny_model(layers=1, output_dim=174)
         rng = np.random.default_rng(17)
-        feats = FeatureSequence(rng.normal(0, 1, (75, 8)).astype(np.float32), 60.0)
-        infer(feats, constant_timeline(2, 75), m, InferenceConfig(30, 6))
-        # stride 24: chunks [0, 30), [24, 54), [48, 75)
-        assert calls == [(0, 30), (24, 30), (48, 27)]
+        feats = FeatureSequence(rng.normal(0, 1, (1300, 8)).astype(np.float32), 60.0)
+        infer(feats, constant_timeline(2, 1300), m)
+        # stride 540: chunks [0, 600), [540, 1140), [1080, 1300)
+        assert calls == [(0, 600), (540, 600), (1080, 220)]
 
 
 class TestChunkPool:
-    # 130 frames in 30-frame chunks at stride 24: six chunks
-    CFG = InferenceConfig(30, 6)
+    # 3000 frames in 600-frame chunks at stride 540: six chunks
+    FRAMES = 3000
 
     def test_pool_output_equals_the_serial_run(self, monkeypatch):
         m = tiny_model(layers=2, output_dim=174)
         rng = np.random.default_rng(18)
-        feats = FeatureSequence(rng.normal(0, 1, (130, 8)).astype(np.float32), 60.0)
-        switched = np.array([0] * 50 + [4] * 80)
-        pooled = infer(feats, switched, m, self.CFG).values
+        feats = FeatureSequence(rng.normal(0, 1, (self.FRAMES, 8)).astype(np.float32), 60.0)
+        switched = np.array([0] * 1200 + [4] * 1800)
+        pooled = infer(feats, switched, m).values
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = infer(feats, switched, m, self.CFG).values
+        serial = infer(feats, switched, m).values
         assert np.array_equal(pooled, serial)
 
     def test_more_runners_than_cores_take_each_chunk_once(self, monkeypatch):
-        # 8 runners on 2-frame-stride chunks, switching threads as often as
-        # the interpreter allows: a chunk taken twice or skipped, or a
-        # result stored in the wrong slot, changes the output
+        # 8 runners on 100 chunks, switching threads as often as the
+        # interpreter allows: a chunk taken twice or skipped, or a result
+        # stored in the wrong slot, changes the output
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        cfg = InferenceConfig(3, 1)
+        frames = 99 * 540 + 600
         taken = []
 
         def run(s, e):
@@ -327,13 +322,13 @@ class TestChunkPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = chunked_apply(run, 401, 4, cfg)
+            out = chunked_apply(run, frames, 4)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(taken) == list(range(0, 400, 2))
-        assert np.array_equal(out, np.arange(401.0)[:, None] * np.ones(4))
+        assert sorted(taken) == list(range(0, 100 * 540, 540))
+        assert np.array_equal(out, np.arange(float(frames))[:, None] * np.ones(4))
 
-    @pytest.mark.parametrize("failing", [(48,), (48, 96), (96, 0)])
+    @pytest.mark.parametrize("failing", [(1080,), (1080, 2160), (2160, 0)])
     def test_earliest_failing_chunk_raises_unchanged(self, failing):
         def run(s, e):
             if s in failing:
@@ -341,7 +336,7 @@ class TestChunkPool:
             return np.zeros((e - s, 3))
 
         with pytest.raises(NumericError, match=f"chunk at {min(failing)}$"):
-            chunked_apply(run, 130, 3, self.CFG)
+            chunked_apply(run, self.FRAMES, 3)
 
     def test_a_later_chunk_failing_first_does_not_win(self):
         if len(os.sched_getaffinity(0)) < 2:
@@ -349,16 +344,16 @@ class TestChunkPool:
         later_failed = threading.Event()
 
         def run(s, e):
-            if s == 24:  # taken before chunk 48; fails only once 48 has
+            if s == 540:  # taken before chunk 1080; fails only once 1080 has
                 later_failed.wait(10.0)
-                raise NumericError("chunk at 24")
-            if s == 48:
+                raise NumericError("chunk at 540")
+            if s == 1080:
                 later_failed.set()
-                raise NumericError("chunk at 48")
+                raise NumericError("chunk at 1080")
             return np.zeros((e - s, 3))
 
-        with pytest.raises(NumericError, match="chunk at 24$"):
-            chunked_apply(run, 130, 3, self.CFG)
+        with pytest.raises(NumericError, match="chunk at 540$"):
+            chunked_apply(run, self.FRAMES, 3)
         assert later_failed.is_set()
 
     def test_interrupt_on_the_calling_thread_stops_the_workers(self):
@@ -372,7 +367,7 @@ class TestChunkPool:
             return np.zeros((e - s, 3))
 
         with pytest.raises(KeyboardInterrupt):
-            chunked_apply(run, 130, 3, self.CFG)
+            chunked_apply(run, self.FRAMES, 3)
         assert len(ran) <= 2  # only chunks a worker had taken before the interrupt
 
     def test_an_interrupt_in_a_chunk_reaches_the_caller_and_stops_the_pool(self, monkeypatch):
@@ -394,7 +389,7 @@ class TestChunkPool:
         put(2)
         try:
             with pytest.raises(KeyboardInterrupt) as caught:
-                chunked_apply(run, 130, 3, self.CFG)
+                chunked_apply(run, self.FRAMES, 3)
             assert caught.value is interrupt
             assert get() == 2
         finally:
@@ -413,19 +408,19 @@ class TestChunkPool:
 
         def run(s, e):
             inside.append(get())
-            if s == 72:
-                raise NumericError("chunk at 72")
+            if s == 1620:
+                raise NumericError("chunk at 1620")
             return np.zeros((e - s, 3))
 
         put(2)
         try:
             m = tiny_model(layers=1, output_dim=174)
             rng = np.random.default_rng(19)
-            feats = FeatureSequence(rng.normal(0, 1, (130, 8)).astype(np.float32), 60.0)
-            infer(feats, constant_timeline(1, 130), m, self.CFG)
+            feats = FeatureSequence(rng.normal(0, 1, (self.FRAMES, 8)).astype(np.float32), 60.0)
+            infer(feats, constant_timeline(1, self.FRAMES), m)
             assert get() == 2
             with pytest.raises(NumericError):
-                chunked_apply(run, 130, 3, self.CFG)
+                chunked_apply(run, self.FRAMES, 3)
             assert get() == 2
             assert inside and set(inside) == {1}
         finally:
@@ -483,21 +478,16 @@ class TestRowBlocks:
         # On 8 CPUs, 4 runners switch threads as often as the interpreter
         # allows: a key or value row read before it was written, or
         # overwritten by the next layer's, changes the output.
-        m = tiny_model(layers=2, output_dim=174)
-        rng = np.random.default_rng(21)
-        feats = FeatureSequence(rng.normal(0, 1, (rows, 8)).astype(np.float32), 60.0)
-        labels = np.array([0] * (rows // 2) + [4] * (rows - rows // 2))
-        cfg = InferenceConfig(1200, 60)  # one chunk
+        stack, h0 = _float32_stack(), self._hidden(rows)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            blocked = infer(feats, labels, m, cfg).values
+            blocked = network._blocked_stack_forward(stack, h0)
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = infer(feats, labels, m, cfg).values
-        assert np.array_equal(blocked, serial)
+        assert np.array_equal(blocked, network._blocked_stack_forward(stack, h0))
 
     @pytest.mark.parametrize("layer", [0, 1])
     @pytest.mark.parametrize("block", ["first", "last"])

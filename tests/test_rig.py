@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+import speechrig.rig as rig
 from speechrig.errors import DataError, MapError
 from speechrig.rig import (
     EMOTION_NAMES,
@@ -242,6 +243,22 @@ class TestRigCsvReader:
         path.write_bytes(content)
         with pytest.raises(DataError, match="bad_take.csv"):
             read_rig_csv(path)
+
+    @pytest.mark.parametrize("bad", [_ROW.replace("0.25", "x", 1), _ROW.replace("0.25", "nan", 1)],
+                             ids=["not-a-number", "non-finite"])
+    def test_the_bad_line_is_named_from_the_one_read(self, tmp_path, monkeypatch, bad):
+        path = tmp_path / "bad_take.csv"
+        path.write_bytes(b"ch\n\n" + _two_rows(bad))
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(rig, "open", counting_open, raising=False)
+        with pytest.raises(DataError, match="bad_take.csv: line 4: "):
+            read_rig_csv(path)
+        assert opened == [path]
 
 
 def test_atomic_write_keeps_links_and_writes_other_files_in_place(tmp_path):

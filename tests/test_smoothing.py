@@ -6,7 +6,7 @@ import scipy.signal
 
 from speechrig.errors import DataError
 from speechrig.rig import RIG_WIDTH, RigSequence, default_map
-from speechrig.smoothing import SmoothConfig, clamp_sequence, savgol_coeffs, smooth_sequence
+from speechrig.smoothing import ORDER, WINDOW, clamp_sequence, savgol_coeffs, smooth_sequence
 
 
 def _rig(values):
@@ -59,8 +59,15 @@ class TestSmoothing:
     def test_cubic_reproduced_on_interior(self):
         t = np.linspace(-1.0, 1.0, 60)
         seq = _rig((t ** 3)[:, None])
-        out = smooth_sequence(seq, SmoothConfig(15, 3))
+        out = smooth_sequence(seq)
         np.testing.assert_allclose(out.values[7:-7, 0], seq.values[7:-7, 0], atol=1e-9)
+
+    def test_window_15_order_3(self):
+        assert (WINDOW, ORDER) == (15, 3)
+        rng = np.random.default_rng(5)
+        seq = _rig(rng.normal(0, 1, (40, 2)))
+        want = np.convolve(seq.values[:, 0], savgol_coeffs(15, 3)[::-1], mode="valid")
+        np.testing.assert_allclose(smooth_sequence(seq).values[7:-7, 0], want, atol=1e-12)
 
     def test_single_frame_unchanged(self):
         seq = _rig(np.array([[0.3, -0.2]]))
@@ -70,7 +77,7 @@ class TestSmoothing:
     def test_short_sequence_falls_back_to_smaller_window(self):
         rng = np.random.default_rng(0)
         seq = _rig(rng.normal(0, 1, (7, 2)))
-        out = smooth_sequence(seq, SmoothConfig(15, 3))
+        out = smooth_sequence(seq)
         assert len(out) == 7
         assert np.isfinite(out.values).all()
 
@@ -96,12 +103,6 @@ class TestSmoothing:
         a = smooth_sequence(x).values[20:60, 0]
         b = smooth_sequence(xs).values[25:65, 0]
         np.testing.assert_allclose(b, a, atol=1e-12)
-
-    def test_config_validation(self):
-        with pytest.raises(DataError):
-            SmoothConfig(window=14, order=3)
-        with pytest.raises(DataError):
-            SmoothConfig(window=5, order=5)
 
 
 class TestClamp:
