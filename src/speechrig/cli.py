@@ -6,8 +6,9 @@ count: at a fixed thread count (OPENBLAS_NUM_THREADS) running a command
 twice produces byte-identical artifacts. infer runs its encoder stack in
 float32, so across thread counts its outputs differ in the last float32
 digits: by at most 1e-5 relative to the largest output magnitude. A clip
-of several chunks runs them on every usable core at one BLAS thread, so
-its output is the one-thread output whatever the thread or core count.
+of more than one row block runs its blocks on every usable core at one
+BLAS thread, so its output is the one-thread output whatever the thread
+or core count.
 
 Exit codes: 0 ok, 2 usage, 3 bad data (an unreadable input or an
 unwritable output path included), 4 numeric failure. With --json-errors,
@@ -18,14 +19,10 @@ JSON line on stderr in place of the plain message.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import hashlib
 import json
 import math
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,14 +32,14 @@ from .errors import DataError, NumericError, RigPipelineError, UsageError
 from .evaluate import lr_correlation, mae_report, write_correlation_csv, write_mae_report
 from .features import extract_fallback_features, load_features, read_wav, resample_features
 from .network import (
+    WeightStream,
     build_model,
     file_sha256,  # noqa: F401  unused here; perfbench traces speechrig.cli.file_sha256
     grad_check,
     gradcheck_probe,
     infer,
-    load_model,
+    load_model,  # noqa: F401  unused here; perfbench traces speechrig.cli.load_model
     save_model,
-    weights_hexdigest,
 )
 from .rig import (
     RIG_FPS,
@@ -87,20 +84,16 @@ def _read_timeline_csv(path, n_frames: int) -> np.ndarray:
 
 def _cmd_infer(args) -> int:
     cmap = _resolve_map(args.map)
-    digest = hashlib.sha256()
-    model = load_model(args.weights, digest)
-    if model.output_dim != cmap.width:
-        raise DataError(
-            f"model outputs {model.output_dim} channels, map has {cmap.width}"
-        )
-
-    # the sidecar names the bytes this run loaded: the payload in memory is
-    # hashed on a worker thread while the clip runs, which only reads it
-    with ThreadPoolExecutor(1, initializer=_idle_priority) as hasher:
-        hashed = hasher.submit(weights_hexdigest, model, digest)
-        seq, feats = _predict(args, cmap, model)
+    # the sidecar names the bytes this run read: the stream hashes them on
+    # a worker thread as it reads each layer
+    with WeightStream(args.weights) as weights:
+        if weights.output_dim != cmap.width:
+            raise DataError(
+                f"model outputs {weights.output_dim} channels, map has {cmap.width}"
+            )
+        seq, feats = _predict(args, cmap, weights)
         write_rig_csv(args.out, seq, cmap)
-        weights_sha256 = hashed.result()
+        weights_sha256 = weights.hexdigest()
 
     n = feats.n_frames
     sidecar = {
@@ -109,7 +102,7 @@ def _cmd_infer(args) -> int:
         "seed": args.seed,
         "weights_sha256": weights_sha256,
         "feature_family": feats.family,
-        "model_feature_family": model.feature_family,
+        "model_feature_family": weights.feature_family,
         "smoothed": True,  # every run smooths; perfbench's output check reads the key
         "blink": bool(args.blink),
         "gaze": bool(args.gaze),
@@ -117,14 +110,6 @@ def _cmd_infer(args) -> int:
     write_json(str(args.out) + ".json", sidecar, sort_keys=True)
     print(f"wrote {args.out} ({n} frames x {cmap.width} channels at {RIG_FPS:g} fps)")
     return 0
-
-
-def _idle_priority() -> None:
-    """Run the calling thread at the lowest priority, so that its work fills
-    the cores inference leaves idle rather than slowing inference down."""
-    if sys.platform == "linux":  # only there does a thread id name one thread
-        with contextlib.suppress(OSError):  # the thread runs, at its old priority
-            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
 
 
 def _predict(args, cmap: ControllerMap, model):

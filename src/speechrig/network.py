@@ -35,13 +35,15 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
+import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -600,32 +602,33 @@ def gradcheck_probe(feature_dim: int = 8, d_model: int = 16, n_layers: int = 1,
 # Chunking bounds the quadratic attention cost on long clips: 10 s chunks,
 # each overlapping the one before by 1 s.
 CHUNK_FRAMES, OVERLAP_FRAMES = 600, 60
+# A chunk of n rows runs in ceil(n / _ROW_BLOCK) near-equal row blocks.
+_ROW_BLOCK = 300
+# Chunks whose keys and values a layer holds at once.
+_GROUP_CHUNKS = 8
 
 
-def infer(features: FeatureSequence, timeline, model: RigModel) -> RigSequence:
+def infer(features: FeatureSequence, timeline, model) -> RigSequence:
     """Predict a 60 fps rig sequence for a feature stream and emotion timeline.
 
-    Features at other rates are resampled internally. A clip of at most
-    ``CHUNK_FRAMES`` frames is one chunk, and runs its encoder rows in
-    blocks on every usable core (see ``_blocked_stack_forward``). Longer
-    clips run in chunks that overlap by ``OVERLAP_FRAMES``, whose overlap
-    regions are linearly crossfaded; the chunks run on every usable core
-    (see ``chunked_apply``); a failure raises what a serial run raises,
-    though chunks after a failing one may still run.
-    Positions are global frame indices: each chunk's encoding starts at
-    its own start frame, so a chunk sees the positions it has in the clip.
+    ``model`` is a ``RigModel`` or an open ``WeightStream``, which is read
+    once and so runs one ``infer``. Features at other rates are resampled
+    internally. The clip runs in chunks of at most ``CHUNK_FRAMES`` frames
+    that overlap by ``OVERLAP_FRAMES`` (one chunk if it fits in one), whose
+    overlap regions are linearly crossfaded. Positions are global frame
+    indices: each chunk's encoding starts at its own start frame, so a
+    chunk sees the positions it has in the clip.
 
     Every chunk's encoder input is built on the calling thread, in chunk
-    order, before any chunk runs: its feature rows are cast to float64
-    for the encoders and the sum is kept in float32; no float64 copy of
-    the whole clip is kept. Each input, ``CHUNK_FRAMES * d_model * 4``
-    bytes, is held until its chunk starts. The encoder stack and head
-    run in float32 and keep no layer caches. Reruns are byte-identical at
-    a fixed BLAS thread count, whatever the number of runners; across
-    thread counts they agree within 1e-5 relative to the largest output.
-    A clip of several chunks, or of one chunk in several row blocks, runs
-    at one BLAS thread, so its output is the one-thread output at any
-    count.
+    order: its feature rows are cast to float64 for the encoders, whose
+    content weights are upcast once per call, and the sum is kept in
+    float32; no float64 copy of the whole clip is kept. The encoder stack
+    and head then run in float32, one layer at a time over every chunk
+    (see ``_layer_major``), and keep no layer caches. Reruns are
+    byte-identical at a fixed BLAS thread count, whatever the number of
+    runners; across thread counts they agree within 1e-5 relative to the
+    largest output. A clip of more than one row block runs at one BLAS
+    thread, so its output is the one-thread output at any count.
     """
     if features.n_features != model.feature_dim:
         raise DataError(
@@ -637,17 +640,16 @@ def infer(features: FeatureSequence, timeline, model: RigModel) -> RigSequence:
     n = features.n_frames
     labels = validate_timeline(timeline, n)
     etab = encode_emotion_table(model.encoder)
-    stack = _bind(np.asarray(model.flat, np.float32), _model_meta(model))
+    # numpy would make this float64 copy on every chunk's product
+    encoder = replace(model.encoder, content_w=np.asarray(model.encoder.content_w, np.float64))
     bounds = _chunk_bounds(n)
-    h0 = {s: np.asarray(encode_content(features.data[s:e], model.encoder, pos_offset=s)
-                        + etab[labels[s:e]], np.float32) for s, e in bounds}
-    if len(bounds) == 1:
-        return RigSequence(_blocked_stack_forward(stack, h0.pop(0)))
-
-    def run_chunk(s, e):
-        return _stack_forward(stack, h0.pop(s), train=False, rng=None, keep_attention=False)[0]
-
-    return RigSequence(chunked_apply(run_chunk, n, model.output_dim))
+    rows = [e - s for s, e in bounds]
+    h = np.empty((sum(rows), model.d_model), np.float32)  # the chunks one after another
+    for (s, e), at in zip(bounds, itertools.accumulate(rows, initial=0)):
+        h[at:at + e - s] = (encode_content(features.data[s:e], encoder, pos_offset=s)
+                            + etab[labels[s:e]])
+    del encoder  # not held while the stack runs
+    return RigSequence(_crossfade(bounds, _layer_major(h, rows, model)))
 
 
 def upcast_to_float64(model: RigModel) -> None:
@@ -668,137 +670,194 @@ def _chunk_bounds(n_frames: int) -> list[tuple[int, int]]:
             for s in range(0, max(n_frames - OVERLAP_FRAMES, 1), CHUNK_FRAMES - OVERLAP_FRAMES)]
 
 
-def chunked_apply(run_chunk, n_frames: int, out_dim: int) -> np.ndarray:
-    """Cover [0, n_frames) with the overlapping chunks of ``_chunk_bounds``
-    and linearly crossfade each ``OVERLAP_FRAMES``-row overlap region;
-    chunks that agree on the overlap pass through unchanged there.
-
-    Chunk [s, e) is ``run_chunk(s, e)``, an (e - s, out_dim) array. The
-    chunks start in order on min(usable CPUs, chunks) runners at one BLAS
-    thread (see ``_runner_pool``), so the result does not depend on the
-    number of runners: a pool's threads, and the calling thread, which
-    runs each chunk no thread has started until a chunk fails. (A caller
-    that only waited would hold the memory it encoded the chunks in while
-    one more thread allocated its own: +6.7% peak RSS on a 60 s clip.)
-    ``infer`` builds every chunk's float32 input before this starts and
-    frees each as its chunk starts, so each costs ``CHUNK_FRAMES *
-    d_model * 4`` bytes until then.
-
-    The earliest failing chunk's exception reaches the caller unchanged,
-    as in a serial run, once every chunk before it has run; until then the
-    threads may start later chunks. An interrupt of the calling thread is
-    raised once the threads' running chunks have ended.
-    """
-    bounds = _chunk_bounds(n_frames)
-    with _runner_pool(len(bounds)) as (runners, pool):
-        failed = threading.Event()
-
-        def run(b):
-            try:
-                return run_chunk(*b)
-            except BaseException:
-                failed.set()
-                raise
-
-        # with one runner no chunk goes to the pool: the calling thread runs them all
-        runs = [pool.submit(run, b) if runners > 1 else Future() for b in bounds]
-        for i, b in enumerate(bounds):
-            if failed.is_set():
-                break
-            if runs[i].cancel():  # no thread has started it
-                runs[i] = Future()
-                try:
-                    runs[i].set_result(run(b))
-                except Exception as exc:
-                    runs[i].set_exception(exc)
-        ys = [r.result() for r in runs]
-
+def _crossfade(bounds: list[tuple[int, int]], y: np.ndarray) -> np.ndarray:
+    """The clip's rows from the rows ``y`` of the chunks ``bounds``, one
+    after another: each ``OVERLAP_FRAMES``-row overlap region is linearly
+    crossfaded, so chunks that agree on it pass through unchanged there."""
     ov = OVERLAP_FRAMES
-    out = np.empty((n_frames, out_dim))
+    out = np.empty((bounds[-1][1], y.shape[1]))
     w = ((np.arange(ov, dtype=np.float64) + 1.0) / (ov + 1.0))[:, None]
-    for (s, e), y in zip(bounds, ys):
+    at = 0
+    for s, e in bounds:
+        yc, at = y[at:at + e - s], at + e - s
         if s == 0:
-            out[:e] = y
+            out[:e] = yc
         else:  # rows s .. s + ov overlap the previous chunk
             prev = out[s:s + ov]
-            out[s:s + ov] = prev + w * (y[:ov] - prev)
-            out[s + ov:e] = y[ov:]
+            out[s:s + ov] = prev + w * (yc[:ov] - prev)
+            out[s + ov:e] = yc[ov:]
     return out
 
 
-# One-chunk clips of at least twice this many frames run in row blocks.
-_ROW_BLOCK = 256
-
-
 def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
-    """``n_rows // _ROW_BLOCK`` (at least one) near-equal row blocks: a
-    function of the row count only."""
-    k = max(1, n_rows // _ROW_BLOCK)
+    """``ceil(n_rows / _ROW_BLOCK)`` (at least one) near-equal row blocks:
+    a function of the row count only. A 600-row chunk is two blocks of
+    300 rows, a 360-row one two of 180."""
+    k = max(1, -(-n_rows // _ROW_BLOCK))
     edges = [n_rows * b // k for b in range(k + 1)]
     return list(zip(edges, edges[1:]))
 
 
-def _blocked_stack_forward(stack: RigModel, h0: np.ndarray) -> np.ndarray:
-    """The encoder stack and head on rows ``h0``, its query rows cut into
-    ``_row_blocks(len(h0))``.
+def _tensors(model):
+    """Each encoder layer's tensors, then the head's (w, b), in float32 and
+    in file order: read from the file for a ``WeightStream``; for a
+    ``RigModel`` taken from ``model.layers``, each layer cast when it is
+    reached (no copy if it is float32 already)."""
+    if isinstance(model, WeightStream):
+        return model.read_tensors()
+    f32 = functools.partial(np.asarray, dtype=np.float32)
+    layers = (LayerParams(*map(f32, vars(p).values())) for p in model.layers)
+    return itertools.chain(layers, [(f32(model.head_w), f32(model.head_b))])
 
-    Each block's rows attend over all keys, the query-block partition of
-    FlashAttention (Dao et al. 2022, arXiv 2205.14135), and every other
-    step works on each row alone, so a block computes its rows as the
-    unblocked pass does (bit for bit where BLAS picks the same kernels
-    for both row counts). Several blocks run on min(usable CPUs, blocks)
-    runners at one BLAS thread (see ``_runner_pool``), the calling thread
-    being runner 0. Blocks are dealt to runners round robin; per layer
-    each runner computes its rows' keys and values straight into one
-    shared pair of buffers and waits at a barrier for the others, then
-    finishes the layer for its own rows, holding one head's block rows x
-    keys scores at a time.
-    A second barrier keeps the next layer's writes until every runner is
-    done reading; a second pair of buffers in its place would hold 2.4 MB
-    more at 600 frames of width 512. A block's arithmetic does not depend
-    on the runner that does it, so neither does the output.
 
-    A runner's exception, an interrupt of the calling thread included,
-    breaks the barrier so no other runner waits for it; once every runner
-    has returned, the lowest runner's exception is raised, a
-    ``BrokenBarrierError`` only if there is no other.
+def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
+    """The encoder stack and head on ``h``, the float32 rows of chunks of
+    ``rows`` rows one after another, one layer at a time over every chunk:
+    FlexGen's layer-major schedule (Sheng et al. 2023, arXiv 2303.06865),
+    with the whole clip as the batch. Each layer's output rows replace
+    ``h``'s; returns the head's output rows, in the same order.
+
+    The layers come from ``_tensors(model)``, each asked for once the one
+    before has run, and the head last, so a source may refill the buffer
+    of the layer before the one running.
+
+    Each chunk's rows are cut into ``_row_blocks``, the query-block
+    partition of FlashAttention (Dao et al. 2022, arXiv 2205.14135). Each
+    layer runs over groups of at most ``_GROUP_CHUNKS`` chunks in clip
+    order, each in two phases of ``_run_phases``: every block writes its
+    rows' keys and values into a buffer the group shares; then every block
+    attends over its own chunk's keys, one head's block rows x keys scores
+    at a time, and runs the feed-forward. A last phase runs the head. Each
+    step but the attention works on each row alone, so a block computes
+    its rows as a pass over the whole chunk does (bit for bit where BLAS
+    picks the same kernels for both row counts), and no block's arithmetic
+    depends on the runner that does it.
     """
-    blocks = _row_blocks(len(h0))
-    if len(blocks) == 1:
-        return _stack_forward(stack, h0, train=False, rng=None, keep_attention=False)[0]
-    k, v = np.empty((2, *h0.shape), h0.dtype)
-    out = np.empty((len(h0), stack.output_dim), h0.dtype)
-    with _runner_pool(len(blocks)) as (runners, pool):
-        barrier = threading.Barrier(runners)
+    # a block: its rows in h, its rows and its chunk's in the key/value buffer
+    blocks, groups, kv_rows, start = [], [], 0, 0
+    for g in range(0, len(rows), _GROUP_CHUNKS):
+        first, at = len(blocks), 0
+        for n in rows[g:g + _GROUP_CHUNKS]:
+            blocks += [(slice(start + s, start + e), slice(at + s, at + e), slice(at, at + n))
+                       for s, e in _row_blocks(n)]
+            start, at = start + n, at + n
+        groups.append(range(first, len(blocks)))
+        kv_rows = max(kv_rows, at)
+    k, v = np.empty((2, kv_rows, model.d_model), np.float32)
+    y = np.empty((len(h), model.output_dim), np.float32)
+    tensors, weights = _tensors(model), [None]
 
-        def task(r):
-            try:
-                mine = [(s, e, h0[s:e]) for s, e in blocks[r::runners]]
-                for i, layer in enumerate(stack.layers):
-                    barrier.wait()  # the previous layer's keys and values are read
-                    for s, e, h in mine:
-                        _kv_forward(h, layer, k[s:e], v[s:e])
-                    barrier.wait()  # this layer's are written
-                    for b, (s, e, h) in enumerate(mine):
-                        h = _layer_forward(h, layer, stack.n_heads, 0.0, None, keep_cache=False,
-                                           kv=(k, v))[0]
-                        _check_finite(h, f"after encoder layer {i}")
-                        mine[b] = s, e, h
-                for s, e, h in mine:
-                    out[s:e] = _head_forward(stack, h)
-            except BaseException:  # an interrupt too: no runner may wait for this one
-                barrier.abort()
-                raise
+    def fetch():
+        weights[0] = next(tensors)
 
-        runs = [pool.submit(task, r) for r in range(1, runners)]
+    def keys_values(b):
+        mine, kv, _ = blocks[b]
+        _kv_forward(h[mine], weights[0], k[kv], v[kv])
+
+    def attend(i, b):
+        mine, _, chunk = blocks[b]
+        out = _layer_forward(h[mine], weights[0], model.n_heads, 0.0, None, keep_cache=False,
+                             kv=(k[chunk], v[chunk]))[0]
+        _check_finite(out, f"after encoder layer {i}")
+        h[mine] = out
+
+    def head(b):
+        mine = blocks[b][0]
+        _check_finite(_affine(h[mine], *weights[0], out=y[mine]), "in output head")
+
+    phases = []
+    for i in range(model.n_layers):
+        for g, items in enumerate(groups):
+            phases.append((fetch if g == 0 else None, items, keys_values))
+            phases.append((None, items, functools.partial(attend, i)))
+    phases.append((fetch, range(len(blocks)), head))
+    _run_phases(phases)
+    return y
+
+
+def _run_phases(phases) -> None:
+    """Run ``phases`` in order. Each is a (prepare, blocks, run) triple:
+    ``prepare()``, unless it is None, then ``run(b)`` for every block
+    index ``b`` in ``blocks``.
+
+    Where a phase has more than one block, the blocks run on min(usable
+    CPUs, most blocks in a phase) runners at one BLAS thread (see
+    ``_runner_pool``), the calling thread being runner 0. A runner takes
+    the next block no runner has taken, in clip order, so a runner that
+    loses time to other work takes fewer. The runners meet at a barrier
+    after each phase; the last to arrive runs the next phase's
+    ``prepare``.
+
+    A block that fails is recorded, and every runner then skips the
+    blocks of the phase after the earliest failing one and stops at the
+    barrier, without the next ``prepare``; a failing ``prepare`` stops
+    them there too. A runner interrupted outside a block, at the barrier,
+    breaks it, so no runner waits for it. Once every runner has returned,
+    one exception is raised by a rule that does not depend on the runner
+    count: an interrupt (an exception that is not an ``Exception``)
+    before any other; then the lowest phase's, so the lowest layer's; in
+    that phase its ``prepare``'s, then the earliest block's in clip order.
+    """
+    if phases[0][0] is not None:
+        phases[0][0]()
+    failures, lock, stop = [], threading.Lock(), [math.inf]
+    at, halt = [0], [False]  # the phase running; whether the runners stop at the barrier
+    todo = [iter(phases[0][1])]  # the phase's blocks no runner has taken yet
+
+    def fail(p, b, exc):
+        with lock:
+            failures.append((isinstance(exc, Exception), p, b, exc))
+            stop[0] = min(stop[0], b if isinstance(exc, Exception) else -1)
+
+    def advance():  # the barrier's action, on the last runner to arrive
+        at[0] += 1
         try:
-            task(0)  # the calling thread is runner 0
-        except threading.BrokenBarrierError:
-            pass  # a thread's exception broke the barrier; it is raised below
-    errors = [run.exception() for run in runs if run.exception() is not None]
-    if errors:
-        raise min(errors, key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
-    return out
+            if not failures and at[0] < len(phases) and phases[at[0]][0] is not None:
+                phases[at[0]][0]()
+        except BaseException as exc:  # the runners see it once the barrier lets them go
+            fail(at[0], -1, exc)
+        # decided while every runner waits: a failure in the next phase is not seen here
+        halt[0] = bool(failures)
+        if at[0] < len(phases):
+            todo[0] = iter(phases[at[0]][1])
+
+    def take():  # the next block in clip order, or None
+        with lock:
+            return next(todo[0], None)
+
+    width = max(len(items) for _, items, _ in phases)
+    pool_cm = _runner_pool(width) if width > 1 else contextlib.nullcontext((1, None))
+    with pool_cm as (runners, pool):
+        barrier = threading.Barrier(runners, action=advance)
+
+        def run(r):
+            p = -1
+            try:
+                for p, (_, _, work) in enumerate(phases):
+                    while (b := take()) is not None and b <= stop[0]:
+                        try:
+                            work(b)
+                        except BaseException as exc:  # an interrupt too
+                            fail(p, b, exc)
+                    barrier.wait()
+                    if halt[0]:
+                        return
+            except threading.BrokenBarrierError:
+                pass  # a runner was interrupted at the barrier
+            except BaseException as exc:  # interrupted at the barrier: none may wait for this one
+                fail(p, -1, exc)
+                barrier.abort()
+
+        runs = []
+        try:
+            runs += [pool.submit(run, r) for r in range(1, runners)]
+            run(0)
+        finally:
+            barrier.abort()  # in case the calling thread was interrupted before it ran
+    for r in runs:
+        r.result()  # ``run`` keeps its failures, so this raises only a defect of its own
+    if failures:
+        raise min(failures, key=lambda f: f[:3])[3]
 
 
 @functools.lru_cache(maxsize=1)
@@ -827,9 +886,10 @@ def _runner_pool(jobs: int):
     """Hold numpy's OpenBLAS at one thread and yield the runner count for
     ``jobs`` parallel jobs, one per usable CPU and at most ``jobs``, and a
     standard-library thread pool for the runners besides the calling
-    thread. On exit the pool's queued jobs are dropped, its running ones
-    waited for, and the BLAS thread count restored. Where that count
-    cannot be set, nothing is changed: one runner and no pool."""
+    thread. On exit every job given to the pool is waited for, so each
+    runner gets to see a failure, and the BLAS thread count is restored.
+    Where that count cannot be set, nothing is changed: one runner and no
+    pool."""
     blas = _blas_thread_control()
     if blas is None:
         yield 1, None
@@ -842,7 +902,7 @@ def _runner_pool(jobs: int):
     try:
         yield runners, pool
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown()
         put(old)
 
 
@@ -902,34 +962,135 @@ def _check_metadata(path, meta) -> None:
 def load_model(path, digest=None) -> RigModel:
     """Read a weight file into a model whose tensors stay float32.
 
-    The payload is read in one go into ``flat``; ``infer`` uses it as it
-    is, and ``train`` / ``grad_check`` upcast it to float64. A hashlib
-    ``digest``, if given, is fed the header and metadata bytes read;
-    ``weights_hexdigest`` adds the payload, so the file is read once.
+    The reader is ``WeightStream``'s, filling one flat buffer: ``infer``
+    uses it as it is, and ``train`` / ``grad_check`` upcast it to float64.
+    A hashlib ``digest``, if given, is fed every byte read in file order,
+    so that it ends as ``file_sha256`` of the file.
     """
+    feed = (lambda data: None) if digest is None else digest.update
+    with _reading(path), open(path, "rb") as f:
+        meta = _read_header(path, f, feed)
+        flat = np.empty(_layout(meta)[-1][2].stop, "<f4")
+        _read_section(path, f, flat, 0, flat.nbytes, feed)
+    return _bind(flat, meta)
+
+
+class WeightStream:
+    """A weight file read once, front to back, as ``infer`` needs it.
+
+    Opening reads the header, the metadata and the encoder, with
+    ``load_model``'s checks and messages. ``read_tensors`` then reads each
+    encoder layer, and last the head, when it is asked for, into one of two
+    reusable float32 buffers, so ``infer`` holds two layers' weights, not
+    every layer's. The metadata's dims are attributes, as on ``RigModel``.
+
+    A worker thread at the lowest priority (see ``_idle_priority``) feeds
+    every byte read to a SHA-256, in file order; a buffer is not refilled
+    before its bytes are hashed. Once the head is read, ``hexdigest`` is
+    the file's, as ``file_sha256`` gives it: the open file is what is
+    read, so a file put in its place mid-run does not change it. Use the
+    stream in a ``with`` block, which stops the thread and closes the file.
+    """
+
+    def __init__(self, path):
+        self._path, self._file, self._hashes = path, None, []
+        self._digest = hashlib.sha256()
+        self._hasher = ThreadPoolExecutor(1, initializer=_idle_priority)
+        try:
+            with _reading(path):
+                self._file = open(path, "rb")
+                meta = _read_header(path, self._file, self._hash)
+            self.feature_family = meta["feature_family"]
+            (self.feature_dim, self.d_model, self.n_layers, self.n_heads, self.d_ff,
+             self.output_dim) = (meta[k] for k in _META_DIMS)
+            layout = _layout(meta)
+            self._need = 4 * layout[-1][2].stop
+            n_enc, n_layer = len(_ENCODER_FIELDS), len(_LAYER_FIELDS)
+            self._sections = [layout[i:i + n_layer] for i in range(n_enc, len(layout) - 2, n_layer)]
+            self._sections.append(layout[-2:])
+            self.encoder = EncoderParams(**self._read(layout[:n_enc], None))
+            size = max(sec[-1][2].stop - sec[0][2].start for sec in self._sections)
+            self._buffers = [np.empty(size, "<f4") for _ in range(2)]
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self) -> None:
+        self._hasher.shutdown(cancel_futures=True)
+        if self._file is not None:
+            self._file.close()
+
+    def _hash(self, data):  # the one hash thread takes its jobs in order
+        self._hashes.append(self._hasher.submit(self._digest.update, data))
+
+    def _read(self, section, buf):
+        """Views of ``section``'s tensors by name, read into ``buf`` (a new
+        array if None)."""
+        first, end = section[0][2].start, section[-1][2].stop
+        buf = np.empty(end - first, "<f4") if buf is None else buf[:end - first]
+        with _reading(self._path):
+            _read_section(self._path, self._file, buf, 4 * first, self._need, self._hash)
+        return {name.rpartition(".")[2]: buf[sl.start - first:sl.stop - first].reshape(shape)
+                for name, shape, sl in section}
+
+    def read_tensors(self):
+        """Yield each encoder layer's ``LayerParams``, then the head's
+        (head_w, head_b), each read when it is asked for. A layer's
+        tensors are overwritten when the layer after the next is read."""
+        k = 0
+        while self._sections:
+            # the buffer's bytes came two reads ago (or it is unused): hashed once that read is
+            self._hashes[-2].result()
+            views = self._read(self._sections[0], self._buffers[k])
+            del self._sections[0]
+            yield LayerParams(**views) if self._sections else (views["head_w"], views["head_b"])
+            k = 1 - k
+
+    def hexdigest(self) -> str:
+        """The SHA-256 of the file's bytes, once ``read_tensors`` has read the head."""
+        if self._sections:
+            raise RuntimeError(f"{self._path}: weight file not read to its end")
+        for hashed in self._hashes:
+            hashed.result()
+        return self._digest.hexdigest()
+
+
+def _idle_priority() -> None:
+    """Run the calling thread at the lowest priority, so that its work fills
+    the cores inference leaves idle rather than slowing inference down."""
+    if sys.platform == "linux":  # only there does a thread id name one thread
+        with contextlib.suppress(OSError):  # the thread runs, at its old priority
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+
+
+@contextlib.contextmanager
+def _reading(path):
     try:
-        with open(path, "rb") as f:
-            # a throwaway digest of a few header bytes costs microseconds
-            return _read_weights(path, f, hashlib.sha256() if digest is None else digest)
+        yield
     except OSError as exc:
         raise DataError(f"cannot read weight file {path}: {exc}") from None
 
 
-def weights_hexdigest(model: RigModel, digest) -> str:
-    """Finish the ``digest`` given to ``load_model`` for ``model``: the hash
-    of the weight-file bytes loaded, as ``file_sha256`` gives for that file.
-
-    ``flat``'s bytes are the file's payload until ``flat`` is written or
-    upcast. hashlib drops the GIL on large updates, so this can run on a
-    worker thread while ``infer`` reads ``flat``.
-    """
-    digest.update(memoryview(model.flat).cast("B"))
-    return digest.hexdigest()
+def _read_section(path, f, buf, done, need, feed) -> None:
+    """Fill ``buf`` from ``f``, where ``done`` of the ``need`` payload
+    bytes are read, and ``feed`` its bytes."""
+    got = f.readinto(buf)
+    if got < buf.nbytes:  # the file shrank after the size check
+        raise DataError(f"{path}: truncated payload: {done + got} bytes, the tensors need {need}")
+    feed(memoryview(buf).cast("B"))
 
 
-def _read_weights(path, f, digest) -> RigModel:
+def _read_header(path, f, feed) -> dict:
+    """Read and check the header and metadata, feeding their bytes to
+    ``feed``, and check the payload's size; returns the metadata."""
     header = f.read(_WHEADER.size)
-    digest.update(header)
+    feed(header)
     if len(header) < _WHEADER.size:
         raise DataError(f"{path}: too short for a weight header")
     magic, version, meta_len = _WHEADER.unpack(header)
@@ -942,7 +1103,7 @@ def _read_weights(path, f, digest) -> RigModel:
         raise DataError(f"{path}: metadata length {meta_len} exceeds the {rest} bytes "
                         f"after the header")
     raw = f.read(meta_len)
-    digest.update(raw)
+    feed(raw)
     try:
         meta = json.loads(raw)
     except ValueError as exc:  # bad JSON or bad UTF-8
@@ -973,11 +1134,7 @@ def _read_weights(path, f, digest) -> RigModel:
         raise DataError(f"{path}: truncated payload: {payload} bytes, the tensors need {need}")
     if payload > need:
         raise DataError(f"{path}: {payload - need} bytes after the last tensor")
-    flat = np.empty(need // 4, dtype="<f4")
-    got = f.readinto(flat)
-    if got < need:  # the file shrank after the size check
-        raise DataError(f"{path}: truncated payload: {got} bytes, the tensors need {need}")
-    return _bind(flat, meta)
+    return meta
 
 
 def file_sha256(path) -> str:

@@ -234,10 +234,12 @@ class TestWeightFileErrors:
                                                           monkeypatch):
         short = tmp_path / "short.emow"
         short.write_bytes((workdir / "w.emow").read_bytes()[:-4])
-        fstat = os.fstat
+        fstat, inode = os.fstat, short.stat().st_ino
 
         def stale(fd):  # the size the file had before it lost its last 4 bytes
             st = fstat(fd)
+            if st.st_ino != inode:  # the feature file, read before the head
+                return st
             return os.stat_result((*st[:6], st.st_size + 4, *st[7:]))
 
         monkeypatch.setattr(network.os, "fstat", stale)
@@ -273,6 +275,43 @@ class TestWeightDigest:
         assert json.loads((tmp_path / "o.csv.json").read_text())["weights_sha256"] == want
         assert cli.file_sha256(weights) == want
 
+    # one chunk, three chunks, and more chunks than a layer holds keys for at once
+    @pytest.mark.parametrize("frames", [300, 1300, 540 * network._GROUP_CHUNKS + 61])
+    def test_sidecar_digest_is_the_files_sha256_at_every_length(self, workdir, tmp_path, frames):
+        feats = tmp_path / "f.emof"
+        rng = np.random.default_rng(frames)
+        write_feature_file(feats, FeatureSequence(rng.normal(0, 1, (frames, 12)), 60.0))
+        out = tmp_path / "o.csv"
+        assert run("infer", "--features", feats, "--emotion", "0", "--weights",
+                   workdir / "w.emow", "--out", out) == 0
+        sidecar = json.loads((tmp_path / "o.csv.json").read_text())
+        assert sidecar["frames"] == frames
+        assert sidecar["weights_sha256"] == hashlib.sha256((workdir / "w.emow").read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("keep", ["in-the-layer", "in-the-head"])
+    def test_weights_truncated_after_open_exit_3(self, workdir, tmp_path, monkeypatch, capsys,
+                                                 keep):
+        weights = tmp_path / "w.emow"
+        weights.write_bytes((workdir / "w.emow").read_bytes())
+        head = 4 * (16 + 1) * RIG_WIDTH  # the last bytes: head_w (16 x 174) and head_b
+        size = weights.stat().st_size - (head + 100 if keep == "in-the-layer" else 100)
+        real_infer = cli.infer
+
+        def truncate_then_infer(*args, **kwargs):  # the stream has read the encoder
+            os.truncate(weights, size)
+            return real_infer(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "infer", truncate_then_infer)
+        out = tmp_path / "o.csv"
+        before = threading.active_count()
+        assert run("--json-errors", "infer", "--features", workdir / "f.emof", "--emotion", "0",
+                   "--weights", weights, "--out", out) == 3
+        assert threading.active_count() == before
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "DataError" and "truncated payload" in payload["message"]
+        assert list(tmp_path.iterdir()) == [weights]
+
     def test_digest_names_the_bytes_loaded_not_a_file_swapped_in(self, workdir, tmp_path,
                                                                 monkeypatch):
         weights, other = tmp_path / "w.emow", tmp_path / "other.emow"
@@ -298,20 +337,36 @@ class TestWeightDigest:
             raise exc
         return infer
 
+    @staticmethod
+    def _record_hashing(monkeypatch, record):
+        """Make every SHA-256 call ``record()`` on each update."""
+        sha256 = hashlib.sha256
+
+        class Recording:
+            def __init__(self):
+                self._digest = sha256()
+
+            def update(self, data):
+                record()
+                self._digest.update(data)
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Recording)
+
     @pytest.mark.parametrize("case, code", [
         ("ok", 0), ("out-in-missing-dir", 3), ("numeric-error", 4)])
     def test_no_thread_outlives_main(self, workdir, monkeypatch, capsys, case, code):
         hashed = []
-        digest = cli.weights_hexdigest
-        monkeypatch.setattr(cli, "weights_hexdigest",
-                            lambda *a: hashed.append(1) or digest(*a))
+        self._record_hashing(monkeypatch, lambda: hashed.append(1))
         if case == "numeric-error":
             monkeypatch.setattr(cli, "infer", self._raise(NumericError("non-finite output")))
         out = "nodir/x.csv" if case == "out-in-missing-dir" else "threads.csv"
         before = threading.active_count()
         assert run("--json-errors", *_infer_argv(workdir, out=out)) == code
         assert threading.active_count() == before
-        assert hashed == [1]  # the hash had started
+        assert hashed  # the hash had started
         if code:
             (line,) = capsys.readouterr().err.splitlines()
             assert json.loads(line)["error"] == ("DataError" if code == 3 else "NumericError")
@@ -322,12 +377,12 @@ class TestWeightDigest:
         def thread_nice():
             return os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
 
-        nice, digest = [], cli.weights_hexdigest
-        monkeypatch.setattr(cli, "weights_hexdigest",
-                            lambda *a: nice.append(thread_nice()) or digest(*a))
+        nice = []
+        self._record_hashing(monkeypatch, lambda: nice.append(thread_nice()))
         before = thread_nice()
         assert run(*_infer_argv(workdir, out="nice.csv")) == 0
-        assert nice == [19]
+        # header, metadata, encoder, the one layer and the head
+        assert nice == [19] * 5
         assert thread_nice() == before
 
     def test_interrupt_in_infer_reaches_the_caller_and_leaves_no_thread(self, workdir,

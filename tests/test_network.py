@@ -1,7 +1,9 @@
 """Transformer core: forward contracts, chunked inference, gradients,
 and the weight file format."""
 
+import contextlib
 import functools
+import hashlib
 import os
 import sys
 import threading
@@ -16,8 +18,8 @@ from speechrig.encoders import encode_content, encode_emotion_table
 from speechrig.errors import DataError, NumericError
 from speechrig.features import FeatureSequence
 from speechrig.network import (
+    WeightStream,
     build_model,
-    chunked_apply,
     clip_loss_and_grads,
     forward_with_attention,
     grad_buffer,
@@ -184,7 +186,8 @@ class TestChunkedInference:
     def test_crossfade_passes_agreeing_chunks_through(self):
         rng = np.random.default_rng(8)
         const = np.tile(rng.normal(0, 1, (1, 6)), (1300, 1))
-        out = chunked_apply(lambda s, e: const[s:e].copy(), 1300, 6)
+        bounds = network._chunk_bounds(1300)
+        out = network._crossfade(bounds, np.concatenate([const[s:e] for s, e in bounds]))
         assert np.array_equal(out, const)
 
     def test_deterministic_across_runs(self):
@@ -292,6 +295,20 @@ class TestChunkedInference:
         assert calls == [(0, 600), (540, 600), (1080, 220)]
 
 
+def _phases(n_phases, n_blocks, run, prepare=None):
+    """``n_phases`` phases of ``n_blocks`` blocks each, ``run(p, b)`` doing
+    block b of phase p and ``prepare(p)``, if given, preparing phase p."""
+    return [(None if prepare is None else functools.partial(prepare, p), range(n_blocks),
+             functools.partial(run, p)) for p in range(n_phases)]
+
+
+def _blas_or_stub():
+    """The BLAS thread count's getter and setter, and the runners two CPUs
+    give: where the count cannot be set, one runner and nothing to restore."""
+    blas = network._blas_thread_control()
+    return (2, blas) if blas else (1, (lambda: 2, lambda threads: None))
+
+
 class TestChunkPool:
     # 3000 frames in 600-frame chunks at stride 540: six chunks
     FRAMES = 3000
@@ -307,98 +324,119 @@ class TestChunkPool:
         assert np.array_equal(pooled, serial)
 
     def test_more_runners_than_cores_take_each_chunk_once(self, monkeypatch):
-        # 8 runners on 100 chunks, switching threads as often as the
-        # interpreter allows: a chunk taken twice or skipped, or a result
-        # stored in the wrong slot, changes the output
+        # 8 runners on 5 phases of 100 blocks, switching threads as often as
+        # the interpreter allows: a block taken twice or skipped, a phase
+        # started before the one before it ended, or a prepare run twice or
+        # late, shows in the log
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        frames = 99 * 540 + 600
-        taken = []
+        taken, prepared = [], []
 
-        def run(s, e):
-            time.sleep(0)  # lets another runner in if taking were not atomic
-            taken.append(s)
-            return np.arange(s, e, dtype=np.float64)[:, None] * np.ones(4)
+        def run(p, b):
+            time.sleep(0)  # lets another runner in
+            taken.append((p, b))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = chunked_apply(run, frames, 4)
+            network._run_phases(_phases(5, 100, run, lambda p: prepared.append((p, len(taken)))))
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(taken) == list(range(0, 100 * 540, 540))
-        assert np.array_equal(out, np.arange(float(frames))[:, None] * np.ones(4))
+        assert prepared == [(p, 100 * p) for p in range(5)]
+        assert [p for p, _ in taken] == sorted(p for p, _ in taken)
+        assert sorted(taken) == [(p, b) for p in range(5) for b in range(100)]
 
-    @pytest.mark.parametrize("failing", [(1080,), (1080, 2160), (2160, 0)])
+    @pytest.mark.parametrize("failing", [(2,), (2, 4), (4, 0)])
     def test_earliest_failing_chunk_raises_unchanged(self, failing):
-        def run(s, e):
-            if s in failing:
-                raise NumericError(f"chunk at {s}")
-            return np.zeros((e - s, 3))
+        def run(p, b):
+            if b in failing:
+                raise NumericError(f"block {b}")
 
-        with pytest.raises(NumericError, match=f"chunk at {min(failing)}$"):
-            chunked_apply(run, self.FRAMES, 3)
+        with pytest.raises(NumericError, match=f"block {min(failing)}$"):
+            network._run_phases(_phases(1, 6, run))
 
-    def test_a_later_chunk_failing_first_does_not_win(self):
-        if len(os.sched_getaffinity(0)) < 2:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_failure_rule_does_not_depend_on_the_runner_count(self, monkeypatch, cpus):
+        # lowest phase first, its prepare before its blocks, then the
+        # earliest block in clip order; an interrupt before any of them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        def raising(cases):
+            def act(p, b=-1):
+                if (p, b) in cases:
+                    raise cases[p, b]
+            return act
+
+        for cases, want in [
+            ({(1, 5): ValueError("1/5"), (1, 3): ValueError("1/3"), (2, 0): ValueError("2/0")},
+             "1/3"),
+            ({(1, -1): ValueError("prepare 1"), (1, 0): ValueError("1/0")}, "prepare 1"),
+            ({(0, 2): KeyboardInterrupt("0/2"), (0, 4): ValueError("0/4")}, "0/2"),
+        ]:
+            act = raising(cases)
+            with pytest.raises(BaseException) as caught:
+                network._run_phases(_phases(3, 8, act, act))
+            assert str(caught.value) == want, (cpus, cases)
+
+    def test_a_later_chunk_failing_first_does_not_win(self, monkeypatch):
+        if network._blas_thread_control() is None or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs two runners")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         later_failed = threading.Event()
 
-        def run(s, e):
-            if s == 540:  # taken before chunk 1080; fails only once 1080 has
+        def run(p, b):
+            if b == 1:  # taken before block 2; fails only once block 2 has
                 later_failed.wait(10.0)
-                raise NumericError("chunk at 540")
-            if s == 1080:
+                raise NumericError("block 1")
+            if b == 2:
                 later_failed.set()
-                raise NumericError("chunk at 1080")
-            return np.zeros((e - s, 3))
+                raise NumericError("block 2")
 
-        with pytest.raises(NumericError, match="chunk at 540$"):
-            chunked_apply(run, self.FRAMES, 3)
+        with pytest.raises(NumericError, match="block 1$"):
+            network._run_phases(_phases(1, 6, run))
         assert later_failed.is_set()
 
-    def test_interrupt_on_the_calling_thread_stops_the_workers(self):
+    def test_interrupt_on_the_calling_thread_stops_the_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         ran = []
 
-        def run(s, e):
+        def run(p, b):
             if threading.current_thread() is threading.main_thread():
                 raise KeyboardInterrupt
             time.sleep(0.05)
-            ran.append(s)
-            return np.zeros((e - s, 3))
+            ran.append((p, b))
 
+        before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            chunked_apply(run, self.FRAMES, 3)
-        assert len(ran) <= 2  # only chunks a worker had taken before the interrupt
+            network._run_phases(_phases(2, 6, run))
+        assert len(ran) <= 1  # only the block the worker had taken before the interrupt
+        assert threading.active_count() == before
 
     def test_an_interrupt_in_a_chunk_reaches_the_caller_and_stops_the_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        blas = network._blas_thread_control()
-        # where the BLAS thread count cannot be set, one runner and nothing to restore
-        runners, (get, put) = (2, blas) if blas else (1, (lambda: 2, lambda threads: None))
+        runners, (get, put) = _blas_or_stub()
         interrupt, started = KeyboardInterrupt(), []
 
-        def run(s, e):
-            started.append(s)
-            if s == 0:
+        def run(p, b):
+            started.append(b)
+            if b == runners - 1:  # a block the calling thread may or may not take
                 raise interrupt
-            # a thread's chunk outlasts the caller's, which then sees the interrupt
-            time.sleep(0.05 if threading.current_thread() is threading.main_thread() else 0.3)
-            return np.zeros((e - s, 3))
+            time.sleep(0.05)
 
-        before = get()
+        before, threads = get(), threading.active_count()
         put(2)
         try:
             with pytest.raises(KeyboardInterrupt) as caught:
-                chunked_apply(run, self.FRAMES, 3)
+                network._run_phases(_phases(2, 6, run))
             assert caught.value is interrupt
             assert get() == 2
         finally:
             put(before)
-        # of six chunks, only those a runner took before the caller saw the
-        # interrupt ran: at most one more per runner
-        assert 0 in started and len(started) <= 1 + runners
+        # of six blocks, only those a runner took before the interrupt ran
+        assert runners - 1 in started and len(started) <= 1 + runners
+        assert threading.active_count() == threads
 
-    def test_blas_held_at_one_thread_then_restored(self):
+    @pytest.mark.parametrize("error", [None, NumericError("block 3"), KeyboardInterrupt()])
+    def test_blas_held_at_one_thread_then_restored(self, error):
         blas = network._blas_thread_control()
         if blas is None:
             pytest.skip("numpy's OpenBLAS thread count cannot be set here")
@@ -406,11 +444,10 @@ class TestChunkPool:
         before = get()
         inside = []
 
-        def run(s, e):
+        def run(p, b):
             inside.append(get())
-            if s == 1620:
-                raise NumericError("chunk at 1620")
-            return np.zeros((e - s, 3))
+            if b == 3 and error is not None:
+                raise error
 
         put(2)
         try:
@@ -419,18 +456,23 @@ class TestChunkPool:
             feats = FeatureSequence(rng.normal(0, 1, (self.FRAMES, 8)).astype(np.float32), 60.0)
             infer(feats, constant_timeline(1, self.FRAMES), m)
             assert get() == 2
-            with pytest.raises(NumericError):
-                chunked_apply(run, self.FRAMES, 3)
+            with pytest.raises(type(error)) if error else contextlib.nullcontext():
+                network._run_phases(_phases(2, 6, run))
             assert get() == 2
             assert inside and set(inside) == {1}
         finally:
             put(before)
 
 
-def _float32_stack():
-    """A tiny two-layer model in the float32 layout ``infer`` runs."""
-    m = tiny_model(layers=2, output_dim=174)
+def _float32_stack(layers=2):
+    """A tiny model in the float32 layout ``infer`` runs."""
+    m = tiny_model(layers=layers, output_dim=174)
     return network._bind(m.flat.astype(np.float32), network._model_meta(m))
+
+
+def _stack_on(chunks, stack):
+    """``_layer_major`` on a copy of the chunks of rows ``chunks``."""
+    return network._layer_major(np.concatenate(chunks), [len(c) for c in chunks], stack)
 
 
 def _plant_after(monkeypatch, layer, rows, action):
@@ -440,7 +482,7 @@ def _plant_after(monkeypatch, layer, rows, action):
 
     def planted(x, p, *args, **kwargs):
         y, cache = original(x, p, *args, **kwargs)
-        if p is layer and len(x) == rows:
+        if p.wq is layer.wq and len(x) == rows:
             action(y)
         return y, cache
 
@@ -448,15 +490,16 @@ def _plant_after(monkeypatch, layer, rows, action):
 
 
 class TestRowBlocks:
-    # 767 rows: two blocks, of 383 and 384 rows, told apart by their size
-    ROWS, FIRST, LAST = 767, 383, 384
+    # 599 rows: two blocks, of 299 and 300 rows, told apart by their size
+    ROWS, FIRST, LAST = 599, 299, 300
 
     def _hidden(self, rows=ROWS):
         return np.random.default_rng(20).normal(0, 1, (rows, 16)).astype(np.float32)
 
     def test_partition_depends_on_the_row_count_only(self, monkeypatch):
-        assert network._row_blocks(511) == [(0, 511)]
-        assert network._row_blocks(512) == [(0, 256), (256, 512)]
+        assert network._row_blocks(300) == [(0, 300)]
+        assert network._row_blocks(301) == [(0, 150), (150, 301)]
+        assert network._row_blocks(360) == [(0, 180), (180, 360)]
         assert network._row_blocks(600) == [(0, 300), (300, 600)]
         assert network._row_blocks(1100) == [(0, 275), (275, 550), (550, 825), (825, 1100)]
         stack, sizes = _float32_stack(), {}
@@ -469,25 +512,29 @@ class TestRowBlocks:
         monkeypatch.setattr(network, "_layer_forward", spy)
         for cpus in (1, 3, 8):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-            network._blocked_stack_forward(stack, self._hidden(1100))
-        assert all(sorted(got) == [275] * 8 for got in sizes.values())
+            _stack_on([self._hidden(1100), self._hidden(360)], stack)
+        assert all(sorted(got) == sorted([275] * 8 + [180] * 4) for got in sizes.values())
 
-    @pytest.mark.parametrize("rows, cpus", [(600, 2), (1100, 3), (1100, 8)])
+    @pytest.mark.parametrize("rows, cpus", [(600, 1), (600, 2), (1100, 3), (1100, 8)])
     def test_output_does_not_depend_on_the_runner_count(self, monkeypatch, rows, cpus):
-        # 1100 rows on 3 runners: the calling thread takes blocks 0 and 3.
-        # On 8 CPUs, 4 runners switch threads as often as the interpreter
-        # allows: a key or value row read before it was written, or
-        # overwritten by the next layer's, changes the output.
-        stack, h0 = _float32_stack(), self._hidden(rows)
+        # 1100 rows are two chunks, and one chunk per group makes the
+        # groups take turns with one key/value buffer. The runners switch
+        # threads as often as the interpreter allows: a key or value row
+        # read before it was written, or overwritten by the next group's or
+        # layer's, changes the output.
+        stack = _float32_stack()
+        chunks = [self._hidden(rows)[s:e] for s, e in network._chunk_bounds(rows)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _stack_on(chunks, stack)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(network, "_GROUP_CHUNKS", 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            blocked = network._blocked_stack_forward(stack, h0)
+            blocked = _stack_on(chunks, stack)
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert np.array_equal(blocked, network._blocked_stack_forward(stack, h0))
+        assert np.array_equal(blocked, serial)
 
     @pytest.mark.parametrize("layer", [0, 1])
     @pytest.mark.parametrize("block", ["first", "last"])
@@ -504,35 +551,25 @@ class TestRowBlocks:
             network._stack_forward(stack, h0, train=False, rng=None, keep_attention=False)
         _plant_after(monkeypatch, stack.layers[layer], e - s, nan_rows)
         with pytest.raises(NumericError) as blocked:
-            network._blocked_stack_forward(stack, h0)
+            _stack_on([h0], stack)
         assert str(blocked.value) == str(serial.value) == \
             f"non-finite activations after encoder layer {layer}"
 
-    @pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()])
-    @pytest.mark.parametrize("block", ["first", "last"])  # the calling thread's, a worker's
-    def test_a_failing_runner_releases_the_one_at_the_barrier(self, monkeypatch, error, block):
-        blas = network._blas_thread_control()
-        if blas is None:
-            pytest.skip("numpy's OpenBLAS thread count cannot be set here, so one runner")
-        get, put = blas
+    @staticmethod
+    def _released(monkeypatch, stack, hidden, error):
+        """Run ``_layer_major`` on a thread of its own, at 2 CPUs and 2 BLAS
+        threads; it must end, raising ``error``, and restore the count."""
+        runners, (get, put) = _blas_or_stub()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        stack = _float32_stack()
-
-        def fail(y):
-            time.sleep(0.2)  # the other runner is waiting at layer 1's barrier by now
-            raise error
-
-        _plant_after(monkeypatch, stack.layers[0], self.FIRST if block == "first" else self.LAST,
-                     fail)
         outcome = []
 
         def call():
             try:
-                network._blocked_stack_forward(stack, self._hidden())
+                _stack_on([hidden], stack)
             except BaseException as exc:
                 outcome.append(exc)
 
-        before = get()
+        before, threads = get(), threading.active_count()
         put(2)
         try:
             caller = threading.Thread(target=call, daemon=True)
@@ -543,6 +580,39 @@ class TestRowBlocks:
         finally:
             put(before)
         assert outcome == [error]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("block", ["first", "last"])  # the calling thread's, a worker's
+    def test_a_failing_runner_releases_the_one_at_the_barrier(self, monkeypatch, error, block):
+        if network._blas_thread_control() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here, so one runner")
+        stack = _float32_stack()
+
+        def fail(y):
+            time.sleep(0.2)  # the other runner is waiting at layer 1's barrier by now
+            raise error
+
+        _plant_after(monkeypatch, stack.layers[0], self.FIRST if block == "first" else self.LAST,
+                     fail)
+        self._released(monkeypatch, stack, self._hidden(), error)
+
+    @pytest.mark.parametrize("at", [1, 2])  # a layer's read, the head's
+    def test_a_failing_weight_read_releases_the_runners(self, monkeypatch, at):
+        if network._blas_thread_control() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here, so one runner")
+        stack, error = _float32_stack(), DataError("truncated payload")
+        tensors = network._tensors
+
+        def failing_read(model):
+            for i, t in enumerate(tensors(model)):
+                if i == at:
+                    time.sleep(0.2)  # the other runner is waiting at the barrier
+                    raise error
+                yield t
+
+        monkeypatch.setattr(network, "_tensors", failing_read)
+        self._released(monkeypatch, stack, self._hidden(), error)
 
 
 class TestGradients:
@@ -657,3 +727,61 @@ class TestWeightFile:
         path.write_bytes(blob[:-100])
         with pytest.raises(DataError, match="truncated"):
             load_model(path)
+
+    def test_load_model_digest_is_the_files_sha256(self, tmp_path):
+        path = tmp_path / "w.emow"
+        save_model(path, tiny_model(layers=2))
+        digest = hashlib.sha256()
+        load_model(path, digest)
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestWeightStream:
+    @pytest.mark.parametrize("frames", [300, 1300])
+    def test_stream_infers_what_the_loaded_model_does(self, tmp_path, frames):
+        path = tmp_path / "w.emow"
+        save_model(path, tiny_model(layers=3, output_dim=174))
+        rng = np.random.default_rng(21)
+        feats = FeatureSequence(rng.normal(0, 1, (frames, 8)).astype(np.float32), 60.0)
+        labels = rng.integers(0, 7, frames)
+        loaded = infer(feats, labels, load_model(path)).values
+        with WeightStream(path) as weights:
+            streamed = infer(feats, labels, weights).values
+            assert weights.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert np.array_equal(streamed, loaded)
+
+    def test_stream_checks_what_load_model_checks(self, tmp_path):
+        path = tmp_path / "w.emow"
+        path.write_bytes(b"XXXX" + bytes(32))
+        before = threading.active_count()
+        with pytest.raises(DataError, match="magic"):
+            WeightStream(path)
+        assert threading.active_count() == before
+
+    def test_digest_needs_the_whole_file_read(self, tmp_path):
+        path = tmp_path / "w.emow"
+        save_model(path, tiny_model(layers=1))
+        with WeightStream(path) as weights, pytest.raises(RuntimeError, match="not read"):
+            weights.hexdigest()
+
+    def test_peak_memory_holds_two_layers_not_all(self, tmp_path, monkeypatch):
+        # at width 64 a layer is 0.2 MB; going from 2 to 8 layers adds 1.2
+        # MB to the file, and less than one layer to infer's peak
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one allocation order
+        rng = np.random.default_rng(22)
+        feats = FeatureSequence(rng.normal(0, 1, (700, 8)).astype(np.float32), 60.0)
+        labels = constant_timeline(2, 700)
+        peaks, layer_bytes = {}, 0
+        for layers in (2, 8):
+            m = build_model(8, d_model=64, n_layers=layers, n_heads=4, d_ff=256, output_dim=174,
+                            dropout=0.0, seed=1)
+            layer_bytes = 4 * sum(p.size for p in vars(m.layers[0]).values())
+            save_model(tmp_path / f"w{layers}.emow", m)
+            tracemalloc.start()
+            try:
+                with WeightStream(tmp_path / f"w{layers}.emow") as weights:
+                    infer(feats, labels, weights)
+                peaks[layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] - peaks[2] < layer_bytes, (peaks, layer_bytes)
