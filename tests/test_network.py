@@ -435,20 +435,12 @@ class TestChunkPool:
         assert runners - 1 in started and len(started) <= 1 + runners
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("error", [None, NumericError("block 3"), KeyboardInterrupt()])
-    def test_blas_held_at_one_thread_then_restored(self, error):
+    def test_blas_held_at_one_thread_then_restored(self):
         blas = network._blas_thread_control()
         if blas is None:
             pytest.skip("numpy's OpenBLAS thread count cannot be set here")
         get, put = blas
         before = get()
-        inside = []
-
-        def run(p, b):
-            inside.append(get())
-            if b == 3 and error is not None:
-                raise error
-
         put(2)
         try:
             m = tiny_model(layers=1, output_dim=174)
@@ -456,10 +448,19 @@ class TestChunkPool:
             feats = FeatureSequence(rng.normal(0, 1, (self.FRAMES, 8)).astype(np.float32), 60.0)
             infer(feats, constant_timeline(1, self.FRAMES), m)
             assert get() == 2
-            with pytest.raises(type(error)) if error else contextlib.nullcontext():
-                network._run_phases(_phases(2, 6, run))
-            assert get() == 2
-            assert inside and set(inside) == {1}
+            # a clean run, a block failing and an interrupt all restore the count
+            for error in [None, NumericError("block 3"), KeyboardInterrupt()]:
+                inside = []
+
+                def run(p, b):
+                    inside.append(get())
+                    if b == 3 and error is not None:
+                        raise error
+
+                with pytest.raises(type(error)) if error else contextlib.nullcontext():
+                    network._run_phases(_phases(2, 6, run))
+                assert get() == 2, error
+                assert inside and set(inside) == {1}, error
         finally:
             put(before)
 
