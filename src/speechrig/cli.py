@@ -30,7 +30,13 @@ from . import blink as blinkmod
 from . import gaze as gazemod
 from .errors import DataError, NumericError, RigPipelineError, UsageError
 from .evaluate import lr_correlation, mae_report, write_correlation_csv, write_mae_report
-from .features import extract_fallback_features, load_features, read_wav, resample_features
+from .features import (
+    extract_fallback_features,
+    load_features,
+    read_wav,
+    resample_features,  # noqa: F401  unused here; perfbench traces speechrig.cli.resample_features
+    resampled_frames,
+)
 from .network import (
     WeightStream,
     build_model,
@@ -91,17 +97,16 @@ def _cmd_infer(args) -> int:
             raise DataError(
                 f"model outputs {weights.output_dim} channels, map has {cmap.width}"
             )
-        seq, feats = _predict(args, cmap, weights)
+        seq, n, family = _predict(args, cmap, weights)
         write_rig_csv(args.out, seq, cmap)
         weights_sha256 = weights.hexdigest()
 
-    n = feats.n_frames
     sidecar = {
         "fps": RIG_FPS,
         "frames": n,
         "seed": args.seed,
         "weights_sha256": weights_sha256,
-        "feature_family": feats.family,
+        "feature_family": family,
         "model_feature_family": weights.feature_family,
         "smoothed": True,  # every run smooths; perfbench's output check reads the key
         "blink": bool(args.blink),
@@ -113,7 +118,9 @@ def _cmd_infer(args) -> int:
 
 
 def _predict(args, cmap: ControllerMap, model):
-    """The post-processed rig sequence of ``infer``'s inputs, and their features."""
+    """The post-processed rig sequence of ``infer``'s inputs, its frame
+    count, and the features' family. ``infer`` gets the only reference to
+    the features, and so frees them before its encoder stack runs."""
     if args.features:
         feats = load_features(args.features, args.feature_rate)
     else:
@@ -124,15 +131,19 @@ def _predict(args, cmap: ControllerMap, model):
             f"model expects feature family {model.feature_family!r}, "
             f"got {feats.family!r}"
         )
-    if feats.rate_hz != RIG_FPS:
-        feats = resample_features(feats, RIG_FPS)
-    n = feats.n_frames
+    # infer resamples the features a chunk at a time
+    n = feats.n_frames if feats.rate_hz == RIG_FPS else resampled_frames(feats, RIG_FPS)
 
-    if args.timeline:
-        timeline = _read_timeline_csv(args.timeline, n)
-    else:
-        timeline = constant_timeline(emotion_id(args.emotion), n)
+    try:
+        if args.timeline:
+            timeline = _read_timeline_csv(args.timeline, n)
+        else:
+            timeline = constant_timeline(emotion_id(args.emotion), n)
+    except MemoryError:  # numpy refuses the allocation: a low feature rate makes n huge
+        raise DataError(f"{feats.n_frames} frames at {feats.rate_hz:g} Hz are {n} frames at "
+                        f"{RIG_FPS:g} fps, more than numpy can allocate") from None
 
+    family, feats = feats.family, [feats]  # infer empties the list
     seq = clamp_sequence(smooth_sequence(infer(feats, timeline, model)), cmap)
 
     if args.blink:
@@ -144,7 +155,7 @@ def _predict(args, cmap: ControllerMap, model):
         track = gazemod.sample_gaze_track(
             n, seed=np.random.SeedSequence(args.seed, spawn_key=(2,)))
         seq = gazemod.inject_gaze(seq, track, cmap)
-    return seq, feats
+    return seq, n, family
 
 
 def _cmd_train(args) -> int:

@@ -242,13 +242,13 @@ def extract_fallback_features(clip: AudioClip) -> FeatureSequence:
 _RESAMPLE_ROWS = 256  # output rows per block: float64 temporaries stay small
 
 
-def resample_features(seq: FeatureSequence, dst_rate: float) -> FeatureSequence:
-    """Linearly resample a feature stream onto a new frame rate.
+def resampled_frames(seq: FeatureSequence, dst_rate: float) -> int:
+    """The frame count of ``resample_features(seq, dst_rate)``:
+    max(1, floor(T * dst/src + 0.5)).
 
-    The output has round(T * dst/src) frames; output frame t samples the
-    input at position t*(T-1)/(N-1) (endpoint-aligned), so the first and
-    last frames are carried over exactly and no extrapolation occurs.
-    Equal rates return the input frames unchanged.
+    Raises its ``DataError`` for a bad target rate, fewer than 2 input
+    frames, or an output matrix past numpy's size limit, before anything
+    the size of the output is allocated.
     """
     if not 0.0 < dst_rate < math.inf:
         raise DataError(f"target rate must be finite and positive, got {dst_rate}")
@@ -256,20 +256,27 @@ def resample_features(seq: FeatureSequence, dst_rate: float) -> FeatureSequence:
     if n_in < 2:
         raise DataError(f"resampling needs at least 2 frames, got {n_in}")
     frames = n_in * dst_rate / seq.rate_hz
-    try:
-        n_out = max(1, int(np.floor(frames + 0.5)))  # inf overflows
-        if n_out == 1:
-            return FeatureSequence(seq.data[:1].copy(), dst_rate, seq.family)
-        pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
-        out = np.empty((n_out, seq.n_features), np.float32)
-    except (OverflowError, ValueError, MemoryError):  # numpy refuses the allocation
+    # numpy refuses an array of more than intp-max bytes; 8 bytes a feature
+    # bound a frame's float32 rows and its 8-byte position or label; inf fails
+    if not frames < np.iinfo(np.intp).max / (8 * seq.n_features):
         raise DataError(f"cannot resample {n_in} frames at {seq.rate_hz:g} Hz to {dst_rate:g} Hz: "
-                        f"{frames:.3g} frames is more than numpy can allocate") from None
+                        f"{frames:.3g} frames is more than numpy can allocate")
+    return max(1, math.floor(frames + 0.5))
+
+
+def resample_rows(seq: FeatureSequence, n_out: int, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of ``resample_features(seq, dst_rate).data``,
+    computed alone and bit for bit the same, where ``n_out`` is
+    ``resampled_frames(seq, dst_rate)``."""
+    x, n_in = seq.data, seq.n_frames
+    if n_out == 1:
+        return x[:1].copy()
+    pos = np.arange(start, stop) * (n_in - 1) / (n_out - 1)
     lo = np.minimum(pos.astype(np.int64), n_in - 2)
     frac = (pos - lo)[:, None]
-    x = seq.data
+    out = np.empty((stop - start, seq.n_features), np.float32)
     # a + frac * (b - a) in float64, a block of rows at a time and in place
-    for r in range(0, n_out, _RESAMPLE_ROWS):
+    for r in range(0, stop - start, _RESAMPLE_ROWS):
         rows = slice(r, r + _RESAMPLE_ROWS)
         a = x[lo[rows]].astype(np.float64)
         b = x[lo[rows] + 1].astype(np.float64)
@@ -277,4 +284,22 @@ def resample_features(seq: FeatureSequence, dst_rate: float) -> FeatureSequence:
         b *= frac[rows]
         b += a
         out[rows] = b
+    return out
+
+
+def resample_features(seq: FeatureSequence, dst_rate: float) -> FeatureSequence:
+    """Linearly resample a feature stream onto a new frame rate.
+
+    The output has round(T * dst/src) frames (see ``resampled_frames``);
+    output frame t samples the input at position t*(T-1)/(N-1)
+    (endpoint-aligned), so the first and last frames are carried over
+    exactly and no extrapolation occurs. Equal rates return the input
+    frames unchanged.
+    """
+    n_out = resampled_frames(seq, dst_rate)
+    try:
+        out = resample_rows(seq, n_out, 0, n_out)
+    except MemoryError:  # numpy refuses the allocation
+        raise DataError(f"cannot resample {seq.n_frames} frames at {seq.rate_hz:g} Hz to "
+                        f"{dst_rate:g} Hz: {n_out} frames is more than numpy can allocate") from None
     return FeatureSequence(out, dst_rate, seq.family)

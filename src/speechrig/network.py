@@ -56,7 +56,12 @@ from .encoders import (
     encoder_shapes,
 )
 from .errors import DataError, NumericError
-from .features import FeatureSequence, resample_features
+from .features import (
+    FeatureSequence,
+    resample_features,  # noqa: F401  unused here; perfbench traces it in this module
+    resample_rows,
+    resampled_frames,
+)
 from .rig import N_EMOTIONS, RIG_FPS, RIG_WIDTH, RigSequence, atomic_write, validate_timeline
 
 WEIGHT_MAGIC = b"EMOW"
@@ -608,36 +613,41 @@ _ROW_BLOCK = 300
 _GROUP_CHUNKS = 8
 
 
-def infer(features: FeatureSequence, timeline, model) -> RigSequence:
+def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) -> RigSequence:
     """Predict a 60 fps rig sequence for a feature stream and emotion timeline.
 
-    ``model`` is a ``RigModel`` or an open ``WeightStream``, which is read
-    once and so runs one ``infer``. Features at other rates are resampled
-    internally. The clip runs in chunks of at most ``CHUNK_FRAMES`` frames
-    that overlap by ``OVERLAP_FRAMES`` (one chunk if it fits in one), whose
-    overlap regions are linearly crossfaded. Positions are global frame
-    indices: each chunk's encoding starts at its own start frame, so a
-    chunk sees the positions it has in the clip.
+    ``features`` may come in a one-item list, which ``infer`` empties, so
+    that features the caller keeps no other reference to are freed before
+    the encoder stack runs. ``model`` is a ``RigModel`` or an open
+    ``WeightStream``, which is read once and so runs one ``infer``. The
+    clip runs in chunks of at most ``CHUNK_FRAMES`` frames that overlap by
+    ``OVERLAP_FRAMES`` (one chunk if it fits in one), whose overlap
+    regions are linearly crossfaded. Positions are global frame indices:
+    each chunk's encoding starts at its own start frame, so a chunk sees
+    the positions it has in the clip.
 
     Every chunk's encoder input is built on the calling thread, in chunk
-    order: its feature rows are cast to float64 for the encoders, whose
-    content weights are upcast once per call, and the sum is kept in
-    float32; no float64 copy of the whole clip is kept. The encoder stack
-    and head then run in float32, one layer at a time over every chunk
-    (see ``_layer_major``), and keep no layer caches. Reruns are
-    byte-identical at a fixed BLAS thread count, whatever the number of
-    runners; across thread counts they agree within 1e-5 relative to the
-    largest output. A clip of more than one row block runs at one BLAS
-    thread, so its output is the one-thread output at any count.
+    order: features at other rates are resampled a chunk at a time, with
+    the bits ``resample_features`` gives them (see ``resample_rows``);
+    the rows are cast to float64 for the encoders, whose content weights
+    are upcast once per call, and the sum is kept in float32. No 60 fps
+    or float64 copy of the whole clip is made. The encoder stack and head
+    then run in float32, one layer at a time over every chunk (see
+    ``_layer_major``), and keep no layer caches. Reruns are byte-identical
+    at a fixed BLAS thread count, whatever the number of runners; across
+    thread counts they agree within 1e-5 relative to the largest output.
+    A clip of more than one row block runs at one BLAS thread, so its
+    output is the one-thread output at any count.
     """
+    if isinstance(features, list):
+        features = features.pop()
     if features.n_features != model.feature_dim:
         raise DataError(
             f"feature width {features.n_features} does not match model "
             f"feature width {model.feature_dim}"
         )
-    if features.rate_hz != RIG_FPS:
-        features = resample_features(features, RIG_FPS)
-    n = features.n_frames
+    resample = features.rate_hz != RIG_FPS
+    n = resampled_frames(features, RIG_FPS) if resample else features.n_frames
     labels = validate_timeline(timeline, n)
     etab = encode_emotion_table(model.encoder)
     # numpy would make this float64 copy on every chunk's product
@@ -646,9 +656,9 @@ def infer(features: FeatureSequence, timeline, model) -> RigSequence:
     rows = [e - s for s, e in bounds]
     h = np.empty((sum(rows), model.d_model), np.float32)  # the chunks one after another
     for (s, e), at in zip(bounds, itertools.accumulate(rows, initial=0)):
-        h[at:at + e - s] = (encode_content(features.data[s:e], encoder, pos_offset=s)
-                            + etab[labels[s:e]])
-    del encoder  # not held while the stack runs
+        x = resample_rows(features, n, s, e) if resample else features.data[s:e]
+        h[at:at + e - s] = encode_content(x, encoder, pos_offset=s) + etab[labels[s:e]]
+    del encoder, features, x  # not held while the stack runs
     return RigSequence(_crossfade(bounds, _layer_major(h, rows, model)))
 
 
@@ -700,9 +710,9 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
 
 def _tensors(model):
     """Each encoder layer's tensors, then the head's (w, b), in float32 and
-    in file order: read from the file for a ``WeightStream``; for a
-    ``RigModel`` taken from ``model.layers``, each layer cast when it is
-    reached (no copy if it is float32 already)."""
+    in file order: read from the file for a ``WeightStream``, one layer
+    over the one before; for a ``RigModel`` taken from ``model.layers``,
+    each layer cast when it is reached (no copy if it is float32 already)."""
     if isinstance(model, WeightStream):
         return model.read_tensors()
     f32 = functools.partial(np.asarray, dtype=np.float32)
@@ -718,8 +728,8 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     ``h``'s; returns the head's output rows, in the same order.
 
     The layers come from ``_tensors(model)``, each asked for once the one
-    before has run, and the head last, so a source may refill the buffer
-    of the layer before the one running.
+    before has run, and the head last, so a source may read each layer
+    into the one buffer the layer before it was in.
 
     Each chunk's rows are cut into ``_row_blocks``, the query-block
     partition of FlashAttention (Dao et al. 2022, arXiv 2205.14135). Each
@@ -975,25 +985,35 @@ def load_model(path, digest=None) -> RigModel:
     return _bind(flat, meta)
 
 
+# ``WeightStream`` reads a layer in pieces of this many floats (1 MiB), so
+# that the read overlaps the hash of the layer before it.
+_READ_PIECE = 1 << 18
+
+
 class WeightStream:
     """A weight file read once, front to back, as ``infer`` needs it.
 
-    Opening reads the header, the metadata and the encoder, with
-    ``load_model``'s checks and messages. ``read_tensors`` then reads each
-    encoder layer, and last the head, when it is asked for, into one of two
-    reusable float32 buffers, so ``infer`` holds two layers' weights, not
-    every layer's. The metadata's dims are attributes, as on ``RigModel``.
+    Opening reads the header, the metadata, the encoder and the first
+    encoder layer (the head if there is none), with ``load_model``'s
+    checks and messages. ``read_tensors`` then yields that layer and reads
+    each one after it, and last the head, when it is asked for, into the
+    one reusable float32 buffer, so ``infer`` holds one layer's weights,
+    not every layer's. The metadata's dims are attributes, as on
+    ``RigModel``.
 
     A worker thread at the lowest priority (see ``_idle_priority``) feeds
-    every byte read to a SHA-256, in file order; a buffer is not refilled
-    before its bytes are hashed. Once the head is read, ``hexdigest`` is
+    every byte read to a SHA-256, in file order. No byte of the buffer is
+    read over before it is hashed: a layer is read in pieces, each once
+    the bytes it replaces are hashed. The first layer's hash runs while
+    the caller prepares the features. Once the head is read, ``hexdigest`` is
     the file's, as ``file_sha256`` gives it: the open file is what is
     read, so a file put in its place mid-run does not change it. Use the
     stream in a ``with`` block, which stops the thread and closes the file.
     """
 
     def __init__(self, path):
-        self._path, self._file, self._hashes = path, None, []
+        # every hash job, in file order, and that of each piece now in the buffer
+        self._path, self._file, self._hashes, self._fed = path, None, [], []
         self._digest = hashlib.sha256()
         self._hasher = ThreadPoolExecutor(1, initializer=_idle_priority)
         try:
@@ -1006,11 +1026,13 @@ class WeightStream:
             layout = _layout(meta)
             self._need = 4 * layout[-1][2].stop
             n_enc, n_layer = len(_ENCODER_FIELDS), len(_LAYER_FIELDS)
+            # the sections not read yet: each layer's tensors, then the head's
             self._sections = [layout[i:i + n_layer] for i in range(n_enc, len(layout) - 2, n_layer)]
             self._sections.append(layout[-2:])
             self.encoder = EncoderParams(**self._read(layout[:n_enc], None))
             size = max(sec[-1][2].stop - sec[0][2].start for sec in self._sections)
-            self._buffers = [np.empty(size, "<f4") for _ in range(2)]
+            self._buffer = np.empty(size, "<f4")
+            self._views = self._read(self._sections.pop(0), self._buffer)
         except BaseException:
             self.close()
             raise
@@ -1030,30 +1052,33 @@ class WeightStream:
         self._hashes.append(self._hasher.submit(self._digest.update, data))
 
     def _read(self, section, buf):
-        """Views of ``section``'s tensors by name, read into ``buf`` (a new
-        array if None)."""
+        """Views of ``section``'s tensors by name, read into a new array if
+        ``buf`` is None, else into ``buf`` a ``_READ_PIECE`` at a time, each
+        piece once the bytes it reads over are hashed."""
         first, end = section[0][2].start, section[-1][2].stop
-        buf = np.empty(end - first, "<f4") if buf is None else buf[:end - first]
+        into = np.empty(end - first, "<f4") if buf is None else buf[:end - first]
         with _reading(self._path):
-            _read_section(self._path, self._file, buf, 4 * first, self._need, self._hash)
-        return {name.rpartition(".")[2]: buf[sl.start - first:sl.stop - first].reshape(shape)
+            for k, at in enumerate(range(0, into.size, _READ_PIECE)):
+                if buf is not None and k < len(self._fed):
+                    self._fed[k].result()
+                _read_section(self._path, self._file, into[at:at + _READ_PIECE],
+                              4 * (first + at), self._need, self._hash)
+                if buf is not None:
+                    self._fed[k:k + 1] = self._hashes[-1:]
+        return {name.rpartition(".")[2]: into[sl.start - first:sl.stop - first].reshape(shape)
                 for name, shape, sl in section}
 
     def read_tensors(self):
         """Yield each encoder layer's ``LayerParams``, then the head's
-        (head_w, head_b), each read when it is asked for. A layer's
-        tensors are overwritten when the layer after the next is read."""
-        k = 0
+        (head_w, head_b). The first was read at open; each later one is
+        read when it is asked for, over the one before."""
         while self._sections:
-            # the buffer's bytes came two reads ago (or it is unused): hashed once that read is
-            self._hashes[-2].result()
-            views = self._read(self._sections[0], self._buffers[k])
-            del self._sections[0]
-            yield LayerParams(**views) if self._sections else (views["head_w"], views["head_b"])
-            k = 1 - k
+            yield LayerParams(**self._views)
+            self._views = self._read(self._sections.pop(0), self._buffer)
+        yield self._views["head_w"], self._views["head_b"]
 
     def hexdigest(self) -> str:
-        """The SHA-256 of the file's bytes, once ``read_tensors`` has read the head."""
+        """The SHA-256 of the file's bytes, once the head is read."""
         if self._sections:
             raise RuntimeError(f"{self._path}: weight file not read to its end")
         for hashed in self._hashes:

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -58,6 +59,31 @@ class TestInfer:
         assert a.read_bytes() == b.read_bytes()
         sidecar = json.loads((workdir / "a.csv.json").read_text())
         assert sidecar["blink"] and sidecar["gaze"]
+
+    @pytest.mark.parametrize("rate", [50.0, 60.0])
+    def test_features_are_freed_before_the_encoder_stack(self, workdir, tmp_path, monkeypatch,
+                                                         rate):
+        feats = tmp_path / "f.emof"
+        rng = np.random.default_rng(4)
+        write_feature_file(feats, FeatureSequence(rng.normal(0, 1, (round(rate * 20), 12)), rate))
+        refs, alive = [], []
+        load, layer_major = cli.load_features, network._layer_major
+
+        def loading(*args, **kwargs):
+            seq = load(*args, **kwargs)
+            refs.append(weakref.ref(seq.data))
+            return seq
+
+        def checking(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return layer_major(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_features", loading)
+        monkeypatch.setattr(network, "_layer_major", checking)
+        assert run("infer", "--features", feats, "--emotion", "0", "--weights",
+                   workdir / "w.emow", "--out", tmp_path / "o.csv") == 0
+        assert alive == [False]
+        assert json.loads((tmp_path / "o.csv.json").read_text())["frames"] == 1200
 
     def test_injectors_off_leaves_eye_channels_at_smoothed_output(self, workdir):
         out = workdir / "plain.csv"
@@ -292,7 +318,9 @@ class TestWeightDigest:
     def test_weights_truncated_after_open_exit_3(self, workdir, tmp_path, monkeypatch, capsys,
                                                  keep):
         weights = tmp_path / "w.emow"
-        weights.write_bytes((workdir / "w.emow").read_bytes())
+        # the stream reads the first layer at open: the cut layer is the second
+        save_model(weights, build_model(12, d_model=16, n_layers=2, n_heads=2, d_ff=32,
+                                        output_dim=RIG_WIDTH, dropout=0.0, seed=21))
         head = 4 * (16 + 1) * RIG_WIDTH  # the last bytes: head_w (16 x 174) and head_b
         size = weights.stat().st_size - (head + 100 if keep == "in-the-layer" else 100)
         real_infer = cli.infer
@@ -457,6 +485,9 @@ _BAD_PATHS = {
                          "feature rate", None),
     "feature-rate-1e-300": (lambda w: [*_infer_argv(w, features="f12.csv"),
                                        "--feature-rate", "1e-300"], "50 frames at 1e-300 Hz", None),
+    # inside numpy's size limit but past any memory: refused as the 60 fps timeline
+    "feature-rate-1e-12": (lambda w: [*_infer_argv(w, features="f12.csv"),
+                                      "--feature-rate", "1e-12"], "50 frames at 1e-12 Hz", None),
     "emof-rate-1e-30": (lambda w: _infer_argv(w, features="slow.emof"),
                         "50 frames at 1e-30 Hz", None),
     "manifest-rate-1e-30": (lambda w: ["train", "--manifest", w / "slow_manifest.json",

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechrig.errors import DataError, FeatureFileError
 from speechrig.features import (
@@ -19,8 +21,11 @@ from speechrig.features import (
     read_feature_csv,
     read_feature_file,
     resample_features,
+    resample_rows,
+    resampled_frames,
     write_feature_file,
 )
+from speechrig.network import _chunk_bounds
 
 
 class TestFeatureFile:
@@ -273,3 +278,38 @@ class TestResampling:
         seq = FeatureSequence(np.ones((50, 3), dtype=np.float32), src)
         with pytest.raises(DataError, match=rf"50 frames at {src:g} Hz to 60 Hz"):
             resample_features(seq, 60.0)
+
+
+# 60 fps lengths at the edges of inference chunks: one chunk, the second's
+# end, the third's end
+_CHUNK_EDGES = [599, 600, 601, 1139, 1140, 1141, 1679, 1680, 1681]
+
+
+@st.composite
+def _clips(draw):
+    """(features, seed): 1, 2 or 3 frames, a clip whose 60 fps length is at
+    a chunk edge, or any length up to 1500 frames, at a rate from 30 to
+    100 Hz."""
+    rate = draw(st.sampled_from([30.0, 50.0, 59.94, 60.0, 100.0]))
+    n_in = draw(st.one_of(
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from(_CHUNK_EDGES).map(lambda n: max(2, round(n * rate / 60.0))),
+        st.integers(1, 1500)))
+    scale = draw(st.sampled_from([1e-30, 1.0, 1e30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FeatureSequence(scale * rng.normal(0, 1, (n_in, 3)), rate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=_clips())
+def test_rows_per_chunk_equal_the_whole_clip_resampled(seq):
+    try:
+        want = resample_features(seq, 60.0).data
+    except DataError:
+        with pytest.raises(DataError):
+            resampled_frames(seq, 60.0)
+        return
+    n = resampled_frames(seq, 60.0)
+    assert n == len(want)
+    for s, e in _chunk_bounds(n):
+        assert np.array_equal(resample_rows(seq, n, s, e), want[s:e])

@@ -16,7 +16,7 @@ import pytest
 import speechrig.network as network
 from speechrig.encoders import encode_content, encode_emotion_table
 from speechrig.errors import DataError, NumericError
-from speechrig.features import FeatureSequence
+from speechrig.features import FeatureSequence, resample_features
 from speechrig.network import (
     WeightStream,
     build_model,
@@ -205,6 +205,24 @@ class TestChunkedInference:
         feats = FeatureSequence(rng.normal(0, 1, (50, 8)).astype(np.float32), 50.0)
         seq = infer(feats, constant_timeline(0, 60), m)
         assert len(seq) == 60
+
+    # 60 fps frames: one chunk, three chunks, and more than a layer holds keys for
+    @pytest.mark.parametrize("frames", [300, 1300, 3660])
+    def test_resampling_per_chunk_equals_resampling_first(self, frames):
+        m = tiny_model(layers=2, output_dim=174)
+        rng = np.random.default_rng(frames)
+        feats = FeatureSequence(rng.normal(0, 1, (round(frames / 1.2), 8)), 50.0)
+        labels = rng.integers(0, 7, frames)
+        want = infer(resample_features(feats, 60.0), labels, m).values
+        assert np.array_equal(infer(feats, labels, m).values, want)
+
+    def test_a_one_item_list_of_features_is_emptied(self):
+        m = tiny_model(layers=1, output_dim=174)
+        feats = FeatureSequence(np.random.default_rng(3).normal(0, 1, (50, 8)), 50.0)
+        held = [feats]
+        assert np.array_equal(infer(held, constant_timeline(0, 60), m).values,
+                              infer(feats, constant_timeline(0, 60), m).values)
+        assert held == []
 
     def test_timeline_length_mismatch_rejected(self):
         m = tiny_model(layers=1, output_dim=174)
@@ -786,3 +804,49 @@ class TestWeightStream:
             finally:
                 tracemalloc.stop()
         assert peaks[8] - peaks[2] < layer_bytes, (peaks, layer_bytes)
+
+    def test_a_lagging_hash_still_names_the_bytes_read(self, tmp_path, monkeypatch):
+        # layers of several pieces, read over the one before while its hash lags
+        path = tmp_path / "w.emow"
+        m = tiny_model(layers=3, output_dim=174)
+        save_model(path, m)
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        sha256 = hashlib.sha256
+
+        class Slow:
+            def __init__(self):
+                self._digest = sha256()
+
+            def update(self, data):
+                time.sleep(0.005)
+                self._digest.update(data)
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
+
+        monkeypatch.setattr(network, "_READ_PIECE", 500)
+        monkeypatch.setattr(network.hashlib, "sha256", Slow)
+        feats = FeatureSequence(np.random.default_rng(5).normal(0, 1, (700, 8)), 60.0)
+        labels = constant_timeline(1, 700)
+        with WeightStream(path) as weights:
+            streamed = infer(feats, labels, weights).values
+            assert weights.hexdigest() == want
+        assert np.array_equal(streamed, infer(feats, labels, load_model(path)).values)
+
+    def test_reading_the_stream_holds_the_encoder_and_one_layer(self, tmp_path):
+        m = build_model(8, d_model=64, n_layers=4, n_heads=4, d_ff=256, output_dim=174,
+                        dropout=0.0, seed=1)
+        encoder_bytes = 4 * sum(p.size for p in vars(m.encoder).values())
+        layer_bytes = 4 * sum(p.size for p in vars(m.layers[0]).values())
+        save_model(tmp_path / "w.emow", m)
+        tracemalloc.start()
+        try:
+            with WeightStream(tmp_path / "w.emow") as weights:
+                read = list(weights.read_tensors())
+                digest = weights.hexdigest()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read) == 5
+        assert digest == hashlib.sha256((tmp_path / "w.emow").read_bytes()).hexdigest()
+        assert peak < encoder_bytes + 1.5 * layer_bytes, (peak, encoder_bytes, layer_bytes)
