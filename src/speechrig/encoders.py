@@ -76,12 +76,15 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
 
 
 def encode_content(features: np.ndarray, params: EncoderParams,
-                   pos_offset: int = 0) -> np.ndarray:
+                   pos_offset: int = 0, positions: np.ndarray | None = None) -> np.ndarray:
     """Project features to model width and add the positional table.
 
     ``pos_offset`` shifts the position index of the first row; chunked
     inference passes the chunk's global start frame so positions stay
-    consistent across chunk boundaries.
+    consistent across chunk boundaries. ``positions``, if given, is a
+    table from position 0 of at least as many rows as ``features``,
+    whose first rows are added instead (the same bits: every row depends
+    on its position only).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.feature_dim:
@@ -90,10 +93,12 @@ def encode_content(features: np.ndarray, params: EncoderParams,
             f"does not match encoder width {params.feature_dim}"
         )
     proj = features @ params.content_w + params.content_b
-    return proj + positional_encoding(features.shape[0], params.d_model, start=pos_offset)
+    if positions is None:
+        return proj + positional_encoding(features.shape[0], params.d_model, start=pos_offset)
+    return proj + positions[:features.shape[0]]
 
 
-def _emotion_mlp(params: EncoderParams):
+def emotion_mlp(params: EncoderParams):
     """The emotion encoder on all 7 labels: first-layer pre-activation
     ``z1``, its Leaky ReLU ``a1``, and the table (one row per label)."""
     z1 = params.emotion_embed @ params.emotion_w1 + params.emotion_b1
@@ -103,4 +108,4 @@ def _emotion_mlp(params: EncoderParams):
 
 def encode_emotion_table(params: EncoderParams) -> np.ndarray:
     """Encoded vectors for all 7 labels, one row per label."""
-    return _emotion_mlp(params)[2]
+    return emotion_mlp(params)[2]

@@ -32,6 +32,7 @@ bytes and nothing after them.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import hashlib
@@ -50,7 +51,7 @@ import numpy as np
 from .encoders import (
     LEAKY_SLOPE,
     EncoderParams,
-    _emotion_mlp,
+    emotion_mlp,
     encode_content,
     encode_emotion_table,
     encoder_shapes,
@@ -230,6 +231,36 @@ def grad_buffer(model: RigModel) -> RigModel:
     return _bind(np.zeros(model.flat.size), _model_meta(model))
 
 
+class BackwardScratch:
+    """One vector, as large as ``model``'s largest tensor, in which the
+    reverse pass makes each weight-sized product before adding it: the
+    same values, added in the same order, as from a fresh product.
+
+    A training run keeps one for all its clips. After the reverse pass of
+    a clip longer than any before, the vector is made anew while that
+    clip's activations are still held, so glibc's heap places it above
+    them. The heap top then stays in use, and each clip's freed
+    activations are not handed back to the OS only to be faulted in again
+    for the next clip: 100 desk-scale epochs of 32 clips of 20-40 frames
+    take about 1,100 page faults rather than 500,000.
+    """
+
+    def __init__(self, model: RigModel):
+        self._vector = np.empty(max(math.prod(shape) for _, shape, _ in
+                                    _layout(_model_meta(model))))
+        self._frames = 0  # the longest clip so far
+
+    def product(self, a, b) -> np.ndarray:
+        """``a @ b``, in the vector; valid until the next product."""
+        out = self._vector[:a.shape[0] * b.shape[1]].reshape(a.shape[0], b.shape[1])
+        return np.matmul(a, b, out=out)
+
+    def end_of_clip(self, frames: int) -> None:
+        """Called by the reverse pass of a clip of ``frames`` frames, last."""
+        if frames > self._frames:
+            self._vector, self._frames = np.empty(self._vector.size), frames
+
+
 # --- primitive forward/backward pairs ---------------------------------------
 
 
@@ -244,8 +275,9 @@ def _layer_norm_forward(x, g, b, keep_cache):
     """Layer norm of rows ``x``, computed in ``x``: the caller passes a
     temporary it gives up. With ``keep_cache`` the normalised rows stay
     in ``x`` for the reverse pass and the output is a new array."""
-    x -= x.mean(axis=-1, keepdims=True)
-    var = np.mean(x * x, axis=-1, keepdims=True)
+    n = x.shape[-1]  # a sum over n: np.mean's bits without its wrapper
+    x -= x.sum(axis=-1, keepdims=True) / n
+    var = (x * x).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     x *= inv
     out = x * g if keep_cache else np.multiply(x, g, out=x)
@@ -259,8 +291,9 @@ def _layer_norm_backward(dout, cache, dg, db):
     dg += (dout * xhat).sum(axis=0)
     db += dout.sum(axis=0)
     dxhat = dout * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    n = dxhat.shape[-1]
+    m1 = dxhat.sum(axis=-1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
     return (dxhat - m1 - xhat * m2) * inv
 
 
@@ -319,9 +352,9 @@ def _attention_forward(x, p: LayerParams, n_heads, keep_cache, kv=None):
     return _affine(merged, p.wo, p.bo), cache
 
 
-def _attention_backward(dout, cache, p: LayerParams, g: LayerParams):
+def _attention_backward(dout, cache, p: LayerParams, g: LayerParams, scratch):
     x, qh, kh, vh, attn, merged, scale = cache
-    g.wo[...] += merged.T @ dout
+    g.wo[...] += scratch.product(merged.T, dout)
     g.bo[...] += dout.sum(axis=0)
     dctx = _split_heads(dout @ p.wo.T, qh.shape[0])
     dattn = dctx @ vh.transpose(0, 2, 1)
@@ -331,11 +364,11 @@ def _attention_backward(dout, cache, p: LayerParams, g: LayerParams):
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 2, 1) @ qh
     dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-    g.wq[...] += x.T @ dq
+    g.wq[...] += scratch.product(x.T, dq)
     g.bq[...] += dq.sum(axis=0)
-    g.wk[...] += x.T @ dk
+    g.wk[...] += scratch.product(x.T, dk)
     g.bk[...] += dk.sum(axis=0)
-    g.wv[...] += x.T @ dv
+    g.wv[...] += scratch.product(x.T, dv)
     g.bv[...] += dv.sum(axis=0)
     return dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
 
@@ -379,23 +412,23 @@ def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache, kv=No
     return x2, (attn_cache, mask1, ln1_cache, x1, z, h, mask2, ln2_cache)
 
 
-def _layer_backward(dout, cache, p: LayerParams, g: LayerParams):
+def _layer_backward(dout, cache, p: LayerParams, g: LayerParams, scratch):
     """Input gradient; adds the layer's parameter gradients into ``g``."""
     attn_cache, mask1, ln1_cache, x1, z, h, mask2, ln2_cache = cache
 
     dr2 = _layer_norm_backward(dout, ln2_cache, g.ln2_g, g.ln2_b)
     df = dr2 if mask2 is None else dr2 * mask2
-    g.w2[...] += h.T @ df
+    g.w2[...] += scratch.product(h.T, df)
     g.b2[...] += df.sum(axis=0)
     dh = df @ p.w2.T
     dz = dh * (z > 0.0)
-    g.w1[...] += x1.T @ dz
+    g.w1[...] += scratch.product(x1.T, dz)
     g.b1[...] += dz.sum(axis=0)
     dx1 = dr2 + dz @ p.w1.T
 
     dr1 = _layer_norm_backward(dx1, ln1_cache, g.ln1_g, g.ln1_b)
     da = dr1 if mask1 is None else dr1 * mask1
-    return dr1 + _attention_backward(da, attn_cache, p, g)
+    return dr1 + _attention_backward(da, attn_cache, p, g, scratch)
 
 
 # --- whole-network passes ----------------------------------------------------
@@ -441,12 +474,20 @@ def _check_finite(h, where: str) -> None:
 
 
 def training_forward(model: RigModel, features: np.ndarray, labels: np.ndarray,
-                     rng: np.random.Generator | None = None):
-    """Forward pass from raw features, keeping every cache for backprop."""
+                     rng: np.random.Generator | None = None, *,
+                     positions: np.ndarray | None = None, emotion=None):
+    """Forward pass from raw features, keeping every cache for backprop.
+
+    A training loop may pass what does not change between clips:
+    ``positions``, a positional table from position 0 of at least the
+    clip's length (see ``encode_content``), and ``emotion``, the
+    ``emotion_mlp`` of the current weights. Either is computed here when
+    not given, with the same bits.
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    content = encode_content(features, model.encoder)
-    z1, a1, etab = _emotion_mlp(model.encoder)
+    content = encode_content(features, model.encoder, positions=positions)
+    z1, a1, etab = emotion_mlp(model.encoder) if emotion is None else emotion
     h0 = content + etab[labels]
 
     y, caches, _ = _stack_forward(model, h0, train=True, rng=rng, keep_attention=False)
@@ -455,35 +496,55 @@ def training_forward(model: RigModel, features: np.ndarray, labels: np.ndarray,
     return y, cache
 
 
-def training_backward(model: RigModel, cache, dy: np.ndarray, grads: RigModel) -> None:
+def training_backward(model: RigModel, cache, dy: np.ndarray, grads: RigModel,
+                      scratch: BackwardScratch | None = None) -> None:
     """Reverse pass; adds every parameter gradient into ``grads`` (see ``grad_buffer``).
 
     The parameter dataclasses are frozen, so the adds are ``view[...] +=``:
     in place, never a rebinding that would detach a view from ``flat``.
+    Each weight-sized product is made in ``scratch`` (one is made here if
+    not given), so a training loop that keeps one for the run makes no
+    weight-sized temporary.
     """
+    if scratch is None:
+        scratch = BackwardScratch(model)
     stack = cache["stack"]
-    grads.head_w[...] += stack[-1].T @ dy
+    grads.head_w[...] += scratch.product(stack[-1].T, dy)
     grads.head_b[...] += dy.sum(axis=0)
     dh = dy @ model.head_w.T
 
     for i in range(len(model.layers) - 1, -1, -1):
-        dh = _layer_backward(dh, stack[i], model.layers[i], grads.layers[i])
+        dh = _layer_backward(dh, stack[i], model.layers[i], grads.layers[i], scratch)
 
     enc, g = model.encoder, grads.encoder
     features, labels = cache["features"], cache["labels"]
-    g.content_w[...] += features.T @ dh
+    g.content_w[...] += scratch.product(features.T, dh)
     g.content_b[...] += dh.sum(axis=0)
 
-    detab = np.zeros((N_EMOTIONS, enc.d_model))
-    np.add.at(detab, labels, dh)
+    detab = _label_rows(labels, dh)
     a1, z1 = cache["a1"], cache["z1"]
-    g.emotion_w2[...] += a1.T @ detab
+    g.emotion_w2[...] += scratch.product(a1.T, detab)
     g.emotion_b2[...] += detab.sum(axis=0)
     da1 = detab @ enc.emotion_w2.T
     dz1 = da1 * np.where(z1 >= 0, 1.0, LEAKY_SLOPE)
-    g.emotion_w1[...] += enc.emotion_embed.T @ dz1
+    g.emotion_w1[...] += scratch.product(enc.emotion_embed.T, dz1)
     g.emotion_b1[...] += dz1.sum(axis=0)
-    g.emotion_embed[...] += dz1 @ enc.emotion_w1.T
+    g.emotion_embed[...] += scratch.product(dz1, enc.emotion_w1.T)
+    scratch.end_of_clip(len(dy))
+
+
+def _label_rows(labels, dh):
+    """One row per emotion label: the sum of the rows of ``dh`` at the
+    frames holding it, added in frame order from +0.0 (``np.add.at``'s
+    bits). A clip of one label sums all of ``dh`` in one reduction, which
+    adds the same values in the same order, +0.0 first, so that an all
+    -0.0 column still gives +0.0."""
+    detab = np.zeros((N_EMOTIONS, dh.shape[1]))
+    if (labels == labels[0]).all():
+        detab[labels[0]] = np.add.reduce(dh, axis=0, initial=0.0)
+    else:
+        np.add.at(detab, labels, dh)
+    return detab
 
 
 def mse_and_grad(pred: np.ndarray, target: np.ndarray):
@@ -491,16 +552,23 @@ def mse_and_grad(pred: np.ndarray, target: np.ndarray):
     if pred.shape != target.shape:
         raise DataError(f"prediction shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
+    loss = float((diff * diff).sum() / diff.size)
     return loss, (2.0 / diff.size) * diff
 
 
 def clip_loss_and_grads(model: RigModel, features, labels, target, grads: RigModel,
-                        rng: np.random.Generator | None = None) -> float:
-    """One clip's MSE loss; adds its parameter gradients into ``grads``."""
-    y, cache = training_forward(model, features, labels, rng)
+                        rng: np.random.Generator | None = None, *,
+                        positions: np.ndarray | None = None, emotion=None,
+                        scratch: BackwardScratch | None = None) -> float:
+    """One clip's MSE loss; adds its parameter gradients into ``grads``.
+
+    ``positions`` and ``emotion`` go to ``training_forward``, ``scratch``
+    to ``training_backward``; each is made per call when not given.
+    """
+    y, cache = training_forward(model, features, labels, rng,
+                                positions=positions, emotion=emotion)
     loss, dy = mse_and_grad(y, np.asarray(target, dtype=np.float64))
-    training_backward(model, cache, dy, grads)
+    training_backward(model, cache, dy, grads, scratch)
     return loss
 
 
@@ -613,6 +681,7 @@ _ROW_BLOCK = 300
 _GROUP_CHUNKS = 8
 
 
+@np.errstate(all="ignore")  # non-finite values raise NumericError (_check_finite), not warnings
 def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) -> RigSequence:
     """Predict a 60 fps rig sequence for a feature stream and emotion timeline.
 
@@ -788,7 +857,8 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
 def _run_phases(phases) -> None:
     """Run ``phases`` in order. Each is a (prepare, blocks, run) triple:
     ``prepare()``, unless it is None, then ``run(b)`` for every block
-    index ``b`` in ``blocks``.
+    index ``b`` in ``blocks``. Each runner runs in a copy of the calling
+    thread's context, so numpy's error state holds there too.
 
     Where a phase has more than one block, the blocks run on min(usable
     CPUs, most blocks in a phase) runners at one BLAS thread (see
@@ -860,7 +930,8 @@ def _run_phases(phases) -> None:
 
         runs = []
         try:
-            runs += [pool.submit(run, r) for r in range(1, runners)]
+            runs += [pool.submit(contextvars.copy_context().run, run, r)
+                     for r in range(1, runners)]
             run(0)
         finally:
             barrier.abort()  # in case the calling thread was interrupted before it ran

@@ -922,6 +922,50 @@ class TestGradcheckCommand:
         assert captured.err == ""
 
 
+def _cli_in_subprocess(cwd, *argv):
+    """``speechrig --json-errors *argv`` in a fresh interpreter that prints
+    every warning to stderr (pytest would catch them in this one)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(speechrig.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-W", "default", "-m", "speechrig.cli", "--json-errors",
+                           *map(str, argv)], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+class TestOverflowExits4WithOneJsonLine:
+    """Values that overflow end in exit 4 and one JSON line: numpy's
+    floating-point warnings do not reach stderr before it."""
+
+    @staticmethod
+    def _assert_one_json_line(proc, message):
+        assert proc.returncode == 4, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {"error": "NumericError", "message": message}
+
+    def test_train_at_an_overflowing_learning_rate(self, tmp_path):
+        proc = _cli_in_subprocess(tmp_path, "train", "--synthetic", "--items", 1, "--batch", 1,
+                                  "--epochs", 3, "--d-model", 16, "--heads", 2, "--d-ff", 32,
+                                  "--lr0", 1e300, "--out", "x.emow")
+        self._assert_one_json_line(proc, "non-finite activations after encoder layer 0")
+        assert not (tmp_path / "x.emow").exists()
+
+    # 60 frames run as one block on the calling thread, 1300 as three
+    # chunks of blocks over every runner
+    @pytest.mark.parametrize("frames", [60, 1300])
+    def test_infer_with_overflowing_feed_forward_weights(self, tmp_path, frames):
+        model = build_model(8, d_model=16, n_layers=1, n_heads=2, d_ff=32, output_dim=RIG_WIDTH,
+                            dropout=0.0, seed=1)
+        model.layers[0].w1[...] *= 1e30  # float32 h @ w2 overflows
+        model.layers[0].w2[...] *= 1e30
+        save_model(tmp_path / "w.emow", model)
+        feats = np.random.default_rng(0).normal(0, 1, (frames, 8))
+        write_feature_file(tmp_path / "f.emof", FeatureSequence(feats, 60.0))
+        proc = _cli_in_subprocess(tmp_path, "infer", "--features", "f.emof", "--emotion", "happy",
+                                  "--weights", "w.emow", "--out", "o.csv")
+        self._assert_one_json_line(proc, "non-finite activations after encoder layer 0")
+        assert not (tmp_path / "o.csv").exists()
+
+
 _INFER = ["infer", "--features", "f.emof", "--emotion", "happy", "--weights", "w.emow",
           "--out", "x.csv"]
 _TRAIN = ["train", "--manifest", "m.json", "--out", "t.emow"]

@@ -9,12 +9,18 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 import speechrig.network as network
-from speechrig.encoders import encode_content, encode_emotion_table
+from speechrig.encoders import (
+    emotion_mlp,
+    encode_content,
+    encode_emotion_table,
+    positional_encoding,
+)
 from speechrig.errors import DataError, NumericError
 from speechrig.features import FeatureSequence, resample_features
 from speechrig.network import (
@@ -680,6 +686,120 @@ class TestGradients:
     def test_mse_shape_mismatch(self):
         with pytest.raises(DataError):
             mse_and_grad(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+class TestReusedTrainingValues:
+    """What ``train`` computes once per run or per batch, and the backward's
+    scratch products, give the bits computing them per clip gives."""
+
+    @pytest.mark.parametrize("width,longest", [(16, 1300), (64, 1300), (512, 600)])
+    def test_positions_sliced_from_one_table_equal_each_fresh_table(self, width, longest):
+        table = positional_encoding(longest, width)
+        for t in range(1, longest + 1):
+            assert table[:t].tobytes() == positional_encoding(t, width).tobytes(), t
+
+    def test_given_positions_and_emotion_give_the_per_clip_gradients(self):
+        m = tiny_model(layers=2)
+        rng = np.random.default_rng(31)
+        positions = positional_encoding(9, m.d_model)
+        emotion = emotion_mlp(m.encoder)  # one batch's table, shared by its clips
+        for label, frames in ((2, 5), (6, 9)):
+            clip = (rng.normal(0, 1, (frames, 8)), constant_timeline(label, frames),
+                    rng.normal(0, 0.5, (frames, 12)))
+            fresh, reused = grad_buffer(m), grad_buffer(m)
+            loss = clip_loss_and_grads(m, *clip, fresh)
+            assert clip_loss_and_grads(m, *clip, reused, positions=positions, emotion=emotion,
+                                       scratch=network.BackwardScratch(m)) == loss
+            assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+    @staticmethod
+    def _add_at(labels, dh):
+        ref = np.zeros((7, dh.shape[1]))
+        np.add.at(ref, labels, dh)
+        return ref
+
+    def test_one_label_row_sum_equals_add_at_bytes(self):
+        rng = np.random.default_rng(32)
+        dh = rng.normal(0, 1, (40, 16))
+        dh[:, 3] = -0.0  # np.add.at from +0.0 leaves +0.0 here
+        dh[::2, 5] = -0.0
+        dh[:, 7] = rng.normal(0, 1e-300, 40)  # subnormal sums
+        dh[:, 9] = [1e300, -1e300] * 20  # order-sensitive
+        for label in range(7):
+            labels = constant_timeline(label, 40)
+            got = network._label_rows(labels, dh)
+            assert got.tobytes() == self._add_at(labels, dh).tobytes()
+            assert np.signbit(got[label, 3]) == np.False_
+
+    def test_mixed_labels_go_through_add_at(self, monkeypatch):
+        calls = []
+
+        class Add:  # np.add, recording which reduction ran
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def at(self, *args):
+                calls.append("at")
+                return np.add.at(*args)
+
+            def reduce(self, *args, **kwargs):
+                calls.append("reduce")
+                return np.add.reduce(*args, **kwargs)
+
+        spy = types.SimpleNamespace(**vars(np))
+        spy.add = Add()
+        monkeypatch.setattr(network, "np", spy)
+        rng = np.random.default_rng(33)
+        dh = rng.normal(0, 1, (12, 8))
+        mixed = np.array([0, 0, 3, 3, 3, 1, 6, 6, 0, 2, 2, 5])
+        assert network._label_rows(mixed, dh).tobytes() == self._add_at(mixed, dh).tobytes()
+        network._label_rows(constant_timeline(4, 12), dh)
+        assert calls == ["at", "reduce"]
+
+    def test_scratch_products_equal_fresh_products_at_reference_width(self):
+        # the backward's weight-gradient shapes at d_model 512, d_ff 2048, 300 frames
+        rng = np.random.default_rng(34)
+        t, d, ff = 300, 512, 2048
+        scratch = network.BackwardScratch(build_model(24, d_model=d, n_layers=1, n_heads=8,
+                                                      d_ff=ff, output_dim=174))
+        for rows, cols in ((d, d), (ff, d), (d, ff), (d, 174), (24, d)):
+            a, b = rng.normal(0, 1, (t, rows)), rng.normal(0, 1, (t, cols))
+            start = rng.normal(0, 1, (rows, cols))
+            fresh, reused = start.copy(), start.copy()
+            fresh += a.T @ b
+            reused += scratch.product(a.T, b)
+            assert reused.tobytes() == fresh.tobytes()
+
+    def test_scratch_is_one_vector_the_size_of_the_largest_weight(self):
+        m = tiny_model(layers=1)  # d_model 16, d_ff 32, output 12: w1 and w2 are largest
+        scratch = network.BackwardScratch(m)
+        products = [scratch.product(np.ones((16, 3)), np.ones((3, 32))),
+                    scratch.product(np.ones((32, 3)), np.ones((3, 16)))]
+        assert all(p.base is products[0].base and p.base.shape == (16 * 32,) for p in products)
+        with pytest.raises(ValueError):  # larger than any weight
+            scratch.product(np.ones((17, 3)), np.ones((3, 32)))
+
+    def test_scratch_is_made_anew_only_after_a_longer_clip_than_any_before(self):
+        scratch = network.BackwardScratch(tiny_model(layers=1))
+        vectors = []
+        for frames in (10, 10, 5, 12, 11, 12, 13):
+            scratch.end_of_clip(frames)
+            vectors.append(scratch.product(np.ones((2, 1)), np.ones((1, 2))).base)
+        fresh = [b is not a for a, b in zip(vectors, vectors[1:])]
+        assert fresh == [False, False, True, False, False, True]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_layer_norm_sums_give_np_means_bits(self, dtype):
+        rng = np.random.default_rng(35)
+        x = (rng.normal(0, 3, (257, 512)) + rng.normal(0, 50, (257, 1))).astype(dtype)
+        g, b = rng.normal(1, 0.1, 512).astype(dtype), rng.normal(0, 0.1, 512).astype(dtype)
+        ref = x.copy()
+        ref -= ref.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.mean(ref * ref, axis=-1, keepdims=True) + network._LN_EPS)
+        ref *= inv
+        ref = ref * g + b
+        out, _ = network._layer_norm_forward(x.copy(), g, b, keep_cache=False)
+        assert out.dtype == dtype and out.tobytes() == ref.tobytes()
 
 
 class TestWeightFile:

@@ -5,15 +5,18 @@ import functools
 import importlib
 import os
 import threading
+from collections import Counter
 
 import numpy as np
 
 import speechrig.network as network
+import speechrig.training as training
 from perfbench import layers  # perfbench/ is not installed; pyproject puts "." on the path
 from speechrig.cli import main
 from speechrig.features import FeatureSequence, write_feature_file
 from speechrig.network import build_model, save_model
 from speechrig.rig import RIG_WIDTH
+from speechrig.training import TrainConfig, gen_synthetic
 
 
 def _owner(module, attr):
@@ -81,3 +84,22 @@ def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     assert [name for name, thread in calls if thread is not threading.current_thread()] == []
     if network._blas_thread_control() is not None and len(os.sched_getaffinity(0)) > 1:
         assert len(layer_threads) > 1  # the runners did run
+
+
+def test_train_calls_the_traced_functions_once_per_clip_and_per_batch():
+    # perfbench's training counters read these calls: clip_loss_and_grads
+    # once per clip (640 in a train_desk request), Adam.step once per batch
+    items, epochs, batch = 5, 3, 2
+    data = gen_synthetic(4, items, (6, 9), 8)
+    model = build_model(8, d_model=16, n_layers=1, n_heads=2, d_ff=32, output_dim=RIG_WIDTH,
+                        dropout=0.1, seed=3)
+    tracer = layers.instrument()
+    tracer.request = 0  # record as a request does
+    try:
+        training.train(model, data, TrainConfig(lr0=1e-3, epochs=epochs, batch=batch, seed=1))
+    finally:
+        tracer.uninstall()
+    counts = Counter(span.name for span in tracer.spans)
+    assert not any(span.failed for span in tracer.spans)
+    assert counts["training.clip_loss_and_grads"] == items * epochs
+    assert counts["training.adam_step"] == epochs * -(-items // batch)

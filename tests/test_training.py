@@ -4,13 +4,19 @@ The full desk-scale overfit lives in the acceptance suite; here the loop
 is exercised on short runs.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+import speechrig.encoders as encoders
+import speechrig.network as network
+import speechrig.training as training
 from speechrig.errors import DataError, NumericError
 from speechrig.network import build_model, mse_and_grad, named_parameters
 from speechrig.training import (
     Adam,
+    ClipExample,
     TrainConfig,
     gen_synthetic,
     load_manifest,
@@ -182,9 +188,41 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="diverged|non-finite"):
             train(model, data, TrainConfig(lr0=1e-3, epochs=2, batch=2, seed=0))
 
+    def test_divergence_raises_no_numpy_warning(self):
+        data = gen_synthetic(7, 2, (8, 10), 8)
+        model = desk_model()
+        model.head_w[:] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here instead
+            with pytest.raises(NumericError):
+                train(model, data, TrainConfig(lr0=1e-3, epochs=2, batch=2, seed=0))
+
+    def test_non_finite_weights_after_the_last_step_abort(self):
+        # no forward pass follows the last step, so its check sees nothing
+        data = gen_synthetic(1, 2, (8, 12), 8)
+        for item in data.items:
+            item.target *= 1e4  # gradients above 2, so lr * gradient overflows
+        with pytest.raises(NumericError, match="last step of epoch 0: non-finite weights"):
+            train(desk_model(), data, TrainConfig(lr0=1e308, epochs=1, batch=2, seed=0))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             train(desk_model(), [], TrainConfig(epochs=1))
+
+    def test_clip_without_frames_rejected(self):
+        data = gen_synthetic(8, 2, (8, 10), 8)
+        data.items[1] = ClipExample(np.zeros((0, 8)), 2, np.zeros((0, 174)))
+        with pytest.raises(DataError, match="clip 1 has no frames"):
+            train(desk_model(), data, TrainConfig(epochs=1))
+
+    def test_no_state_carries_from_one_call_to_the_next(self):
+        # a second run on longer clips gets its own table and scratch
+        model = desk_model()
+        short = train(model, gen_synthetic(9, 2, (4, 5), 8), TrainConfig(lr0=1e-3, epochs=2, batch=2))
+        long = train(model, gen_synthetic(9, 2, (30, 40), 8), TrainConfig(lr0=1e-3, epochs=2, batch=2))
+        assert np.isfinite([short.final_loss, long.final_loss]).all()
+        for module in (training, network, encoders):
+            assert not any(isinstance(v, np.ndarray) for v in vars(module).values())
 
     def test_feature_width_mismatch_rejected(self):
         data = gen_synthetic(8, 2, (8, 10), 12)
