@@ -90,8 +90,8 @@ def _read_timeline_csv(path, n_frames: int) -> np.ndarray:
 
 def _cmd_infer(args) -> int:
     cmap = _resolve_map(args.map)
-    # the sidecar names the bytes this run read: the stream hashes them on
-    # a worker thread as it reads each layer
+    # the sidecar names the bytes this run read: infer's block runners hash
+    # each layer's bytes between its blocks
     with WeightStream(args.weights) as weights:
         if weights.output_dim != cmap.width:
             raise DataError(

@@ -31,6 +31,7 @@ bytes and nothing after them.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import ctypes
@@ -41,7 +42,6 @@ import json
 import math
 import os
 import struct
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -681,7 +681,46 @@ _ROW_BLOCK = 300
 _GROUP_CHUNKS = 8
 
 
+@functools.lru_cache(maxsize=1)
+def _blas_thread_control():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, or None.
+
+    The library is looked up among the files this process has mapped.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({ln.split()[-1] for ln in f if "scipy_openblas" in ln})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, and yield whether it could be
+    set; on exit, however it comes, the count before is restored."""
+    blas = _blas_thread_control()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(old)
+
+
 @np.errstate(all="ignore")  # non-finite values raise NumericError (_check_finite), not warnings
+@_one_blas_thread()
 def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) -> RigSequence:
     """Predict a 60 fps rig sequence for a feature stream and emotion timeline.
 
@@ -702,11 +741,14 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     are upcast once per call, and the sum is kept in float32. No 60 fps
     or float64 copy of the whole clip is made. The encoder stack and head
     then run in float32, one layer at a time over every chunk (see
-    ``_layer_major``), and keep no layer caches. Reruns are byte-identical
-    at a fixed BLAS thread count, whatever the number of runners; across
-    thread counts they agree within 1e-5 relative to the largest output.
-    A clip of more than one row block runs at one BLAS thread, so its
-    output is the one-thread output at any count.
+    ``_layer_major``), and keep no layer caches.
+
+    ``infer`` holds numpy's OpenBLAS at one thread from entry to return
+    (see ``_one_blas_thread``), encoding included, and restores the
+    caller's count however it ends. So no idle OpenBLAS worker competes
+    with the runners for a core, and every clip gives the one-thread
+    output at any thread count. Reruns are byte-identical whatever the
+    number of runners.
     """
     if isinstance(features, list):
         features = features.pop()
@@ -811,6 +853,18 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     its rows as a pass over the whole chunk does (bit for bit where BLAS
     picks the same kernels for both row counts), and no block's arithmetic
     depends on the runner that does it.
+
+    For a ``WeightStream`` the runners also hash the bytes read: each
+    attend phase has a job that hashes half of what is pending after its
+    first block, and one that hashes the rest after its last;
+    the head's phase hashes the head. A runner without a block hashes
+    while the others compute, and the next layer's read at the barrier
+    finds nothing left to hash. The first job goes to the runner that
+    leaves the barrier first, the one that ran the phase before, so it
+    is a block: with the hash first, a 300-frame clip ran about 2%
+    slower (2 vCPUs, one BLAS thread).
+    The two halves are far apart in the list, so that neither waits for
+    the other.
     """
     # a block: its rows in h, its rows and its chunk's in the key/value buffer
     blocks, groups, kv_rows, start = [], [], 0, 0
@@ -844,45 +898,52 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
         mine = blocks[b][0]
         _check_finite(_affine(h[mine], *weights[0], out=y[mine]), "in output head")
 
+    def jobs(work, items):
+        return [functools.partial(work, b) for b in items]
+
+    # a stream's jobs that hash half of the bytes pending, and the rest
+    half, rest = (([lambda: model.hash_pending(model.pending_nbytes() // 2)], [model.hash_pending])
+                  if isinstance(model, WeightStream) else ([], []))
     phases = []
     for i in range(model.n_layers):
         for g, items in enumerate(groups):
-            phases.append((fetch if g == 0 else None, items, keys_values))
-            phases.append((None, items, functools.partial(attend, i)))
-    phases.append((fetch, range(len(blocks)), head))
+            first, *others = jobs(functools.partial(attend, i), items)
+            phases += [(fetch if g == 0 else None, jobs(keys_values, items)),
+                       (None, [first, *half, *others, *rest])]
+    phases.append((fetch, jobs(head, range(len(blocks))) + rest))
     _run_phases(phases)
     return y
 
 
 def _run_phases(phases) -> None:
-    """Run ``phases`` in order. Each is a (prepare, blocks, run) triple:
-    ``prepare()``, unless it is None, then ``run(b)`` for every block
-    index ``b`` in ``blocks``. Each runner runs in a copy of the calling
-    thread's context, so numpy's error state holds there too.
+    """Run ``phases`` in order. Each is a (prepare, jobs) pair:
+    ``prepare()``, unless it is None, then every callable in ``jobs``.
+    Each runner runs in a copy of the calling thread's context, so numpy's
+    error state holds there too.
 
-    Where a phase has more than one block, the blocks run on min(usable
-    CPUs, most blocks in a phase) runners at one BLAS thread (see
-    ``_runner_pool``), the calling thread being runner 0. A runner takes
-    the next block no runner has taken, in clip order, so a runner that
-    loses time to other work takes fewer. The runners meet at a barrier
-    after each phase; the last to arrive runs the next phase's
-    ``prepare``.
+    Where a phase has more than one job, the jobs run on min(usable CPUs,
+    most jobs in a phase) runners at one BLAS thread (see
+    ``_runner_pool``), the calling thread being runner 0; the pool's
+    threads are named ``speechrig-runner``. A runner takes the next job
+    no runner has taken, in list order, so a runner that loses time to
+    other work takes fewer. The runners meet at a barrier after each
+    phase; the last to arrive runs the next phase's ``prepare``.
 
-    A block that fails is recorded, and every runner then skips the
-    blocks of the phase after the earliest failing one and stops at the
-    barrier, without the next ``prepare``; a failing ``prepare`` stops
-    them there too. A runner interrupted outside a block, at the barrier,
-    breaks it, so no runner waits for it. Once every runner has returned,
-    one exception is raised by a rule that does not depend on the runner
-    count: an interrupt (an exception that is not an ``Exception``)
-    before any other; then the lowest phase's, so the lowest layer's; in
-    that phase its ``prepare``'s, then the earliest block's in clip order.
+    A job that fails is recorded, and every runner then skips the jobs of
+    the phase after the earliest failing one and stops at the barrier,
+    without the next ``prepare``; a failing ``prepare`` stops them there
+    too. A runner interrupted outside a job, at the barrier, breaks it, so
+    no runner waits for it. Once every runner has returned, one exception
+    is raised by a rule that does not depend on the runner count: an
+    interrupt (an exception that is not an ``Exception``) before any
+    other; then the lowest phase's, so the lowest layer's; in that phase
+    its ``prepare``'s, then the earliest job's in list order.
     """
     if phases[0][0] is not None:
         phases[0][0]()
     failures, lock, stop = [], threading.Lock(), [math.inf]
     at, halt = [0], [False]  # the phase running; whether the runners stop at the barrier
-    todo = [iter(phases[0][1])]  # the phase's blocks no runner has taken yet
+    todo = [enumerate(phases[0][1])]  # the phase's jobs no runner has taken yet
 
     def fail(p, b, exc):
         with lock:
@@ -899,13 +960,13 @@ def _run_phases(phases) -> None:
         # decided while every runner waits: a failure in the next phase is not seen here
         halt[0] = bool(failures)
         if at[0] < len(phases):
-            todo[0] = iter(phases[at[0]][1])
+            todo[0] = enumerate(phases[at[0]][1])
 
-    def take():  # the next block in clip order, or None
+    def take():  # the next job's (index, job) in list order, or None
         with lock:
             return next(todo[0], None)
 
-    width = max(len(items) for _, items, _ in phases)
+    width = max(len(jobs) for _, jobs in phases)
     pool_cm = _runner_pool(width) if width > 1 else contextlib.nullcontext((1, None))
     with pool_cm as (runners, pool):
         barrier = threading.Barrier(runners, action=advance)
@@ -913,12 +974,12 @@ def _run_phases(phases) -> None:
         def run(r):
             p = -1
             try:
-                for p, (_, _, work) in enumerate(phases):
-                    while (b := take()) is not None and b <= stop[0]:
+                for p in range(len(phases)):
+                    while (taken := take()) is not None and taken[0] <= stop[0]:
                         try:
-                            work(b)
+                            taken[1]()
                         except BaseException as exc:  # an interrupt too
-                            fail(p, b, exc)
+                            fail(p, taken[0], exc)
                     barrier.wait()
                     if halt[0]:
                         return
@@ -941,50 +1002,25 @@ def _run_phases(phases) -> None:
         raise min(failures, key=lambda f: f[:3])[3]
 
 
-@functools.lru_cache(maxsize=1)
-def _blas_thread_control():
-    """Getter and setter of numpy's bundled OpenBLAS thread count, or None.
-
-    The library is looked up among the files this process has mapped.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({ln.split()[-1] for ln in f if "scipy_openblas" in ln})
-    except OSError:
-        return None
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
-        put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and put is not None:
-            get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-            return get, put
-    return None
-
-
 @contextlib.contextmanager
 def _runner_pool(jobs: int):
-    """Hold numpy's OpenBLAS at one thread and yield the runner count for
-    ``jobs`` parallel jobs, one per usable CPU and at most ``jobs``, and a
-    standard-library thread pool for the runners besides the calling
-    thread. On exit every job given to the pool is waited for, so each
-    runner gets to see a failure, and the BLAS thread count is restored.
-    Where that count cannot be set, nothing is changed: one runner and no
-    pool."""
-    blas = _blas_thread_control()
-    if blas is None:
-        yield 1, None
-        return
-    get, put = blas
-    old = get()
-    put(1)
-    runners = min(len(os.sched_getaffinity(0)), jobs)
-    pool = ThreadPoolExecutor(max(runners - 1, 1))
-    try:
-        yield runners, pool
-    finally:
-        pool.shutdown()
-        put(old)
+    """Hold numpy's OpenBLAS at one thread (see ``_one_blas_thread``) and
+    yield the runner count for ``jobs`` parallel jobs, one per usable CPU
+    and at most ``jobs``, and a standard-library thread pool for the
+    runners besides the calling thread. On exit every job given to the
+    pool is waited for, so each runner gets to see a failure, and then
+    the BLAS thread count is restored. Where that count cannot be set,
+    one runner and no pool."""
+    with _one_blas_thread() as held:
+        if not held:
+            yield 1, None
+            return
+        runners = min(len(os.sched_getaffinity(0)), jobs)
+        pool = ThreadPoolExecutor(max(runners - 1, 1), thread_name_prefix="speechrig-runner")
+        try:
+            yield runners, pool
+        finally:
+            pool.shutdown()
 
 
 # --- weight files --------------------------------------------------------------
@@ -1056,11 +1092,6 @@ def load_model(path, digest=None) -> RigModel:
     return _bind(flat, meta)
 
 
-# ``WeightStream`` reads a layer in pieces of this many floats (1 MiB), so
-# that the read overlaps the hash of the layer before it.
-_READ_PIECE = 1 << 18
-
-
 class WeightStream:
     """A weight file read once, front to back, as ``infer`` needs it.
 
@@ -1072,25 +1103,26 @@ class WeightStream:
     not every layer's. The metadata's dims are attributes, as on
     ``RigModel``.
 
-    A worker thread at the lowest priority (see ``_idle_priority``) feeds
-    every byte read to a SHA-256, in file order. No byte of the buffer is
-    read over before it is hashed: a layer is read in pieces, each once
-    the bytes it replaces are hashed. The first layer's hash runs while
-    the caller prepares the features. Once the head is read, ``hexdigest`` is
-    the file's, as ``file_sha256`` gives it: the open file is what is
-    read, so a file put in its place mid-run does not change it. Use the
-    stream in a ``with`` block, which stops the thread and closes the file.
+    Every byte read is fed to a SHA-256, in file order. The header and
+    metadata are hashed as they are read; the tensors' bytes wait in a
+    locked queue until ``hash_pending`` hashes them, on whichever thread
+    calls it: ``infer``'s block runners do, between blocks (see
+    ``_layer_major``). No byte of the buffer is read over before it is
+    hashed: a layer's read first hashes what is pending, then fills the
+    buffer in one read. ``hexdigest`` hashes what is left, and is then the
+    file's, as ``file_sha256`` gives it: the open file is what is read, so
+    a file put in its place mid-run does not change it. Use the stream in
+    a ``with`` block, which closes the file.
     """
 
     def __init__(self, path):
-        # every hash job, in file order, and that of each piece now in the buffer
-        self._path, self._file, self._hashes, self._fed = path, None, [], []
-        self._digest = hashlib.sha256()
-        self._hasher = ThreadPoolExecutor(1, initializer=_idle_priority)
+        self._path, self._file = path, None
+        self._digest, self._lock = hashlib.sha256(), threading.Lock()
+        self._pending = collections.deque()  # views of the bytes read, not hashed yet
         try:
             with _reading(path):
                 self._file = open(path, "rb")
-                meta = _read_header(path, self._file, self._hash)
+                meta = _read_header(path, self._file, self._digest.update)
             self.feature_family = meta["feature_family"]
             (self.feature_dim, self.d_model, self.n_layers, self.n_heads, self.d_ff,
              self.output_dim) = (meta[k] for k in _META_DIMS)
@@ -1115,27 +1147,38 @@ class WeightStream:
         self.close()
 
     def close(self) -> None:
-        self._hasher.shutdown(cancel_futures=True)
         if self._file is not None:
             self._file.close()
 
-    def _hash(self, data):  # the one hash thread takes its jobs in order
-        self._hashes.append(self._hasher.submit(self._digest.update, data))
+    def pending_nbytes(self) -> int:
+        """How many bytes are read and not hashed yet."""
+        with self._lock:
+            return sum(map(len, self._pending))
+
+    def hash_pending(self, nbytes: int | None = None) -> None:
+        """Hash the first ``nbytes`` of the bytes read and not hashed yet,
+        or all of them, in file order."""
+        with self._lock:
+            left = math.inf if nbytes is None else nbytes
+            while self._pending and left > 0:
+                view = self._pending.popleft()
+                if len(view) > left:
+                    self._pending.appendleft(view[left:])
+                    view = view[:left]
+                self._digest.update(view)
+                left -= len(view)
+
+    def _queue(self, view) -> None:
+        with self._lock:
+            self._pending.append(view)
 
     def _read(self, section, buf):
         """Views of ``section``'s tensors by name, read into a new array if
-        ``buf`` is None, else into ``buf`` a ``_READ_PIECE`` at a time, each
-        piece once the bytes it reads over are hashed."""
+        ``buf`` is None, else into ``buf``."""
         first, end = section[0][2].start, section[-1][2].stop
         into = np.empty(end - first, "<f4") if buf is None else buf[:end - first]
         with _reading(self._path):
-            for k, at in enumerate(range(0, into.size, _READ_PIECE)):
-                if buf is not None and k < len(self._fed):
-                    self._fed[k].result()
-                _read_section(self._path, self._file, into[at:at + _READ_PIECE],
-                              4 * (first + at), self._need, self._hash)
-                if buf is not None:
-                    self._fed[k:k + 1] = self._hashes[-1:]
+            _read_section(self._path, self._file, into, 4 * first, self._need, self._queue)
         return {name.rpartition(".")[2]: into[sl.start - first:sl.stop - first].reshape(shape)
                 for name, shape, sl in section}
 
@@ -1145,6 +1188,7 @@ class WeightStream:
         read when it is asked for, over the one before."""
         while self._sections:
             yield LayerParams(**self._views)
+            self.hash_pending()  # the buffer's bytes, before they are read over
             self._views = self._read(self._sections.pop(0), self._buffer)
         yield self._views["head_w"], self._views["head_b"]
 
@@ -1152,17 +1196,8 @@ class WeightStream:
         """The SHA-256 of the file's bytes, once the head is read."""
         if self._sections:
             raise RuntimeError(f"{self._path}: weight file not read to its end")
-        for hashed in self._hashes:
-            hashed.result()
+        self.hash_pending()
         return self._digest.hexdigest()
-
-
-def _idle_priority() -> None:
-    """Run the calling thread at the lowest priority, so that its work fills
-    the cores inference leaves idle rather than slowing inference down."""
-    if sys.platform == "linux":  # only there does a thread id name one thread
-        with contextlib.suppress(OSError):  # the thread runs, at its old priority
-            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
 
 
 @contextlib.contextmanager

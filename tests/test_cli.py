@@ -399,18 +399,32 @@ class TestWeightDigest:
             (line,) = capsys.readouterr().err.splitlines()
             assert json.loads(line)["error"] == ("DataError" if code == 3 else "NumericError")
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="thread priorities are set on Linux")
-    def test_hash_runs_at_the_lowest_priority_and_the_caller_keeps_its_own(self, workdir,
-                                                                          monkeypatch):
-        def thread_nice():
-            return os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+    def test_hash_runs_on_the_caller_or_a_runner_and_the_caller_keeps_its_priority(
+            self, tmp_path, monkeypatch):
+        weights = tmp_path / "w.emow"
+        save_model(weights, build_model(12, d_model=16, n_layers=3, n_heads=2, d_ff=32,
+                                        output_dim=RIG_WIDTH, dropout=0.0, seed=21))
+        want = hashlib.sha256(weights.read_bytes()).hexdigest()  # what sha256sum prints
 
-        nice = []
-        self._record_hashing(monkeypatch, lambda: nice.append(thread_nice()))
-        before = thread_nice()
-        assert run(*_infer_argv(workdir, out="nice.csv")) == 0
-        # header, metadata, encoder, the one layer and the head
-        assert nice == [19] * 5
+        def thread_nice():  # a thread's own priority on Linux, the process's elsewhere
+            return os.getpriority(os.PRIO_PROCESS,
+                                  threading.get_native_id() if sys.platform == "linux" else 0)
+
+        caller, threads, before = threading.current_thread(), [], thread_nice()
+        self._record_hashing(monkeypatch, lambda: threads.append(threading.current_thread()))
+        rng = np.random.default_rng(23)
+        # one row block; three chunks of five blocks
+        for frames in (60, 1300):
+            feats = tmp_path / f"f{frames}.emof"
+            write_feature_file(feats, FeatureSequence(rng.normal(0, 1, (frames, 12)), 60.0))
+            out = tmp_path / f"o{frames}.csv"
+            assert run("infer", "--features", feats, "--emotion", "0", "--weights", weights,
+                       "--out", out) == 0
+            sidecar = json.loads((tmp_path / f"o{frames}.csv.json").read_text())
+            assert sidecar["weights_sha256"] == want, frames
+        assert threads
+        assert all(t is caller or t.name.startswith("speechrig-runner") for t in threads), \
+            {t.name for t in threads}
         assert thread_nice() == before
 
     def test_interrupt_in_infer_reaches_the_caller_and_leaves_no_thread(self, workdir,
@@ -423,6 +437,73 @@ class TestWeightDigest:
         assert exc.value is interrupt
         assert threading.active_count() == before
         assert not (workdir / "interrupted.csv").exists()
+
+
+class TestInferHoldsOneBlasThread:
+    LAYERS = 2
+
+    def test_one_thread_inside_infer_and_the_callers_count_after(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        blas = network._blas_thread_control()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be read here")
+        get, put = blas
+        weights = tmp_path / "w.emow"
+        save_model(weights, build_model(12, d_model=16, n_layers=self.LAYERS, n_heads=2,
+                                        d_ff=32, output_dim=RIG_WIDTH, dropout=0.0, seed=21))
+        encode, layer = network.encode_content, network._layer_forward
+        seen, faults = [], {}  # (where, the BLAS count there); the error to raise there
+
+        def spy(where, real):
+            def call(*args, **kwargs):
+                seen.append((where, get()))
+                if where in faults:
+                    raise faults[where]
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(network, "encode_content", spy("encode", encode))
+        monkeypatch.setattr(network, "_layer_forward", spy("block", layer))
+        rng = np.random.default_rng(24)
+
+        def argv(frames):
+            feats = tmp_path / f"f{frames}.emof"
+            write_feature_file(feats, FeatureSequence(rng.normal(0, 1, (frames, 12)), 60.0))
+            return ["infer", "--features", feats, "--emotion", "0", "--weights", weights,
+                    "--out", tmp_path / f"o{frames}.csv"]
+
+        before, threads = get(), threading.active_count()
+        put(2)
+        try:
+            # one block; one chunk of one block at the row-block size; three chunks
+            for frames, chunks, blocks in [(60, 1, 1), (300, 1, 1), (1300, 3, 5)]:
+                seen.clear()
+                assert run(*argv(frames)) == 0
+                assert get() == 2, frames
+                assert threading.active_count() == threads, frames
+                where = [w for w, _ in seen]
+                assert where.count("encode") == chunks and \
+                    where.count("block") == self.LAYERS * blocks, (frames, where)
+                assert {count for _, count in seen} == {1}, (frames, seen)
+            # an error while encoding, a non-finite block, an interrupt in a block
+            for fault, code in [(("encode", DataError("bad rows")), 3),
+                                (("block", NumericError("non-finite")), 4),
+                                (("block", KeyboardInterrupt()), None)]:
+                seen.clear()
+                faults.clear()
+                faults.update([fault])
+                if code is None:
+                    with pytest.raises(KeyboardInterrupt):
+                        run(*argv(1300))
+                else:
+                    assert run("--json-errors", *argv(1300)) == code
+                    (line,) = capsys.readouterr().err.splitlines()
+                    assert json.loads(line)["error"] == type(fault[1]).__name__
+                assert seen and {count for _, count in seen} == {1}, fault
+                assert get() == 2, fault
+                assert threading.active_count() == threads, fault
+        finally:
+            put(before)
 
 
 def _infer_argv(w, features="f.emof", emotion=("--emotion", "0"), out="x.csv"):
@@ -778,42 +859,58 @@ _INFER_TO_NPY = """
 import sys
 import numpy as np
 from speechrig.features import load_features
-from speechrig.network import infer, load_model
+from speechrig.network import _blas_thread_control, infer, load_model
 from speechrig.rig import constant_timeline
-feats = load_features(sys.argv[1])
-y = infer(feats, constant_timeline(3, feats.n_frames), load_model(sys.argv[2]))
-np.save(sys.argv[3], y.values)
+blas = _blas_thread_control()
+threads = blas[0]() if blas else 0
+model = load_model(sys.argv[1])
+outputs = {}
+for path in sys.argv[3:]:
+    feats = load_features(path)
+    outputs[path] = infer(feats, constant_timeline(3, feats.n_frames), model).values
+    assert (blas[0]() if blas else 0) == threads  # infer restores the count
+np.savez(sys.argv[2], **{f"y{i}": y for i, y in enumerate(outputs.values())})
+print(threads)
 """
 
 
 class TestDeterminismContract:
     def test_reruns_byte_identical_and_thread_counts_agree(self, tmp_path):
-        model = build_model(24, d_model=64, n_layers=2, n_heads=4, d_ff=256,
+        # wide enough that OpenBLAS splits each product across two threads
+        model = build_model(256, d_model=256, n_layers=2, n_heads=4, d_ff=1024,
                             output_dim=RIG_WIDTH, dropout=0.0, seed=5)
         save_model(tmp_path / "w.emow", model)
         rng = np.random.default_rng(6)
-        feats = FeatureSequence(rng.normal(0, 1, (700, 24)).astype(np.float32), 60.0)
-        write_feature_file(tmp_path / "f.emof", feats)
+        clips = []
+        for frames in (300, 1300):  # one row block; three chunks
+            clips.append(tmp_path / f"f{frames}.emof")
+            write_feature_file(clips[-1], FeatureSequence(
+                rng.normal(0, 1, (frames, 256)).astype(np.float32), 60.0))
         src = os.path.dirname(os.path.dirname(os.path.abspath(speechrig.__file__)))
 
         def infer_with_threads(threads, name):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                       OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            if threads is not None:
+                env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                           MKL_NUM_THREADS=str(threads))
             out = tmp_path / name
-            subprocess.run([sys.executable, "-c", _INFER_TO_NPY, str(tmp_path / "f.emof"),
-                            str(tmp_path / "w.emow"), str(out)],
-                           env=env, check=True, capture_output=True)
-            return out.read_bytes(), np.load(out)
+            done = subprocess.run([sys.executable, "-c", _INFER_TO_NPY, str(tmp_path / "w.emow"),
+                                   str(out), *map(str, clips)],
+                                  env=env, check=True, capture_output=True, text=True)
+            with np.load(out) as saved:
+                return int(done.stdout), [saved[f"y{i}"].tobytes() for i in range(len(clips))]
 
-        one_bytes, one = infer_with_threads(1, "one.npy")
-        assert infer_with_threads(1, "again.npy")[0] == one_bytes
-        _, two = infer_with_threads(2, "two.npy")
-        # the stated contract: within 1e-5 relative to the largest output;
-        # outputs here stay below 3, so 1e-5 absolute holds as well
-        drift = np.abs(one - two).max()
-        assert drift <= 1e-5 * np.abs(one).max()
-        assert drift <= 1e-5
+        _, one = infer_with_threads(1, "one.npz")
+        assert infer_with_threads(1, "again.npz")[1] == one
+        # infer runs at one BLAS thread from entry to return, so every
+        # thread count gives the one-thread bytes
+        for threads in (2, None):
+            count, got = infer_with_threads(threads, f"{threads}.npz")
+            if threads == 2 and network._blas_thread_control() is not None:
+                assert count == 2  # the setting took effect
+            assert got == one, threads
 
 
 class TestTrain:

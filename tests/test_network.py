@@ -322,8 +322,8 @@ class TestChunkedInference:
 def _phases(n_phases, n_blocks, run, prepare=None):
     """``n_phases`` phases of ``n_blocks`` blocks each, ``run(p, b)`` doing
     block b of phase p and ``prepare(p)``, if given, preparing phase p."""
-    return [(None if prepare is None else functools.partial(prepare, p), range(n_blocks),
-             functools.partial(run, p)) for p in range(n_phases)]
+    return [(None if prepare is None else functools.partial(prepare, p),
+             [functools.partial(run, p, b) for b in range(n_blocks)]) for p in range(n_phases)]
 
 
 def _blas_or_stub():
@@ -926,7 +926,7 @@ class TestWeightStream:
         assert peaks[8] - peaks[2] < layer_bytes, (peaks, layer_bytes)
 
     def test_a_lagging_hash_still_names_the_bytes_read(self, tmp_path, monkeypatch):
-        # layers of several pieces, read over the one before while its hash lags
+        # each layer read over the one before while the runners' hash of it lags
         path = tmp_path / "w.emow"
         m = tiny_model(layers=3, output_dim=174)
         save_model(path, m)
@@ -944,14 +944,47 @@ class TestWeightStream:
             def hexdigest(self):
                 return self._digest.hexdigest()
 
-        monkeypatch.setattr(network, "_READ_PIECE", 500)
         monkeypatch.setattr(network.hashlib, "sha256", Slow)
         feats = FeatureSequence(np.random.default_rng(5).normal(0, 1, (700, 8)), 60.0)
         labels = constant_timeline(1, 700)
-        with WeightStream(path) as weights:
-            streamed = infer(feats, labels, weights).values
-            assert weights.hexdigest() == want
-        assert np.array_equal(streamed, infer(feats, labels, load_model(path)).values)
+        want_values = infer(feats, labels, load_model(path)).values
+        for cpus in (1, 2):  # the runners
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            with WeightStream(path) as weights:
+                streamed = infer(feats, labels, weights).values
+                assert weights.hexdigest() == want, cpus
+            assert np.array_equal(streamed, want_values), cpus
+
+    def test_threads_hashing_at_once_keep_file_order(self, tmp_path):
+        # 8 threads take small, uneven shares of the pending bytes at once,
+        # switching as often as the interpreter allows: a share hashed
+        # twice, lost or out of order changes the digest
+        path = tmp_path / "w.emow"
+        save_model(path, tiny_model(layers=3, output_dim=174))
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def share(weights, seed):
+            rng = np.random.default_rng(seed)
+            while weights.pending_nbytes():
+                weights.hash_pending(int(rng.integers(1, 100)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in range(5):
+                with WeightStream(path) as weights:
+                    for _ in weights.read_tensors():
+                        threads = [threading.Thread(target=share, args=(weights, 8 * run + k))
+                                   for k in range(8)]
+                        for t in threads:
+                            t.start()
+                        for t in threads:
+                            t.join(10.0)
+                        assert not any(t.is_alive() for t in threads)
+                        assert weights.pending_nbytes() == 0
+                    assert weights.hexdigest() == want, run
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_reading_the_stream_holds_the_encoder_and_one_layer(self, tmp_path):
         m = build_model(8, d_model=64, n_layers=4, n_heads=4, d_ff=256, output_dim=174,
