@@ -3,12 +3,12 @@
 Subcommands: infer, train, analyze, blink-fit, blink-detect, gradcheck.
 Every run is a pure function of its inputs, flags, seed and BLAS thread
 count: at a fixed thread count (OPENBLAS_NUM_THREADS) running a command
-twice produces byte-identical artifacts. infer runs its encoder stack in
-float32, so across thread counts its outputs differ in the last float32
-digits: by at most 1e-5 relative to the largest output magnitude. A clip
-of more than one row block runs its blocks on every usable core at one
-BLAS thread, so its output is the one-thread output whatever the thread
-or core count.
+twice produces byte-identical artifacts. train's bytes depend on that
+count. infer holds numpy's OpenBLAS at one thread from entry to return,
+so its bytes are the same at any thread or core count. Where the count
+cannot be set (another BLAS), infer's float32 outputs at different
+thread counts differ by at most 1e-5 relative to the largest output
+magnitude.
 
 Exit codes: 0 ok, 2 usage, 3 bad data (an unreadable input or an
 unwritable output path included), 4 numeric failure. With --json-errors,

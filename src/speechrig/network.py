@@ -43,7 +43,7 @@ import math
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -858,13 +858,10 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     attend phase has a job that hashes half of what is pending after its
     first block, and one that hashes the rest after its last;
     the head's phase hashes the head. A runner without a block hashes
-    while the others compute, and the next layer's read at the barrier
-    finds nothing left to hash. The first job goes to the runner that
-    leaves the barrier first, the one that ran the phase before, so it
-    is a block: with the hash first, a 300-frame clip ran about 2%
-    slower (2 vCPUs, one BLAS thread).
-    The two halves are far apart in the list, so that neither waits for
-    the other.
+    while the others compute, so the next layer's read finds nothing left
+    to hash. Each attend phase lists a block before its first hash job,
+    so a block starts first. The two halves are far apart in the list, so
+    that neither waits for the other.
     """
     # a block: its rows in h, its rows and its chunk's in the key/value buffer
     blocks, groups, kv_rows, start = [], [], 0, 0
@@ -916,111 +913,59 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
 
 
 def _run_phases(phases) -> None:
-    """Run ``phases`` in order. Each is a (prepare, jobs) pair:
-    ``prepare()``, unless it is None, then every callable in ``jobs``.
-    Each runner runs in a copy of the calling thread's context, so numpy's
-    error state holds there too.
+    """Run ``phases`` in order. Each is a (prepare, jobs) pair: the calling
+    thread runs ``prepare()``, unless it is None, then every callable in
+    ``jobs`` runs, and the phase ends when every runner has stopped.
 
-    Where a phase has more than one job, the jobs run on min(usable CPUs,
-    most jobs in a phase) runners at one BLAS thread (see
-    ``_runner_pool``), the calling thread being runner 0; the pool's
-    threads are named ``speechrig-runner``. A runner takes the next job
-    no runner has taken, in list order, so a runner that loses time to
-    other work takes fewer. The runners meet at a barrier after each
-    phase; the last to arrive runs the next phase's ``prepare``.
+    The jobs run on min(usable CPUs, most jobs in a phase) runners at one
+    BLAS thread (see ``_one_blas_thread``): the calling thread and the
+    threads of a standard-library pool named ``speechrig-runner``, each in
+    a copy of the calling thread's context, so numpy's error state holds
+    there too. Where the BLAS count cannot be set, the calling thread
+    runs them alone. A runner takes the next job no runner has taken, in
+    list order, so a runner that loses time to other work takes fewer.
 
-    A job that fails is recorded, and every runner then skips the jobs of
-    the phase after the earliest failing one and stops at the barrier,
-    without the next ``prepare``; a failing ``prepare`` stops them there
-    too. A runner interrupted outside a job, at the barrier, breaks it, so
-    no runner waits for it. Once every runner has returned, one exception
-    is raised by a rule that does not depend on the runner count: an
-    interrupt (an exception that is not an ``Exception``) before any
-    other; then the lowest phase's, so the lowest layer's; in that phase
-    its ``prepare``'s, then the earliest job's in list order.
+    A failing ``prepare`` raises at once. A job that fails is recorded,
+    and each runner then stops after the job it is running; so every job
+    before the earliest failing one in list order has been taken and
+    runs. The phase then raises one of its failures by a rule that does
+    not depend on the runner count: an interrupt (an exception that is
+    not an ``Exception``) before any other, then the earliest job's in
+    list order. No later phase runs. An interrupt on the calling thread
+    outside a job lets each runner finish its job and then stop.
     """
-    if phases[0][0] is not None:
-        phases[0][0]()
-    failures, lock, stop = [], threading.Lock(), [math.inf]
-    at, halt = [0], [False]  # the phase running; whether the runners stop at the barrier
-    todo = [enumerate(phases[0][1])]  # the phase's jobs no runner has taken yet
+    lock = threading.Lock()
 
-    def fail(p, b, exc):
-        with lock:
-            failures.append((isinstance(exc, Exception), p, b, exc))
-            stop[0] = min(stop[0], b if isinstance(exc, Exception) else -1)
-
-    def advance():  # the barrier's action, on the last runner to arrive
-        at[0] += 1
-        try:
-            if not failures and at[0] < len(phases) and phases[at[0]][0] is not None:
-                phases[at[0]][0]()
-        except BaseException as exc:  # the runners see it once the barrier lets them go
-            fail(at[0], -1, exc)
-        # decided while every runner waits: a failure in the next phase is not seen here
-        halt[0] = bool(failures)
-        if at[0] < len(phases):
-            todo[0] = enumerate(phases[at[0]][1])
-
-    def take():  # the next job's (index, job) in list order, or None
-        with lock:
-            return next(todo[0], None)
-
-    width = max(len(jobs) for _, jobs in phases)
-    pool_cm = _runner_pool(width) if width > 1 else contextlib.nullcontext((1, None))
-    with pool_cm as (runners, pool):
-        barrier = threading.Barrier(runners, action=advance)
-
-        def run(r):
-            p = -1
+    def run(todo, failed):
+        while not failed:
+            with lock:
+                taken = next(todo, None)
+            if taken is None:
+                return
             try:
-                for p in range(len(phases)):
-                    while (taken := take()) is not None and taken[0] <= stop[0]:
-                        try:
-                            taken[1]()
-                        except BaseException as exc:  # an interrupt too
-                            fail(p, taken[0], exc)
-                    barrier.wait()
-                    if halt[0]:
-                        return
-            except threading.BrokenBarrierError:
-                pass  # a runner was interrupted at the barrier
-            except BaseException as exc:  # interrupted at the barrier: none may wait for this one
-                fail(p, -1, exc)
-                barrier.abort()
+                taken[1]()
+            except BaseException as exc:  # an interrupt too
+                failed.append((isinstance(exc, Exception), taken[0], exc))
 
-        runs = []
-        try:
-            runs += [pool.submit(contextvars.copy_context().run, run, r)
-                     for r in range(1, runners)]
-            run(0)
-        finally:
-            barrier.abort()  # in case the calling thread was interrupted before it ran
-    for r in runs:
-        r.result()  # ``run`` keeps its failures, so this raises only a defect of its own
-    if failures:
-        raise min(failures, key=lambda f: f[:3])[3]
-
-
-@contextlib.contextmanager
-def _runner_pool(jobs: int):
-    """Hold numpy's OpenBLAS at one thread (see ``_one_blas_thread``) and
-    yield the runner count for ``jobs`` parallel jobs, one per usable CPU
-    and at most ``jobs``, and a standard-library thread pool for the
-    runners besides the calling thread. On exit every job given to the
-    pool is waited for, so each runner gets to see a failure, and then
-    the BLAS thread count is restored. Where that count cannot be set,
-    one runner and no pool."""
     with _one_blas_thread() as held:
-        if not held:
-            yield 1, None
-            return
-        runners = min(len(os.sched_getaffinity(0)), jobs)
-        pool = ThreadPoolExecutor(max(runners - 1, 1), thread_name_prefix="speechrig-runner")
-        try:
-            yield runners, pool
-        finally:
-            pool.shutdown()
+        runners = min(len(os.sched_getaffinity(0)), max(len(j) for _, j in phases)) if held else 1
+        with ThreadPoolExecutor(max(runners - 1, 1), thread_name_prefix="speechrig-runner") as pool:
+            for prepare, jobs in phases:
+                if prepare is not None:
+                    prepare()
+                todo, failed, runs = enumerate(jobs), [], []
+                try:
+                    for _ in range(1, min(runners, len(jobs))):
+                        runs.append(pool.submit(contextvars.copy_context().run, run, todo, failed))
+                    run(todo, failed)
+                finally:
+                    with lock:
+                        collections.deque(todo, maxlen=0)  # none is taken after this
+                    wait(runs)
+                for r in runs:
+                    r.result()  # ``run`` keeps its jobs' failures, so this raises only its own
+                if failed:
+                    raise min(failed, key=lambda f: f[:2])[2]
 
 
 # --- weight files --------------------------------------------------------------
@@ -1076,19 +1021,16 @@ def _check_metadata(path, meta) -> None:
         raise DataError(f"{path}: metadata tensors must be a list")
 
 
-def load_model(path, digest=None) -> RigModel:
+def load_model(path) -> RigModel:
     """Read a weight file into a model whose tensors stay float32.
 
     The reader is ``WeightStream``'s, filling one flat buffer: ``infer``
     uses it as it is, and ``train`` / ``grad_check`` upcast it to float64.
-    A hashlib ``digest``, if given, is fed every byte read in file order,
-    so that it ends as ``file_sha256`` of the file.
     """
-    feed = (lambda data: None) if digest is None else digest.update
     with _reading(path), open(path, "rb") as f:
-        meta = _read_header(path, f, feed)
+        meta = _read_header(path, f, lambda data: None)
         flat = np.empty(_layout(meta)[-1][2].stop, "<f4")
-        _read_section(path, f, flat, 0, flat.nbytes, feed)
+        _read_section(path, f, flat, 0, flat.nbytes, lambda data: None)
     return _bind(flat, meta)
 
 

@@ -10,9 +10,12 @@ import threading
 import time
 import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import speechrig.network as network
 from speechrig.encoders import (
@@ -489,6 +492,78 @@ class TestChunkPool:
             put(before)
 
 
+@st.composite
+def _schedules(draw):
+    """(cpus, sizes, errors): 1-4 CPUs, 1-6 phases of 1-40 jobs, and the
+    exception each failing (phase, job) raises, job -1 being the phase's
+    prepare. A phase has up to three jobs raising ``ValueError``, maybe
+    one raising ``KeyboardInterrupt`` no later than the earliest of them,
+    and maybe a failing prepare."""
+    sizes, errors = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6)), {}
+    for p, n in enumerate(sizes):
+        failing = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        errors.update({(p, b): ValueError(f"{p}/{b}") for b in failing})
+        interrupt = draw(st.none() | st.integers(0, min(failing, default=n - 1)))
+        if interrupt is not None:
+            errors[p, interrupt] = KeyboardInterrupt(f"{p}/{interrupt}")
+        if draw(st.integers(0, 3)) == 0:
+            errors[p, -1] = ValueError(f"prepare {p}")
+    return draw(st.integers(1, 4)), sizes, errors
+
+
+class TestRunPhasesProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=_schedules())
+    def test_jobs_run_once_and_the_rule_picks_the_failure(self, schedule):
+        cpus, sizes, errors = schedule
+        # the documented rule: the lowest failing phase; in it the prepare,
+        # then an interrupt, then the earliest job
+        raised = min(errors, default=(len(sizes) - 1, sizes[-1] - 1),
+                     key=lambda k: (k[0], k[1] != -1, isinstance(errors[k], Exception), k[1]))
+        ran = []
+
+        def act(p, b=-1):
+            time.sleep(0)  # lets another runner in
+            ran.append((p, b))
+            if (p, b) in errors:
+                raise errors[p, b]
+
+        phases = [(functools.partial(act, p), [functools.partial(act, p, b) for b in range(n)])
+                  for p, n in enumerate(sizes)]
+        outcome = []
+
+        def call():
+            try:
+                network._run_phases(phases)
+            except BaseException as exc:
+                outcome.append(exc)
+
+        _, (get, put) = _blas_or_stub()
+        before, interval = get(), sys.getswitchinterval()
+        put(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+                caller = threading.Thread(target=call, daemon=True)
+                caller.start()
+                caller.join(30.0)
+            assert not caller.is_alive(), "the scheduler did not return"
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
+        assert outcome == ([errors[raised]] if errors else [])
+        assert len(ran) == len(set(ran))
+        assert [p for p, _ in ran] == sorted(p for p, _ in ran)  # a phase ends before the next
+        assert ran[-1][0] == raised[0]  # no phase after the failing one starts
+        # every job of an earlier phase ran, and in the failing phase every
+        # job up to the raising one
+        last, stop = raised
+        assert set(ran) >= {(p, b) for p, n in enumerate(sizes[:last + 1])
+                            for b in range(-1, n if p < last else stop + 1)}
+        assert not [t for t in threading.enumerate() if t.name.startswith("speechrig-runner")]
+
+
 def _float32_stack(layers=2):
     """A tiny model in the float32 layout ``infer`` runs."""
     m = tiny_model(layers=layers, output_dim=174)
@@ -866,13 +941,6 @@ class TestWeightFile:
         path.write_bytes(blob[:-100])
         with pytest.raises(DataError, match="truncated"):
             load_model(path)
-
-    def test_load_model_digest_is_the_files_sha256(self, tmp_path):
-        path = tmp_path / "w.emow"
-        save_model(path, tiny_model(layers=2))
-        digest = hashlib.sha256()
-        load_model(path, digest)
-        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestWeightStream:
