@@ -239,16 +239,6 @@ class BlinkFrequencyModel:
         write_json(path, {"mu_ln": self.mu_ln, "sigma_ln": self.sigma_ln,
                           "max_rate": self.max_rate})
 
-    @classmethod
-    def load(cls, path) -> "BlinkFrequencyModel":
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-            return cls(float(doc["mu_ln"]), float(doc["sigma_ln"]),
-                       float(doc.get("max_rate", MAX_RATE)))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as exc:
-            raise DataError(f"cannot load blink model {path}: {exc}") from None
-
 
 def fit_lognormal(rates, max_rate: float = MAX_RATE) -> BlinkFrequencyModel:
     """Fit the log-normal rate model: mean and std of ln(rate) over the

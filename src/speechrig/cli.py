@@ -132,7 +132,7 @@ def _predict(args, cmap: ControllerMap, model):
             f"got {feats.family!r}"
         )
     # infer resamples the features a chunk at a time
-    n = feats.n_frames if feats.rate_hz == RIG_FPS else resampled_frames(feats, RIG_FPS)
+    n = resampled_frames(feats, RIG_FPS)
 
     try:
         if args.timeline:

@@ -54,9 +54,8 @@ def positional_encoding(n_frames: int, d_model: int = D_MODEL, start: int = 0) -
     sin(pos / 10000^(2i/d)) on even columns, cos of the same angle on the
     following odd column.
 
-    Computed on every call (a 600 x 512 table takes a few milliseconds),
-    so a chunk at a late offset holds only its own rows, and only while
-    it is encoded.
+    Computed on every call, so a chunk at a late offset holds only its
+    own rows, and only while it is encoded.
     """
     if n_frames < 1:
         raise DataError(f"positional encoding needs n_frames >= 1, got {n_frames}")

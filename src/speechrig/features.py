@@ -244,15 +244,17 @@ _RESAMPLE_ROWS = 256  # output rows per block: float64 temporaries stay small
 
 def resampled_frames(seq: FeatureSequence, dst_rate: float) -> int:
     """The frame count of ``resample_features(seq, dst_rate)``:
-    max(1, floor(T * dst/src + 0.5)).
+    max(1, floor(T * dst/src + 0.5)), and T at equal rates.
 
     Raises its ``DataError`` for a bad target rate, fewer than 2 input
-    frames, or an output matrix past numpy's size limit, before anything
-    the size of the output is allocated.
+    frames at another rate, or an output matrix past numpy's size limit,
+    before anything the size of the output is allocated.
     """
     if not 0.0 < dst_rate < math.inf:
         raise DataError(f"target rate must be finite and positive, got {dst_rate}")
     n_in = seq.n_frames
+    if dst_rate == seq.rate_hz:
+        return n_in
     if n_in < 2:
         raise DataError(f"resampling needs at least 2 frames, got {n_in}")
     frames = n_in * dst_rate / seq.rate_hz
@@ -269,17 +271,18 @@ def resample_rows(seq: FeatureSequence, n_out: int, start: int, stop: int) -> np
     computed alone and bit for bit the same, where ``n_out`` is
     ``resampled_frames(seq, dst_rate)``."""
     x, n_in = seq.data, seq.n_frames
-    if n_out == 1:
-        return x[:1].copy()
+    if n_out in (1, n_in):  # the first row, or each row at its own position
+        return x[start:stop].copy()
     pos = np.arange(start, stop) * (n_in - 1) / (n_out - 1)
-    lo = np.minimum(pos.astype(np.int64), n_in - 2)
+    lo = pos.astype(np.int64)
+    hi = np.minimum(lo + 1, n_in - 1)  # the last row: frac 0, so its input row exactly
     frac = (pos - lo)[:, None]
     out = np.empty((stop - start, seq.n_features), np.float32)
     # a + frac * (b - a) in float64, a block of rows at a time and in place
     for r in range(0, stop - start, _RESAMPLE_ROWS):
         rows = slice(r, r + _RESAMPLE_ROWS)
         a = x[lo[rows]].astype(np.float64)
-        b = x[lo[rows] + 1].astype(np.float64)
+        b = x[hi[rows]].astype(np.float64)
         b -= a
         b *= frac[rows]
         b += a

@@ -241,8 +241,7 @@ class BackwardScratch:
     clip's activations are still held, so glibc's heap places it above
     them. The heap top then stays in use, and each clip's freed
     activations are not handed back to the OS only to be faulted in again
-    for the next clip: 100 desk-scale epochs of 32 clips of 20-40 frames
-    take about 1,100 page faults rather than 500,000.
+    for the next clip.
     """
 
     def __init__(self, model: RigModel):
@@ -324,7 +323,7 @@ def _attention_forward(x, p: LayerParams, n_heads, keep_cache, kv=None):
     own (see ``_kv_forward``); then the output projection.
 
     With ``keep_cache`` every head's scores are one heads x rows x keys
-    product, which the reverse pass and ``forward_with_attention`` read.
+    product, which the reverse pass reads.
     Without, one head's rows x keys scores are held at a time: each head
     is computed by the same matrix products the batched one makes for it,
     so the output is the same bit for bit.
@@ -434,38 +433,18 @@ def _layer_backward(dout, cache, p: LayerParams, g: LayerParams, scratch):
 # --- whole-network passes ----------------------------------------------------
 
 
-def forward_with_attention(model: RigModel, hidden: np.ndarray):
-    """Deterministic pass over a content + emotion encoding (T x d_model);
-    returns the output and each layer's attention maps."""
-    y, _, maps = _stack_forward(model, np.asarray(hidden, dtype=np.float64),
-                                train=False, rng=None, keep_attention=True)
-    return y, maps
-
-
-def _stack_forward(model, h, train, rng, keep_attention):
-    if h.ndim != 2 or h.shape[1] != model.d_model:
-        raise DataError(f"hidden state must be (T, {model.d_model}), got {h.shape}")
-    dropout_p = model.dropout if train else 0.0
-    caches = [] if train else None
-    maps = [] if keep_attention else None
+def _stack_forward(model, h, rng):
+    """The encoder stack and head over a whole clip's encoder input ``h``,
+    with dropout where ``rng`` is given. Returns the output and each
+    layer's cache, then the head input, for the reverse pass."""
+    caches = []
     for i, layer in enumerate(model.layers):
-        h, cache = _layer_forward(h, layer, model.n_heads, dropout_p, rng,
-                                  keep_cache=train or keep_attention)
+        h, cache = _layer_forward(h, layer, model.n_heads, model.dropout, rng, keep_cache=True)
         _check_finite(h, f"after encoder layer {i}")
-        if train:
-            caches.append(cache)
-        if keep_attention:
-            maps.append(cache[0][4])
-    y = _head_forward(model, h)
-    if train:
-        caches.append(h)  # head input
-    return y, caches, maps
-
-
-def _head_forward(model, h):
+        caches.append(cache)
     y = _affine(h, model.head_w, model.head_b)
     _check_finite(y, "in output head")
-    return y
+    return y, caches + [h]
 
 
 def _check_finite(h, where: str) -> None:
@@ -490,7 +469,7 @@ def training_forward(model: RigModel, features: np.ndarray, labels: np.ndarray,
     z1, a1, etab = emotion_mlp(model.encoder) if emotion is None else emotion
     h0 = content + etab[labels]
 
-    y, caches, _ = _stack_forward(model, h0, train=True, rng=rng, keep_attention=False)
+    y, caches = _stack_forward(model, h0, rng)
     cache = {"features": features, "labels": labels, "z1": z1, "a1": a1,
              "stack": caches}
     return y, cache
@@ -757,8 +736,7 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
             f"feature width {features.n_features} does not match model "
             f"feature width {model.feature_dim}"
         )
-    resample = features.rate_hz != RIG_FPS
-    n = resampled_frames(features, RIG_FPS) if resample else features.n_frames
+    n = resampled_frames(features, RIG_FPS)
     labels = validate_timeline(timeline, n)
     etab = encode_emotion_table(model.encoder)
     # numpy would make this float64 copy on every chunk's product
@@ -767,7 +745,7 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     rows = [e - s for s, e in bounds]
     h = np.empty((sum(rows), model.d_model), np.float32)  # the chunks one after another
     for (s, e), at in zip(bounds, itertools.accumulate(rows, initial=0)):
-        x = resample_rows(features, n, s, e) if resample else features.data[s:e]
+        x = resample_rows(features, n, s, e)
         h[at:at + e - s] = encode_content(x, encoder, pos_offset=s) + etab[labels[s:e]]
     del encoder, features, x  # not held while the stack runs
     return RigSequence(_crossfade(bounds, _layer_major(h, rows, model)))

@@ -114,14 +114,9 @@ def gen_synthetic(seed: int, n_items: int, t_range=(40, 80), feature_dim: int = 
 class Adam:
     """Adam with bias correction over one parameter vector, updated in place.
 
-    ``step`` computes its temporaries in two scratch vectors. Fresh
-    whole-vector temporaries were freed at the top of the heap on every
-    step, which glibc hands back to the OS; faulting them in again cost
-    about 20,000 page faults per desk-scale training request. The reverse
-    pass keeps its weight-sized products in one vector for the same reason
-    (``network.BackwardScratch``), which also keeps each clip's freed
-    activations from going back to the OS: 100 desk-scale epochs of 32
-    clips now take about 1,100 page faults in all, not 500,000.
+    ``step`` computes its temporaries in two scratch vectors, so that no
+    whole-vector temporary is freed at the heap top, handed back to the
+    OS and faulted in again on the next step.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -243,8 +238,8 @@ def write_loss_csv(path, history) -> None:
 def load_manifest(path) -> list[ClipExample]:
     """Load (feature file, target rig CSV, emotion) triples for training.
 
-    Features are resampled to the 60 fps rig clock when needed; each
-    clip's target must then match its feature frame count.
+    Features are resampled to the 60 fps rig clock; each clip's target
+    must then match its feature frame count.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -270,9 +265,7 @@ def load_manifest(path) -> list[ClipExample]:
             raise DataError(f"{path}: item {k} malformed: {exc}") from None
         except DataError as exc:
             raise DataError(f"{path}: item {k}: {exc}") from None
-        feats = load_features(feat_path)
-        if feats.rate_hz != RIG_FPS:
-            feats = resample_features(feats, RIG_FPS)
+        feats = resample_features(load_features(feat_path), RIG_FPS)
         target = read_rig_csv(target_path).values
         if target.shape[0] != feats.n_frames:
             raise DataError(

@@ -24,8 +24,8 @@ from speechrig.evaluate import lr_correlation, mae
 from speechrig.features import FeatureSequence, resample_features, write_feature_file
 from speechrig.gaze import sample_gaze_track, track_values
 from speechrig.network import (
+    _stack_forward,
     build_model,
-    forward_with_attention,
     grad_check,
     gradcheck_probe,
     named_parameters,
@@ -167,12 +167,12 @@ class TestAcceptance:
                         output_dim=24, dropout=0.0, seed=4)
         rng = np.random.default_rng(5)
         hidden = rng.normal(0, 1, (10, 16))
-        _, maps = forward_with_attention(m, hidden)
+        y, caches = _stack_forward(m, hidden, rng=None)
+        maps = [layer_cache[0][4] for layer_cache in caches[:-1]]
         rowsum_err = max(float(np.abs(a.sum(axis=-1) - 1.0).max()) for a in maps)
 
         perm = rng.permutation(10)
-        y, _ = forward_with_attention(m, hidden)
-        yp, _ = forward_with_attention(m, hidden[perm])
+        yp, _ = _stack_forward(m, hidden[perm], rng=None)
         perm_err = float(np.abs(yp - y[perm]).max())
 
         probe_model, feats, labels, target = gradcheck_probe(

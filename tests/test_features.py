@@ -193,6 +193,13 @@ class TestFallbackExtractor:
             extract_fallback_features(clip)
 
 
+def _wide_rows(rng, rows, cols):
+    """Rows of either sign whose magnitudes alternate between about 1e6 and
+    1e-6, the last row small: the difference of the last two rounds in float64."""
+    scale = np.where((rows - 1 - np.arange(rows)) % 2, 1e6, 1e-6)[:, None]
+    return scale * rng.choice([-1.0, 1.0], (rows, cols)) * rng.uniform(1.0, 10.0, (rows, cols))
+
+
 class TestResampling:
     def test_constant_matrix_reproduced_exactly(self):
         seq = FeatureSequence(np.full((50, 3), 0.7, dtype=np.float32), 50.0)
@@ -214,16 +221,20 @@ class TestResampling:
 
     def test_identity_at_equal_rates(self):
         rng = np.random.default_rng(6)
-        seq = FeatureSequence(rng.normal(0, 1, (37, 5)).astype(np.float32), 50.0)
-        out = resample_features(seq, 50.0)
-        assert np.array_equal(out.data, seq.data)
+        for data, rate in [(rng.normal(0, 1, (37, 5)), 50.0), (_wide_rows(rng, 200, 6), 60.0),
+                           (rng.normal(0, 1, (1, 5)), 60.0)]:
+            seq = FeatureSequence(data.astype(np.float32), rate)
+            assert resampled_frames(seq, rate) == seq.n_frames
+            out = resample_features(seq, rate)
+            assert np.array_equal(out.data, seq.data)
 
     def test_endpoints_preserved(self):
         rng = np.random.default_rng(7)
-        seq = FeatureSequence(rng.normal(0, 1, (23, 6)).astype(np.float32), 50.0)
-        out = resample_features(seq, 60.0)
-        assert np.array_equal(out.data[0], seq.data[0])
-        assert np.array_equal(out.data[-1], seq.data[-1])
+        for data in (rng.normal(0, 1, (23, 6)), _wide_rows(rng, 200, 6)):
+            seq = FeatureSequence(data.astype(np.float32), 50.0)
+            out = resample_features(seq, 60.0)
+            assert np.array_equal(out.data[0], seq.data[0])
+            assert np.array_equal(out.data[-1], seq.data[-1])
 
     def test_envelope_preserved(self):
         rng = np.random.default_rng(8)

@@ -30,7 +30,6 @@ from speechrig.network import (
     WeightStream,
     build_model,
     clip_loss_and_grads,
-    forward_with_attention,
     grad_buffer,
     grad_check,
     gradcheck_probe,
@@ -46,7 +45,8 @@ from speechrig.rig import constant_timeline
 
 
 def forward(model, hidden):
-    return forward_with_attention(model, hidden)[0]
+    """The whole-clip pass over an encoder input (T x d_model), dropout off."""
+    return network._stack_forward(model, np.asarray(hidden, dtype=np.float64), rng=None)[0]
 
 
 def tiny_model(layers=1, seed=3, output_dim=12, dropout=0.0):
@@ -67,9 +67,10 @@ class TestForward:
 
     def test_attention_rows_sum_to_one(self, model):
         rng = np.random.default_rng(1)
-        _, maps = forward_with_attention(model, rng.normal(0, 1, (7, 16)))
-        assert len(maps) == 2
-        for attn in maps:
+        _, caches = network._stack_forward(model, rng.normal(0, 1, (7, 16)), rng=None)
+        assert len(caches) == 3  # two layers, then the head input
+        for layer_cache in caches[:-1]:
+            attn = layer_cache[0][4]
             assert attn.shape == (2, 7, 7)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -96,21 +97,19 @@ class TestForward:
         with pytest.raises(NumericError, match="layer 1"):
             forward(bad, rng.normal(0, 1, (4, 16)))
 
-    def test_hidden_width_checked(self, model):
-        with pytest.raises(DataError):
-            forward(model, np.zeros((4, 15)))
-
     def test_inference_pass_without_caches_is_bit_equal(self, model):
-        # model is float64 with dropout 0: the cache-free inference pass must
-        # compute exactly what the training pass and forward_with_attention do
+        # model is float64 with dropout 0: its layers run without caches,
+        # then the head, give exactly what the cache-keeping pass gives
         rng = np.random.default_rng(5)
         hidden = rng.normal(0, 1, (11, 16))
-        y, caches, maps = network._stack_forward(model, hidden, train=False, rng=None,
-                                                 keep_attention=False)
-        assert caches is None and maps is None
-        y_train, train_caches, _ = network._stack_forward(model, hidden, train=True,
-                                                          rng=None, keep_attention=False)
+        y_train, train_caches = network._stack_forward(model, hidden, rng=None)
         assert len(train_caches) == model.n_layers + 1
+        h = hidden
+        for layer in model.layers:
+            h, cache = network._layer_forward(h, layer, model.n_heads, 0.0, None,
+                                              keep_cache=False)
+            assert cache is None
+        y = network._affine(h, model.head_w, model.head_b)
         assert y.dtype == np.float64
         assert np.array_equal(y, y_train)
         assert np.array_equal(y, forward(model, hidden))
@@ -182,8 +181,7 @@ class TestChunkedInference:
         tl = constant_timeline(1, 40)
         h0 = encode_content(feats.data, m.encoder) + encode_emotion_table(m.encoder)[tl]
         stack = network._bind(m.flat.astype(np.float32), network._model_meta(m))
-        single = network._stack_forward(stack, h0.astype(np.float32), train=False, rng=None,
-                                        keep_attention=False)[0]
+        single = network._stack_forward(stack, h0.astype(np.float32), rng=None)[0]
         assert np.array_equal(infer(feats, tl, m).values, single)
 
     def test_chunk_bounds_overlap_and_a_short_clip_is_one_chunk(self):
@@ -648,7 +646,7 @@ class TestRowBlocks:
 
         _plant_after(monkeypatch, stack.layers[layer], self.ROWS, nan_rows)
         with pytest.raises(NumericError) as serial:
-            network._stack_forward(stack, h0, train=False, rng=None, keep_attention=False)
+            network._stack_forward(stack, h0, rng=None)
         _plant_after(monkeypatch, stack.layers[layer], e - s, nan_rows)
         with pytest.raises(NumericError) as blocked:
             _stack_on([h0], stack)
@@ -675,7 +673,7 @@ class TestRowBlocks:
             caller = threading.Thread(target=call, daemon=True)
             caller.start()
             caller.join(10.0)
-            assert not caller.is_alive(), "a runner still waits at the barrier"
+            assert not caller.is_alive(), "a phase still waits for its runners"
             assert get() == 2
         finally:
             put(before)
@@ -684,13 +682,13 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()])
     @pytest.mark.parametrize("block", ["first", "last"])  # the calling thread's, a worker's
-    def test_a_failing_runner_releases_the_one_at_the_barrier(self, monkeypatch, error, block):
+    def test_a_failing_runner_ends_the_fork_join(self, monkeypatch, error, block):
         if network._blas_thread_control() is None:
             pytest.skip("numpy's OpenBLAS thread count cannot be set here, so one runner")
         stack = _float32_stack()
 
         def fail(y):
-            time.sleep(0.2)  # the other runner is waiting at layer 1's barrier by now
+            time.sleep(0.2)  # the other runner has finished its layer-0 block by now
             raise error
 
         _plant_after(monkeypatch, stack.layers[0], self.FIRST if block == "first" else self.LAST,
@@ -707,7 +705,7 @@ class TestRowBlocks:
         def failing_read(model):
             for i, t in enumerate(tensors(model)):
                 if i == at:
-                    time.sleep(0.2)  # the other runner is waiting at the barrier
+                    time.sleep(0.2)  # the runners have finished the phase before by now
                     raise error
                 yield t
 
