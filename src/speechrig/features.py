@@ -287,6 +287,8 @@ def resample_rows(seq: FeatureSequence, n_out: int, start: int, stop: int) -> np
         b *= frac[rows]
         b += a
         out[rows] = b
+    exact = frac[:, 0] == 0  # a + 0 * (b - a) can lose a -0.0 in a
+    out[exact] = x[lo[exact]]
     return out
 
 

@@ -683,17 +683,17 @@ def _blas_thread_control():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread, and yield whether it could be
-    set; on exit, however it comes, the count before is restored."""
+    """Hold numpy's OpenBLAS at one thread where its count can be set; on
+    exit, however it comes, the count before is restored."""
     blas = _blas_thread_control()
     if blas is None:
-        yield False
+        yield
         return
     get, put = blas
     old = get()
     put(1)
     try:
-        yield True
+        yield
     finally:
         put(old)
 
@@ -725,9 +725,9 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     ``infer`` holds numpy's OpenBLAS at one thread from entry to return
     (see ``_one_blas_thread``), encoding included, and restores the
     caller's count however it ends. So no idle OpenBLAS worker competes
-    with the runners for a core, and every clip gives the one-thread
-    output at any thread count. Reruns are byte-identical whatever the
-    number of runners.
+    for a core with the runners ``_layer_major`` forks (see
+    ``_fork_join``), and every clip gives the one-thread output at any
+    thread count. Reruns are byte-identical whatever the number of runners.
     """
     if isinstance(features, list):
         features = features.pop()
@@ -823,98 +823,92 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     Each chunk's rows are cut into ``_row_blocks``, the query-block
     partition of FlashAttention (Dao et al. 2022, arXiv 2205.14135). Each
     layer runs over groups of at most ``_GROUP_CHUNKS`` chunks in clip
-    order, each in two phases of ``_run_phases``: every block writes its
-    rows' keys and values into a buffer the group shares; then every block
-    attends over its own chunk's keys, one head's block rows x keys scores
-    at a time, and runs the feed-forward. A last phase runs the head. Each
-    step but the attention works on each row alone, so a block computes
-    its rows as a pass over the whole chunk does (bit for bit where BLAS
-    picks the same kernels for both row counts), and no block's arithmetic
-    depends on the runner that does it.
+    order, each in two fork/joins (see ``_fork_join``): every block writes
+    its rows' keys and values into a buffer the group shares; then every
+    block attends over its own chunk's keys, one head's block rows x keys
+    scores at a time, and runs the feed-forward. A last fork/join runs the
+    head. Each step but the attention works on each row alone, so a block
+    computes its rows as a pass over the whole chunk does (bit for bit
+    where BLAS picks the same kernels for both row counts), and no block's
+    arithmetic depends on the runner that does it.
 
-    For a ``WeightStream`` the runners also hash the bytes read: each
-    attend phase has a job that hashes half of what is pending after its
-    first block, and one that hashes the rest after its last;
-    the head's phase hashes the head. A runner without a block hashes
-    while the others compute, so the next layer's read finds nothing left
-    to hash. Each attend phase lists a block before its first hash job,
-    so a block starts first. The two halves are far apart in the list, so
-    that neither waits for the other.
+    For a ``WeightStream`` the runners also hash the bytes read: each attend
+    fork/join has a job that hashes half of what is pending after its first
+    block, and one that hashes the rest after its last; the head's hashes
+    the head. A runner without a block hashes while the others compute, so
+    the next layer's read finds nothing left to hash. A block comes before
+    the first hash job, so a block starts first, and the two halves are far
+    apart in the list, so neither waits for the other.
     """
-    # a block: its rows in h, its rows and its chunk's in the key/value buffer
-    blocks, groups, kv_rows, start = [], [], 0, 0
+    # a group's blocks: each its rows in h, its rows and its chunk's in the key/value buffer
+    groups, start = [], 0
     for g in range(0, len(rows), _GROUP_CHUNKS):
-        first, at = len(blocks), 0
+        blocks, at = [], 0
         for n in rows[g:g + _GROUP_CHUNKS]:
             blocks += [(slice(start + s, start + e), slice(at + s, at + e), slice(at, at + n))
                        for s, e in _row_blocks(n)]
             start, at = start + n, at + n
-        groups.append(range(first, len(blocks)))
-        kv_rows = max(kv_rows, at)
-    k, v = np.empty((2, kv_rows, model.d_model), np.float32)
+        groups.append(blocks)
+    k, v = np.empty((2, max(blocks[-1][2].stop for blocks in groups), model.d_model), np.float32)
     y = np.empty((len(h), model.output_dim), np.float32)
-    tensors, weights = _tensors(model), [None]
 
-    def fetch():
-        weights[0] = next(tensors)
+    def keys_values(p, block):
+        mine, kv, _ = block
+        _kv_forward(h[mine], p, k[kv], v[kv])
 
-    def keys_values(b):
-        mine, kv, _ = blocks[b]
-        _kv_forward(h[mine], weights[0], k[kv], v[kv])
-
-    def attend(i, b):
-        mine, _, chunk = blocks[b]
-        out = _layer_forward(h[mine], weights[0], model.n_heads, 0.0, None, keep_cache=False,
+    def attend(i, p, block):
+        mine, _, chunk = block
+        out = _layer_forward(h[mine], p, model.n_heads, 0.0, None, keep_cache=False,
                              kv=(k[chunk], v[chunk]))[0]
         _check_finite(out, f"after encoder layer {i}")
         h[mine] = out
 
-    def head(b):
-        mine = blocks[b][0]
-        _check_finite(_affine(h[mine], *weights[0], out=y[mine]), "in output head")
-
-    def jobs(work, items):
-        return [functools.partial(work, b) for b in items]
+    def head(w, b, block):
+        mine = block[0]
+        _check_finite(_affine(h[mine], w, b, out=y[mine]), "in output head")
 
     # a stream's jobs that hash half of the bytes pending, and the rest
     half, rest = (([lambda: model.hash_pending(model.pending_nbytes() // 2)], [model.hash_pending])
                   if isinstance(model, WeightStream) else ([], []))
-    phases = []
-    for i in range(model.n_layers):
-        for g, items in enumerate(groups):
-            first, *others = jobs(functools.partial(attend, i), items)
-            phases += [(fetch if g == 0 else None, jobs(keys_values, items)),
-                       (None, [first, *half, *others, *rest])]
-    phases.append((fetch, jobs(head, range(len(blocks))) + rest))
-    _run_phases(phases)
+    tensors = _tensors(model)
+    with _fork_join() as run:
+        for i, p in enumerate(itertools.islice(tensors, model.n_layers)):
+            for blocks in groups:
+                run([functools.partial(keys_values, p, block) for block in blocks])
+                first, *others = [functools.partial(attend, i, p, block) for block in blocks]
+                run([first, *half, *others, *rest])
+        w, b = next(tensors)
+        run([functools.partial(head, w, b, block) for blocks in groups for block in blocks] + rest)
     return y
 
 
-def _run_phases(phases) -> None:
-    """Run ``phases`` in order. Each is a (prepare, jobs) pair: the calling
-    thread runs ``prepare()``, unless it is None, then every callable in
-    ``jobs`` runs, and the phase ends when every runner has stopped.
+@contextlib.contextmanager
+def _fork_join():
+    """Yield ``run(jobs)``, which runs every callable in ``jobs`` and
+    returns when every runner has stopped.
 
-    The jobs run on min(usable CPUs, most jobs in a phase) runners at one
-    BLAS thread (see ``_one_blas_thread``): the calling thread and the
-    threads of a standard-library pool named ``speechrig-runner``, each in
-    a copy of the calling thread's context, so numpy's error state holds
-    there too. Where the BLAS count cannot be set, the calling thread
-    runs them alone. A runner takes the next job no runner has taken, in
-    list order, so a runner that loses time to other work takes fewer.
+    The jobs run on min(usable CPUs, len(jobs)) runners: the calling
+    thread and the threads of a standard-library pool named
+    ``speechrig-runner``, each in a copy of the calling thread's context,
+    so numpy's error state holds there too. The caller holds numpy's
+    OpenBLAS at one thread (``infer`` does, see ``_one_blas_thread``);
+    where that count cannot be set, the calling thread runs the jobs
+    alone, so no runner competes with BLAS threads for a core. A runner
+    takes the next job no runner has taken, in list order, so a runner
+    that loses time to other work takes fewer.
 
-    A failing ``prepare`` raises at once. A job that fails is recorded,
-    and each runner then stops after the job it is running; so every job
-    before the earliest failing one in list order has been taken and
-    runs. The phase then raises one of its failures by a rule that does
-    not depend on the runner count: an interrupt (an exception that is
-    not an ``Exception``) before any other, then the earliest job's in
-    list order. No later phase runs. An interrupt on the calling thread
+    A job that fails is recorded, and each runner then stops after the job
+    it is running; so every job before the earliest failing one in list
+    order has been taken and runs. ``run`` then raises one of its failures
+    by a rule that does not depend on the runner count: an interrupt (an
+    exception that is not an ``Exception``) before any other, then the
+    earliest job's in list order. An interrupt on the calling thread
     outside a job lets each runner finish its job and then stop.
     """
     lock = threading.Lock()
+    runners = len(os.sched_getaffinity(0)) if _blas_thread_control() is not None else 1
 
-    def run(todo, failed):
+    def take(todo, failed):
         while not failed:
             with lock:
                 taken = next(todo, None)
@@ -925,25 +919,23 @@ def _run_phases(phases) -> None:
             except BaseException as exc:  # an interrupt too
                 failed.append((isinstance(exc, Exception), taken[0], exc))
 
-    with _one_blas_thread() as held:
-        runners = min(len(os.sched_getaffinity(0)), max(len(j) for _, j in phases)) if held else 1
-        with ThreadPoolExecutor(max(runners - 1, 1), thread_name_prefix="speechrig-runner") as pool:
-            for prepare, jobs in phases:
-                if prepare is not None:
-                    prepare()
-                todo, failed, runs = enumerate(jobs), [], []
-                try:
-                    for _ in range(1, min(runners, len(jobs))):
-                        runs.append(pool.submit(contextvars.copy_context().run, run, todo, failed))
-                    run(todo, failed)
-                finally:
-                    with lock:
-                        collections.deque(todo, maxlen=0)  # none is taken after this
-                    wait(runs)
-                for r in runs:
-                    r.result()  # ``run`` keeps its jobs' failures, so this raises only its own
-                if failed:
-                    raise min(failed, key=lambda f: f[:2])[2]
+    def run(jobs):
+        todo, failed, runs = enumerate(jobs), [], []
+        try:
+            for _ in range(1, min(runners, len(jobs))):
+                runs.append(pool.submit(contextvars.copy_context().run, take, todo, failed))
+            take(todo, failed)
+        finally:
+            with lock:
+                collections.deque(todo, maxlen=0)  # none is taken after this
+            wait(runs)
+        for r in runs:
+            r.result()  # ``take`` keeps its jobs' failures, so this raises only its own
+        if failed:
+            raise min(failed, key=lambda f: f[:2])[2]
+
+    with ThreadPoolExecutor(max(runners - 1, 1), thread_name_prefix="speechrig-runner") as pool:
+        yield run
 
 
 # --- weight files --------------------------------------------------------------

@@ -230,11 +230,13 @@ class TestResampling:
 
     def test_endpoints_preserved(self):
         rng = np.random.default_rng(7)
-        for data in (rng.normal(0, 1, (23, 6)), _wide_rows(rng, 200, 6)):
+        signed = rng.normal(0, 1, (20, 4))
+        signed[[0, -1]] = -0.0  # the sign bit is carried over too
+        for data in (rng.normal(0, 1, (23, 6)), _wide_rows(rng, 200, 6), signed):
             seq = FeatureSequence(data.astype(np.float32), 50.0)
-            out = resample_features(seq, 60.0)
-            assert np.array_equal(out.data[0], seq.data[0])
-            assert np.array_equal(out.data[-1], seq.data[-1])
+            out = resample_features(seq, 60.0).data.view(np.uint32)
+            assert np.array_equal(out[0], seq.data[0].view(np.uint32))
+            assert np.array_equal(out[-1], seq.data[-1].view(np.uint32))
 
     def test_envelope_preserved(self):
         rng = np.random.default_rng(8)

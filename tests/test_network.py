@@ -4,6 +4,7 @@ and the weight file format."""
 import contextlib
 import functools
 import hashlib
+import itertools
 import os
 import sys
 import threading
@@ -320,6 +321,16 @@ class TestChunkedInference:
         assert calls == [(0, 600), (540, 600), (1080, 220)]
 
 
+def _run_phases(phases):
+    """Run each (prepare, jobs) phase of ``phases`` in order, on one
+    ``network._fork_join``: ``prepare()``, unless it is None, then every job."""
+    with network._fork_join() as run:
+        for prepare, jobs in phases:
+            if prepare is not None:
+                prepare()
+            run(jobs)
+
+
 def _phases(n_phases, n_blocks, run, prepare=None):
     """``n_phases`` phases of ``n_blocks`` blocks each, ``run(p, b)`` doing
     block b of phase p and ``prepare(p)``, if given, preparing phase p."""
@@ -363,7 +374,7 @@ class TestChunkPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            network._run_phases(_phases(5, 100, run, lambda p: prepared.append((p, len(taken)))))
+            _run_phases(_phases(5, 100, run, lambda p: prepared.append((p, len(taken)))))
         finally:
             sys.setswitchinterval(interval)
         assert prepared == [(p, 100 * p) for p in range(5)]
@@ -377,7 +388,7 @@ class TestChunkPool:
                 raise NumericError(f"block {b}")
 
         with pytest.raises(NumericError, match=f"block {min(failing)}$"):
-            network._run_phases(_phases(1, 6, run))
+            _run_phases(_phases(1, 6, run))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_failure_rule_does_not_depend_on_the_runner_count(self, monkeypatch, cpus):
@@ -399,7 +410,7 @@ class TestChunkPool:
         ]:
             act = raising(cases)
             with pytest.raises(BaseException) as caught:
-                network._run_phases(_phases(3, 8, act, act))
+                _run_phases(_phases(3, 8, act, act))
             assert str(caught.value) == want, (cpus, cases)
 
     def test_a_later_chunk_failing_first_does_not_win(self, monkeypatch):
@@ -417,7 +428,7 @@ class TestChunkPool:
                 raise NumericError("block 2")
 
         with pytest.raises(NumericError, match="block 1$"):
-            network._run_phases(_phases(1, 6, run))
+            _run_phases(_phases(1, 6, run))
         assert later_failed.is_set()
 
     def test_interrupt_on_the_calling_thread_stops_the_workers(self, monkeypatch):
@@ -432,7 +443,7 @@ class TestChunkPool:
 
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            network._run_phases(_phases(2, 6, run))
+            _run_phases(_phases(2, 6, run))
         assert len(ran) <= 1  # only the block the worker had taken before the interrupt
         assert threading.active_count() == before
 
@@ -451,7 +462,7 @@ class TestChunkPool:
         put(2)
         try:
             with pytest.raises(KeyboardInterrupt) as caught:
-                network._run_phases(_phases(2, 6, run))
+                _run_phases(_phases(2, 6, run))
             assert caught.value is interrupt
             assert get() == 2
         finally:
@@ -460,30 +471,31 @@ class TestChunkPool:
         assert runners - 1 in started and len(started) <= 1 + runners
         assert threading.active_count() == threads
 
-    def test_blas_held_at_one_thread_then_restored(self):
+    def test_blas_held_at_one_thread_then_restored(self, monkeypatch):
         blas = network._blas_thread_control()
         if blas is None:
             pytest.skip("numpy's OpenBLAS thread count cannot be set here")
         get, put = blas
+        m = tiny_model(layers=1, output_dim=174)
+        rng = np.random.default_rng(19)
+        feats = FeatureSequence(rng.normal(0, 1, (self.FRAMES, 8)).astype(np.float32), 60.0)
+        layer_forward = network._layer_forward
         before = get()
         put(2)
         try:
-            m = tiny_model(layers=1, output_dim=174)
-            rng = np.random.default_rng(19)
-            feats = FeatureSequence(rng.normal(0, 1, (self.FRAMES, 8)).astype(np.float32), 60.0)
-            infer(feats, constant_timeline(1, self.FRAMES), m)
-            assert get() == 2
             # a clean run, a block failing and an interrupt all restore the count
             for error in [None, NumericError("block 3"), KeyboardInterrupt()]:
                 inside = []
 
-                def run(p, b):
+                def spy(*args, **kwargs):  # on every runner
                     inside.append(get())
-                    if b == 3 and error is not None:
+                    if len(inside) >= 4 and error is not None:
                         raise error
+                    return layer_forward(*args, **kwargs)
 
+                monkeypatch.setattr(network, "_layer_forward", spy)
                 with pytest.raises(type(error)) if error else contextlib.nullcontext():
-                    network._run_phases(_phases(2, 6, run))
+                    infer(feats, constant_timeline(1, self.FRAMES), m)
                 assert get() == 2, error
                 assert inside and set(inside) == {1}, error
         finally:
@@ -532,7 +544,7 @@ class TestRunPhasesProperties:
 
         def call():
             try:
-                network._run_phases(phases)
+                _run_phases(phases)
             except BaseException as exc:
                 outcome.append(exc)
 
@@ -569,8 +581,10 @@ def _float32_stack(layers=2):
 
 
 def _stack_on(chunks, stack):
-    """``_layer_major`` on a copy of the chunks of rows ``chunks``."""
-    return network._layer_major(np.concatenate(chunks), [len(c) for c in chunks], stack)
+    """``_layer_major`` on a copy of the chunks of rows ``chunks``, at one
+    BLAS thread, as ``infer`` runs it."""
+    with network._one_blas_thread():
+        return network._layer_major(np.concatenate(chunks), [len(c) for c in chunks], stack)
 
 
 def _plant_after(monkeypatch, layer, rows, action):
@@ -711,6 +725,76 @@ class TestRowBlocks:
 
         monkeypatch.setattr(network, "_tensors", failing_read)
         self._released(monkeypatch, stack, self._hidden(), error)
+
+
+@st.composite
+def _layer_major_runs(draw):
+    """(rows, group_chunks, cpus, width, fault): 1-5 chunks of 1-600 rows,
+    1-3 chunks a group, 1-4 CPUs, a width of 16-64, and no fault, a NaN
+    planted in the output of ("nan", layer, block), or a failing read of
+    ("read", index)'s item of ``_tensors``."""
+    rows = draw(st.lists(st.integers(1, 600), min_size=1, max_size=5))
+    blocks = sum(len(network._row_blocks(n)) for n in rows)
+    fault = draw(st.none() | st.tuples(st.just("read"), st.integers(0, 2))
+                 | st.tuples(st.just("nan"), st.integers(0, 1), st.integers(0, blocks - 1)))
+    return rows, draw(st.integers(1, 3)), draw(st.integers(1, 4)), 2 * draw(st.integers(8, 32)), fault
+
+
+class TestLayerMajorProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(run=_layer_major_runs())
+    def test_runners_and_groups_give_the_one_runner_outcome(self, run):
+        rows, group_chunks, cpus, width, fault = run
+        m = build_model(8, d_model=width, n_layers=2, n_heads=2, d_ff=2 * width, output_dim=12,
+                        dropout=0.0, seed=width)
+        stack = network._bind(m.flat.astype(np.float32), network._model_meta(m))
+        h0 = np.random.default_rng(sum(rows)).normal(0, 1, (sum(rows), width)).astype(np.float32)
+        starts = [at + s for at, n in zip(itertools.accumulate(rows, initial=0), rows)
+                  for s, _ in network._row_blocks(n)]
+        layer_forward, tensors = network._layer_forward, network._tensors
+
+        def planted(x, p, *args, **kwargs):
+            y, cache = layer_forward(x, p, *args, **kwargs)
+            _, layer, block = fault
+            if p.wq is stack.layers[layer].wq and x.ctypes.data == h[starts[block]:].ctypes.data:
+                y[:] = np.nan
+            return y, cache
+
+        def failing_read(model):
+            for i, t in enumerate(tensors(model)):
+                if i == fault[1]:
+                    raise DataError(f"read {i}")
+                yield t
+
+        patches = ({} if fault is None else {"_tensors": failing_read} if fault[0] == "read"
+                   else {"_layer_forward": planted})
+
+        def outcome(cpus, group_chunks):
+            nonlocal h
+            h = h0.copy()
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+                    mock.patch.multiple(network, _GROUP_CHUNKS=group_chunks, **patches), \
+                    network._one_blas_thread():
+                try:
+                    return network._layer_major(h, rows, stack)
+                except Exception as exc:
+                    return exc
+
+        h = None
+        _, (get, put) = _blas_or_stub()
+        before = get()
+        put(2)
+        try:
+            want, got = outcome(1, network._GROUP_CHUNKS), outcome(cpus, group_chunks)
+            assert get() == 2
+        finally:
+            put(before)
+        assert isinstance(want, Exception) == (fault is not None)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert np.array_equal(got, want)
+        assert not [t for t in threading.enumerate() if t.name.startswith("speechrig-runner")]
 
 
 class TestGradients:
@@ -969,7 +1053,7 @@ class TestWeightStream:
         with WeightStream(path) as weights, pytest.raises(RuntimeError, match="not read"):
             weights.hexdigest()
 
-    def test_peak_memory_holds_two_layers_not_all(self, tmp_path, monkeypatch):
+    def test_peak_memory_holds_one_layer_not_all(self, tmp_path, monkeypatch):
         # at width 64 a layer is 0.2 MB; going from 2 to 8 layers adds 1.2
         # MB to the file, and less than one layer to infer's peak
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one allocation order
