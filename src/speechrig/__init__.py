@@ -36,7 +36,6 @@ from .network import (
     grad_check,
     infer,
     load_model,
-    reference_model,
     save_model,
 )
 from .rig import (

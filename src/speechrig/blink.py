@@ -213,46 +213,43 @@ def read_ear_csv(path) -> np.ndarray:
 
 @dataclass
 class BlinkFrequencyModel:
-    """Log-normal blinks-per-minute model with an upper rate cutoff."""
+    """Log-normal blinks-per-minute model, cut off at ``MAX_RATE``."""
 
     mu_ln: float = DEFAULT_MU_LN
     sigma_ln: float = DEFAULT_SIGMA_LN
-    max_rate: float = MAX_RATE
 
     def __post_init__(self):
         if not (math.isfinite(self.mu_ln) and math.isfinite(self.sigma_ln)):
             raise DataError(f"mu_ln and sigma_ln must be finite, got {self}")
         if self.sigma_ln < 0.0:
             raise DataError(f"sigma_ln must be >= 0, got {self.sigma_ln}")
-        if not self.max_rate > 0.0:  # NaN fails too; +inf means no cutoff
-            raise DataError(f"max_rate must be positive, got {self.max_rate}")
-        # Truncated sampling redraws every rate above max_rate, so it needs
-        # some mass below it: P(ln rate <= ln max_rate) under the normal law.
-        z = float(np.log(self.max_rate)) - self.mu_ln
+        # Truncated sampling redraws every rate above MAX_RATE, so it needs
+        # some mass below it: P(ln rate <= ln MAX_RATE) under the normal law.
+        z = float(np.log(MAX_RATE)) - self.mu_ln
         kept = float(z >= 0.0) if self.sigma_ln == 0.0 else \
             0.5 * math.erfc(-z / (self.sigma_ln * math.sqrt(2.0)))
         if kept < 0.01:
             raise DataError(f"blink model keeps {kept:.2%} of its rates at or below "
-                            f"max_rate {self.max_rate}; at least 1% is needed")
+                            f"max_rate {MAX_RATE}; at least 1% is needed")
 
     def save(self, path) -> None:
         write_json(path, {"mu_ln": self.mu_ln, "sigma_ln": self.sigma_ln,
-                          "max_rate": self.max_rate})
+                          "max_rate": MAX_RATE})
 
 
-def fit_lognormal(rates, max_rate: float = MAX_RATE) -> BlinkFrequencyModel:
+def fit_lognormal(rates) -> BlinkFrequencyModel:
     """Fit the log-normal rate model: mean and std of ln(rate) over the
-    samples at or below the cutoff (higher ones are detector noise)."""
+    samples at or below ``MAX_RATE`` (higher ones are detector noise)."""
     rates = np.asarray(rates, dtype=np.float64).reshape(-1)
     if (rates <= 0).any():
         raise DataError("blink rates must be positive")
-    kept = rates[rates <= max_rate]
+    kept = rates[rates <= MAX_RATE]
     if kept.size < 2:
         raise DegenerateDataError(
-            f"need at least 2 rates <= {max_rate} to fit, got {kept.size}"
+            f"need at least 2 rates <= {MAX_RATE} to fit, got {kept.size}"
         )
     logs = np.log(kept)
-    return BlinkFrequencyModel(float(logs.mean()), float(logs.std()), max_rate)
+    return BlinkFrequencyModel(float(logs.mean()), float(logs.std()))
 
 
 def draw_rates(model: BlinkFrequencyModel, n: int, rng, truncate: bool = True) -> np.ndarray:
@@ -260,10 +257,10 @@ def draw_rates(model: BlinkFrequencyModel, n: int, rng, truncate: bool = True) -
     cutoff and redraws them, preserving the distribution's shape below."""
     rates = rng.lognormal(model.mu_ln, model.sigma_ln, n)
     if truncate:
-        bad = rates > model.max_rate
+        bad = rates > MAX_RATE
         while bad.any():
             rates[bad] = rng.lognormal(model.mu_ln, model.sigma_ln, int(bad.sum()))
-            bad = rates > model.max_rate
+            bad = rates > MAX_RATE
     return rates
 
 

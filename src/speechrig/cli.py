@@ -82,7 +82,10 @@ def _read_timeline_csv(path, n_frames: int) -> np.ndarray:
     for frame, _ in pairs:
         if not frame.is_integer():  # inf and NaN fail too
             raise DataError(f"{path}: timeline frame {frame!r} is not an integer")
-    return timeline_from_rows(pairs, n_frames)
+    try:
+        return timeline_from_rows(pairs, n_frames)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # --- subcommands ---------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DataError
 from .rig import N_EMOTIONS
 
-D_MODEL = 512
 LEAKY_SLOPE = 0.2
 
 
@@ -49,14 +48,10 @@ def encoder_shapes(feature_dim: int, d_model: int) -> dict[str, tuple[int, ...]]
             "emotion_w2": (d_model, d_model), "emotion_b2": (d_model,)}
 
 
-def positional_encoding(n_frames: int, d_model: int = D_MODEL, start: int = 0) -> np.ndarray:
+def positional_encoding(n_frames: int, d_model: int, start: int = 0) -> np.ndarray:
     """Sinusoidal position table for positions start .. start + n_frames - 1:
     sin(pos / 10000^(2i/d)) on even columns, cos of the same angle on the
-    following odd column.
-
-    Computed on every call, so a chunk at a late offset holds only its
-    own rows, and only while it is encoded.
-    """
+    following odd column. No table is kept between calls."""
     if n_frames < 1:
         raise DataError(f"positional encoding needs n_frames >= 1, got {n_frames}")
     if d_model % 2 != 0 or d_model < 2:
@@ -75,26 +70,18 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
 
 
 def encode_content(features: np.ndarray, params: EncoderParams,
-                   pos_offset: int = 0, positions: np.ndarray | None = None) -> np.ndarray:
-    """Project features to model width and add the positional table.
-
-    ``pos_offset`` shifts the position index of the first row; chunked
-    inference passes the chunk's global start frame so positions stay
-    consistent across chunk boundaries. ``positions``, if given, is a
-    table from position 0 of at least as many rows as ``features``,
-    whose first rows are added instead (the same bits: every row depends
-    on its position only).
-    """
+                   positions: np.ndarray) -> np.ndarray:
+    """Project features to model width and add the first rows of
+    ``positions``, a ``positional_encoding`` table of at least as many rows.
+    Chunked inference passes the table from the chunk's global start frame,
+    so positions stay consistent across chunk boundaries."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.feature_dim:
         raise DataError(
             f"feature width {features.shape[1] if features.ndim == 2 else '?'} "
             f"does not match encoder width {params.feature_dim}"
         )
-    proj = features @ params.content_w + params.content_b
-    if positions is None:
-        return proj + positional_encoding(features.shape[0], params.d_model, start=pos_offset)
-    return proj + positions[:features.shape[0]]
+    return features @ params.content_w + params.content_b + positions[:features.shape[0]]
 
 
 def emotion_mlp(params: EncoderParams):

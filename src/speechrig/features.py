@@ -34,7 +34,6 @@ FEATURE_VERSION = 1
 _HEADER = struct.Struct("<4sIIIf")
 
 REFERENCE_FEATURE_RATE = 50.0
-REFERENCE_FEATURE_DIM = 768
 FALLBACK_FAMILY = "mel-cepstrum-reference"
 
 

@@ -55,6 +55,7 @@ from .encoders import (
     encode_content,
     encode_emotion_table,
     encoder_shapes,
+    positional_encoding,
 )
 from .errors import DataError, NumericError
 from .features import (
@@ -182,7 +183,7 @@ def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
                 n_heads: int = 8, d_ff: int = 2048, output_dim: int = RIG_WIDTH,
                 dropout: float = 0.1, seed: int = 0,
                 feature_family: str = "external") -> RigModel:
-    """Freshly initialized model.
+    """Freshly initialized model; the defaults are the paper's reference configuration.
 
     In ``named_parameters`` order: the emotion embedding draws N(0, 0.02),
     every other matrix Glorot-uniform U(-b, b) with b = sqrt(6 / (n_in +
@@ -210,14 +211,6 @@ def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
         elif name.endswith("_g"):
             p.fill(1.0)
     return model
-
-
-def reference_model(feature_dim: int = 768, seed: int = 0,
-                    feature_family: str = "external") -> RigModel:
-    """The full-scale configuration: 10 layers at width 512."""
-    return build_model(feature_dim, d_model=512, n_layers=10, n_heads=8,
-                       d_ff=2048, output_dim=RIG_WIDTH, dropout=0.1,
-                       seed=seed, feature_family=feature_family)
 
 
 def named_parameters(model: RigModel) -> list[tuple[str, np.ndarray]]:
@@ -465,9 +458,10 @@ def training_forward(model: RigModel, features: np.ndarray, labels: np.ndarray,
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    content = encode_content(features, model.encoder, positions=positions)
+    if positions is None:
+        positions = positional_encoding(len(features), model.d_model)
     z1, a1, etab = emotion_mlp(model.encoder) if emotion is None else emotion
-    h0 = content + etab[labels]
+    h0 = encode_content(features, model.encoder, positions) + etab[labels]
 
     y, caches = _stack_forward(model, h0, rng)
     cache = {"features": features, "labels": labels, "z1": z1, "a1": a1,
@@ -746,8 +740,9 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     h = np.empty((sum(rows), model.d_model), np.float32)  # the chunks one after another
     for (s, e), at in zip(bounds, itertools.accumulate(rows, initial=0)):
         x = resample_rows(features, n, s, e)
-        h[at:at + e - s] = encode_content(x, encoder, pos_offset=s) + etab[labels[s:e]]
-    del encoder, features, x  # not held while the stack runs
+        positions = positional_encoding(e - s, model.d_model, start=s)
+        h[at:at + e - s] = encode_content(x, encoder, positions) + etab[labels[s:e]]
+    del encoder, features, x, positions  # not held while the stack runs
     return RigSequence(_crossfade(bounds, _layer_major(h, rows, model)))
 
 

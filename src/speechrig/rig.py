@@ -131,14 +131,8 @@ class ControllerMap:
             for e in self.entries
         ]
 
-    def save(self, path) -> None:
-        write_json(path, self.to_document())
-
     def __eq__(self, other):
         return isinstance(other, ControllerMap) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
 
 def _validate_entries(entries) -> None:
@@ -214,9 +208,7 @@ def _entry_from_document(obj: dict) -> ControllerEntry:
 
 
 def load_controller_map_document(document) -> ControllerMap:
-    """Build a ControllerMap from a parsed JSON document (list of entries)."""
-    if isinstance(document, dict):
-        document = document.get("controllers")
+    """Build a ControllerMap from a parsed JSON document: a list of entries."""
     if not isinstance(document, list):
         raise MapError("bad-document", "controller map must be a JSON array of entries")
     return ControllerMap([_entry_from_document(obj) for obj in document])
@@ -271,14 +263,12 @@ class RigSequence:
         return RigSequence(self.values.copy())
 
 
-def write_rig_csv(path, seq: RigSequence, cmap: ControllerMap | None = None) -> None:
-    """Write a rig sequence as CSV: controller-name header, one row per
-    frame, 9 significant digits per value."""
-    names = cmap.names if cmap is not None else tuple(
-        f"ch{i:03d}" for i in range(seq.values.shape[1]))
+def write_rig_csv(path, seq: RigSequence, cmap: ControllerMap) -> None:
+    """Write a rig sequence as CSV: ``cmap``'s controller names as the
+    header, one row per frame, 9 significant digits per value."""
     row = ",".join(["%.9g"] * seq.values.shape[1]) + "\n"
     with atomic_write(path, newline="") as f:
-        f.write(",".join(names) + "\n")
+        f.write(",".join(cmap.names) + "\n")
         for r in seq.values:
             f.write(row % tuple(r.tolist()))
 
@@ -429,13 +419,17 @@ def timeline_from_rows(rows, n_frames: int) -> np.ndarray:
     """Expand sparse (frame, label) rows to a dense per-frame timeline.
 
     Each label holds from its frame until the next row (step-hold). The
-    first row must be at frame 0 so every output frame is covered.
+    first row must be at frame 0 so every output frame is covered, and no
+    frame may have two rows.
     """
     rows = sorted((int(f), int(lab)) for f, lab in rows)
     if not rows:
         raise DataError("emotion timeline has no rows")
     if rows[0][0] != 0:
         raise DataError("emotion timeline must start at frame 0")
+    for (frame, _), (after, _) in zip(rows, rows[1:]):
+        if frame == after:
+            raise DataError(f"emotion timeline lists frame {frame} more than once")
     labels = np.empty(n_frames, dtype=np.int64)
     for k, (frame, lab) in enumerate(rows):
         if not 0 <= lab < N_EMOTIONS:

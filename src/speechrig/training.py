@@ -28,7 +28,8 @@ from .network import (
     grad_buffer,
     upcast_to_float64,
 )
-from .rig import N_EMOTIONS, RIG_FPS, constant_timeline, emotion_id, read_rig_csv, write_csv
+from .rig import (N_EMOTIONS, RIG_FPS, RIG_WIDTH, constant_timeline, emotion_id, read_rig_csv,
+                  write_csv)
 
 STEP_SIZE, GAMMA = 100, 0.995
 
@@ -80,8 +81,8 @@ class SyntheticDataset:
         return len(self.items)
 
 
-def gen_synthetic(seed: int, n_items: int, t_range=(40, 80), feature_dim: int = 32,
-                  output_dim: int = 174) -> SyntheticDataset:
+def gen_synthetic(seed: int, n_items: int, t_range=(40, 80),
+                  feature_dim: int = 32) -> SyntheticDataset:
     """Reproducible random clips with the documented ground-truth transform."""
     if n_items < 1:
         raise DataError(f"n_items must be >= 1, got {n_items}")
@@ -92,8 +93,8 @@ def gen_synthetic(seed: int, n_items: int, t_range=(40, 80), feature_dim: int = 
     # Pre-squash std 0.25 and offsets within 0.2 keep the squash gentle; a
     # harder saturation needs one hidden unit per output channel to fit,
     # which desk-scale models don't have.
-    affine = rng.normal(0.0, 0.25 / np.sqrt(feature_dim), (feature_dim, output_dim))
-    offsets = rng.uniform(-0.2, 0.2, (N_EMOTIONS, output_dim))
+    affine = rng.normal(0.0, 0.25 / np.sqrt(feature_dim), (feature_dim, RIG_WIDTH))
+    offsets = rng.uniform(-0.2, 0.2, (N_EMOTIONS, RIG_WIDTH))
     items = []
     for _ in range(n_items):
         t = int(rng.integers(t_lo, t_hi + 1))
@@ -236,17 +237,17 @@ def write_loss_csv(path, history) -> None:
 
 
 def load_manifest(path) -> list[ClipExample]:
-    """Load (feature file, target rig CSV, emotion) triples for training.
-
-    Features are resampled to the 60 fps rig clock; each clip's target
-    must then match its feature frame count.
+    """Load the clips of a training manifest, a JSON object whose ``items``
+    list holds (feature file, target rig CSV, emotion) objects. Features
+    are resampled to the 60 fps rig clock; each clip's target must then
+    match its feature frame count.
     """
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise DataError(f"cannot read training manifest {path}: {exc}") from None
-    entries = doc.get("items") if isinstance(doc, dict) else doc
+    entries = doc.get("items") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:
         raise DataError(f"{path}: manifest must list at least one item")
 

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from speechrig.blink import (
     BLINK_SPAN,
+    MAX_RATE,
     BlinkClassifier,
     BlinkFrequencyModel,
     blink_profile,
@@ -212,13 +213,14 @@ class TestFrequencyModel:
         assert model.sigma_ln == pytest.approx(kept.std(), abs=1e-12)
 
     def test_recovery_from_large_sample(self):
-        # estimator check without an effective cutoff; the default cutoff
-        # drops ~2% of this law's mass and would bias mu by ~0.03
+        # estimator check on a law the cutoff does not bias: 100 is 5.3
+        # sigmas above its ln-mean (the reference law loses ~2% of its mass
+        # there, which biases mu by ~0.03)
         rng = np.random.default_rng(77)
-        samples = rng.lognormal(3.518, 0.532, 100_000)
-        model = fit_lognormal(samples, max_rate=np.inf)
-        assert model.mu_ln == pytest.approx(3.518, abs=0.01)
-        assert model.sigma_ln == pytest.approx(0.532, abs=0.01)
+        samples = rng.lognormal(3.0, 0.3, 100_000)
+        model = fit_lognormal(samples)
+        assert model.mu_ln == pytest.approx(3.0, abs=0.01)
+        assert model.sigma_ln == pytest.approx(0.3, abs=0.01)
 
     def test_high_rates_excluded(self):
         rates = np.array([30.0, 40.0, 150.0, 35.0])
@@ -231,11 +233,11 @@ class TestFrequencyModel:
             fit_lognormal(np.array([30.0, 150.0]))
 
     @pytest.mark.parametrize("params", [(10.0, 0.532), (5.0, 0.0), (np.nan, 0.532),
-                                        (3.518, np.inf), (3.518, 0.532, np.nan)],
+                                        (3.518, np.inf)],
                              ids=["mu-far-above-cutoff", "point-mass-above-cutoff", "nan-mu",
-                                  "inf-sigma", "nan-max-rate"])
+                                  "inf-sigma"])
     def test_unsampleable_model_rejected(self, params):
-        # truncated sampling redraws every rate above max_rate, so a model
+        # truncated sampling redraws every rate above MAX_RATE, so a model
         # with (almost) no mass below it would never finish a draw
         with pytest.raises(DataError):
             BlinkFrequencyModel(*params)
@@ -248,19 +250,22 @@ class TestFrequencyModel:
             BlinkFrequencyModel(np.log(100.0) + 2.35 * 0.5, 0.5)
         BlinkFrequencyModel(np.log(100.0), 0.0)  # a point mass at the cutoff is kept
 
-    @pytest.mark.parametrize("max_rate", [100.0, 97.3, 0.7])
+    @pytest.mark.parametrize("rate", [MAX_RATE, 97.3, 0.7])
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 11])
-    def test_fit_at_the_cutoff_is_a_valid_model(self, max_rate, n):
-        model = fit_lognormal(np.full(n, max_rate), max_rate)
+    def test_fit_at_the_cutoff_is_a_valid_model(self, rate, n):
+        # a point mass at the cutoff, or below it
+        model = fit_lognormal(np.full(n, rate))
         assert model.sigma_ln == pytest.approx(0.0, abs=1e-12)
 
     def test_json_roundtrip(self, tmp_path):
-        model = BlinkFrequencyModel(3.1, 0.4, 90.0)
+        model = BlinkFrequencyModel(3.1, 0.4)
         path = tmp_path / "freq.json"
         model.save(path)
         with open(path, encoding="utf-8") as f:
-            back = BlinkFrequencyModel(**json.load(f))
-        assert (back.mu_ln, back.sigma_ln, back.max_rate) == (3.1, 0.4, 90.0)
+            doc = json.load(f)
+        assert doc == {"mu_ln": 3.1, "sigma_ln": 0.4, "max_rate": 100.0}
+        back = BlinkFrequencyModel(doc["mu_ln"], doc["sigma_ln"])
+        assert (back.mu_ln, back.sigma_ln) == (3.1, 0.4)
 
 
 class TestSampling:
@@ -291,8 +296,8 @@ class TestSampling:
             z = (np.log(x) - model.mu_ln) / model.sigma_ln
             return np.exp(-0.5 * z * z) / (x * model.sigma_ln * np.sqrt(2 * np.pi))
 
-        num, _ = integrate.quad(lambda x: x * pdf(x), 1e-9, model.max_rate)
-        den, _ = integrate.quad(pdf, 1e-9, model.max_rate)
+        num, _ = integrate.quad(lambda x: x * pdf(x), 1e-9, MAX_RATE)
+        den, _ = integrate.quad(pdf, 1e-9, MAX_RATE)
         assert rates.mean() == pytest.approx(num / den, abs=1.0)
 
     def test_a_rate_drawn_as_zero_ends_the_blinks(self):

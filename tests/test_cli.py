@@ -553,6 +553,10 @@ _BAD_PATHS = {
     "manifest-emotion-null": _manifest_case("m_null.json", b"null"),
     "manifest-emotion-unknown-name": _manifest_case("m_name.json", b'"bored"'),
     "manifest-emotion-out-of-range": _manifest_case("m_range.json", b'"7"'),
+    "manifest-bare-list": (
+        lambda w: ["train", "--manifest", w / "m_bare.json", "--epochs", "1",
+                   "--out", w / "t.emow"],
+        "m_bare.json", b'[{"features": "f.emof", "target": "t.csv", "emotion": 0}]'),
     "trace-fractional-frames": (lambda w: ["blink-detect", "--trace", w / "half_ear.csv"],
                                 "half_ear.csv", b"frame,ear\n0.5,0.3\n1.5,0.3\n"),
     "blink-mu-above-cutoff": (lambda w: [*_infer_argv(w), "--blink", "--blink-mu", "10"],
@@ -577,6 +581,10 @@ _BAD_PATHS = {
     "timeline-fractional-frame": (
         lambda w: _infer_argv(w, emotion=("--timeline", w / "frac_tl.csv")),
         "frac_tl.csv", b"frame,label\n0,happy\n30.7,sad\n"),
+    # the later row does not win: the file is ambiguous
+    "timeline-repeated-frame": (
+        lambda w: _infer_argv(w, emotion=("--timeline", w / "dup_tl.csv")),
+        "dup_tl.csv", b"frame,label\n0,neutral\n0,happy\n300,sad\n300,angry\n"),
     "train-heads-0": (lambda w: _train_argv(w, "--heads", "0"), "n_heads", None),
     "train-d-model-0": (lambda w: _train_argv(w, "--d-model", "0"), "d_model", None),
     "train-odd-d-model": (lambda w: _train_argv(w, "--d-model", "3", "--heads", "1"),
@@ -714,7 +722,8 @@ class _FullDisk:
 def _write_output_inputs(d):
     """The inputs of the commands in ``_OUTPUTS``, written under ``d``."""
     rng = np.random.default_rng(33)
-    write_rig_csv(d / "pred.csv", RigSequence(rng.uniform(-1, 1, (30, RIG_WIDTH))))
+    write_rig_csv(d / "pred.csv", RigSequence(rng.uniform(-1, 1, (30, RIG_WIDTH))),
+                  default_map())
     trace = np.full(240, 0.30)
     for s in (40, 160):  # two blinks, so blink-detect writes rows after its header
         trace[s:s + 5] = [0.22, 0.08, 0.03, 0.08, 0.22]
@@ -944,8 +953,8 @@ class TestAnalyze:
         rng = np.random.default_rng(33)
         pred = RigSequence(rng.uniform(-1, 1, (30, RIG_WIDTH)))
         gt = RigSequence(np.clip(pred.values + 0.01, -1, 1))
-        write_rig_csv(workdir / "pred.csv", pred)
-        write_rig_csv(workdir / "gt.csv", gt)
+        write_rig_csv(workdir / "pred.csv", pred, default_map())
+        write_rig_csv(workdir / "gt.csv", gt, default_map())
         code = run("analyze", "--pred", workdir / "pred.csv", "--gt", workdir / "gt.csv",
                    "--mae-out", workdir / "mae.json", "--corr-out", workdir / "corr.csv")
         assert code == 0
@@ -954,7 +963,7 @@ class TestAnalyze:
         assert (workdir / "corr.csv").exists()
 
     def test_analyze_without_action_exits_3(self, workdir):
-        write_rig_csv(workdir / "only.csv", RigSequence(np.zeros((5, RIG_WIDTH))))
+        write_rig_csv(workdir / "only.csv", RigSequence(np.zeros((5, RIG_WIDTH))), default_map())
         assert run("analyze", "--pred", workdir / "only.csv") == 3
 
 

@@ -22,6 +22,7 @@ from speechrig.rig import (
     default_map,
     load_controller_map,
     read_rig_csv,
+    write_json,
     write_rig_csv,
 )
 
@@ -42,7 +43,7 @@ _MODEL = build_model(3, d_model=4, n_layers=1, n_heads=2, d_ff=4, output_dim=2,
 
 # reader, a valid file it reads
 _NUMERIC_CSVS = {
-    "rig": (read_rig_csv, _written(lambda p: write_rig_csv(p, RigSequence(_RIG)))),
+    "rig": (read_rig_csv, _written(lambda p: write_rig_csv(p, RigSequence(_RIG), default_map()))),
     "ear-trace": (read_ear_csv, b"frame,ear\n0,0.31\n1,0.25\n2,0.07\n3,0.2\n4,0.3\n"),
     "features": (read_feature_csv, b"f0,f1,f2\n0.5,-1.25,3e-2\n1,2,3\n\n-0.5,0.25,1e3\n"),
 }
@@ -83,7 +84,7 @@ def test_damaged_timeline_feature_and_weight_files_raise_only_data_error(kind, d
     _read_damaged(*_OTHER_INPUTS[kind], data)
 
 
-_MAP = _written(default_map().save)
+_MAP = _written(lambda p: write_json(p, default_map().to_document()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -101,9 +102,9 @@ def test_rig_csv_write_read_is_exact_after_one_write(values):
     # from then on reading and writing again reproduces values and bytes
     with tempfile.TemporaryDirectory() as d:
         first, second = os.path.join(d, "a.csv"), os.path.join(d, "b.csv")
-        write_rig_csv(first, RigSequence(values))
+        write_rig_csv(first, RigSequence(values), default_map())
         seq = read_rig_csv(first)
-        write_rig_csv(second, seq)
+        write_rig_csv(second, seq, default_map())
         again = read_rig_csv(second)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()

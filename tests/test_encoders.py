@@ -92,14 +92,15 @@ def _zero_params(feature_dim=6, d_model=8):
 class TestContentEncoder:
     def test_zero_features_zero_bias_give_pe(self):
         params = _zero_params()
-        out = encode_content(np.zeros((5, 6)), params)
+        # the first rows of a longer table are added
+        out = encode_content(np.zeros((5, 6)), params, positional_encoding(7, 8))
         assert np.array_equal(out, positional_encoding(5, 8))
 
     def test_single_frame_gets_pos_zero_row(self):
         params = _zero_params(feature_dim=8, d_model=8)
         params.content_w[:] = np.eye(8)
         feats = np.arange(8, dtype=float)[None, :]
-        out = encode_content(feats, params)
+        out = encode_content(feats, params, positional_encoding(1, 8))
         assert np.allclose(out[0], feats[0] + np.array([0.0, 1.0] * 4))
 
     def test_linear_in_features_before_pe(self):
@@ -109,21 +110,21 @@ class TestContentEncoder:
         a = rng.normal(0, 1, (4, 6))
         b = rng.normal(0, 1, (4, 6))
         pe = positional_encoding(4, 8)
-        lhs = encode_content(a + b, params) - pe
-        rhs = (encode_content(a, params) - pe) + (encode_content(b, params) - pe)
+        lhs = encode_content(a + b, params, pe) - pe
+        rhs = (encode_content(a, params, pe) - pe) + (encode_content(b, params, pe) - pe)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         params = _zero_params(feature_dim=6)
         with pytest.raises(DataError):
-            encode_content(np.zeros((4, 5)), params)
+            encode_content(np.zeros((4, 5)), params, positional_encoding(4, 8))
 
     def test_pos_offset_slices_global_table(self):
         rng = np.random.default_rng(2)
         params = _init_params(3, 8, seed=2)
         feats = rng.normal(0, 1, (10, 3))
-        whole = encode_content(feats, params)
-        tail = encode_content(feats[4:], params, pos_offset=4)
+        whole = encode_content(feats, params, positional_encoding(10, 8))
+        tail = encode_content(feats[4:], params, positional_encoding(6, 8, start=4))
         assert np.array_equal(whole[4:], tail)
 
 

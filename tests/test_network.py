@@ -38,7 +38,6 @@ from speechrig.network import (
     load_model,
     mse_and_grad,
     named_parameters,
-    reference_model,
     save_model,
     training_forward,
 )
@@ -180,7 +179,8 @@ class TestChunkedInference:
         rng = np.random.default_rng(7)
         feats = FeatureSequence(rng.normal(0, 1, (40, 8)).astype(np.float32), 60.0)
         tl = constant_timeline(1, 40)
-        h0 = encode_content(feats.data, m.encoder) + encode_emotion_table(m.encoder)[tl]
+        h0 = (encode_content(feats.data, m.encoder, positional_encoding(40, m.d_model))
+              + encode_emotion_table(m.encoder)[tl])
         stack = network._bind(m.flat.astype(np.float32), network._model_meta(m))
         single = network._stack_forward(stack, h0.astype(np.float32), rng=None)[0]
         assert np.array_equal(infer(feats, tl, m).values, single)
@@ -254,7 +254,7 @@ class TestChunkedInference:
         assert not np.array_equal(a.values, b.values)
 
     def test_reference_configuration_runs(self):
-        m = reference_model(feature_dim=768, seed=1)
+        m = build_model(768, seed=1)
         assert (m.n_layers, m.d_model, m.n_heads, m.d_ff, m.output_dim) == \
             (10, 512, 8, 2048, 174)
         rng = np.random.default_rng(15)
@@ -264,11 +264,11 @@ class TestChunkedInference:
         assert np.isfinite(seq.values).all()
 
     def test_float32_inference_tracks_float64_forward(self):
-        m = reference_model(feature_dim=768, seed=1)
+        m = build_model(768, seed=1)
         rng = np.random.default_rng(16)
         feats = FeatureSequence(rng.normal(0, 1, (120, 768)).astype(np.float32), 60.0)
         labels = constant_timeline(3, 120)
-        h0 = (encode_content(feats.data, m.encoder)
+        h0 = (encode_content(feats.data, m.encoder, positional_encoding(120, m.d_model))
               + encode_emotion_table(m.encoder)[labels])
         want = forward(m, h0)
         assert want.dtype == np.float64
@@ -308,9 +308,9 @@ class TestChunkedInference:
         import speechrig.network as network
         calls = []
 
-        def spy(features, params, pos_offset=0):
-            calls.append((pos_offset, len(features)))
-            return encode_content(features, params, pos_offset=pos_offset)
+        def spy(features, params, positions):
+            calls.append((len(features), positions))
+            return encode_content(features, params, positions)
 
         monkeypatch.setattr(network, "encode_content", spy)
         m = tiny_model(layers=1, output_dim=174)
@@ -318,24 +318,14 @@ class TestChunkedInference:
         feats = FeatureSequence(rng.normal(0, 1, (1300, 8)).astype(np.float32), 60.0)
         infer(feats, constant_timeline(2, 1300), m)
         # stride 540: chunks [0, 600), [540, 1140), [1080, 1300)
-        assert calls == [(0, 600), (540, 600), (1080, 220)]
+        assert [rows for rows, _ in calls] == [600, 600, 220]
+        for (rows, positions), start in zip(calls, [0, 540, 1080]):
+            assert np.array_equal(positions, positional_encoding(rows, m.d_model, start=start))
 
 
-def _run_phases(phases):
-    """Run each (prepare, jobs) phase of ``phases`` in order, on one
-    ``network._fork_join``: ``prepare()``, unless it is None, then every job."""
-    with network._fork_join() as run:
-        for prepare, jobs in phases:
-            if prepare is not None:
-                prepare()
-            run(jobs)
-
-
-def _phases(n_phases, n_blocks, run, prepare=None):
-    """``n_phases`` phases of ``n_blocks`` blocks each, ``run(p, b)`` doing
-    block b of phase p and ``prepare(p)``, if given, preparing phase p."""
-    return [(None if prepare is None else functools.partial(prepare, p),
-             [functools.partial(run, p, b) for b in range(n_blocks)]) for p in range(n_phases)]
+def _jobs(p, n_jobs, act):
+    """``n_jobs`` jobs of the ``run`` call numbered ``p``, job b calling ``act(p, b)``."""
+    return [functools.partial(act, p, b) for b in range(n_jobs)]
 
 
 def _blas_or_stub():
@@ -345,7 +335,7 @@ def _blas_or_stub():
     return (2, blas) if blas else (1, (lambda: 2, lambda threads: None))
 
 
-class TestChunkPool:
+class TestForkJoin:
     # 3000 frames in 600-frame chunks at stride 540: six chunks
     FRAMES = 3000
 
@@ -359,45 +349,46 @@ class TestChunkPool:
         serial = infer(feats, switched, m).values
         assert np.array_equal(pooled, serial)
 
-    def test_more_runners_than_cores_take_each_chunk_once(self, monkeypatch):
-        # 8 runners on 5 phases of 100 blocks, switching threads as often as
-        # the interpreter allows: a block taken twice or skipped, a phase
-        # started before the one before it ended, or a prepare run twice or
-        # late, shows in the log
+    def test_more_runners_than_cores_take_each_job_once(self, monkeypatch):
+        # 8 runners on 5 runs of 100 jobs, switching threads as often as the
+        # interpreter allows: a job taken twice or skipped, or a run started
+        # before the one before it returned, shows in the log
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        taken, prepared = [], []
+        taken = []
 
-        def run(p, b):
+        def act(p, b):
             time.sleep(0)  # lets another runner in
             taken.append((p, b))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _run_phases(_phases(5, 100, run, lambda p: prepared.append((p, len(taken)))))
+            with network._fork_join() as run:
+                for p in range(5):
+                    run(_jobs(p, 100, act))
         finally:
             sys.setswitchinterval(interval)
-        assert prepared == [(p, 100 * p) for p in range(5)]
         assert [p for p, _ in taken] == sorted(p for p, _ in taken)
         assert sorted(taken) == [(p, b) for p in range(5) for b in range(100)]
 
     @pytest.mark.parametrize("failing", [(2,), (2, 4), (4, 0)])
-    def test_earliest_failing_chunk_raises_unchanged(self, failing):
-        def run(p, b):
+    def test_earliest_failing_job_raises_unchanged(self, failing):
+        def act(p, b):
             if b in failing:
-                raise NumericError(f"block {b}")
+                raise NumericError(f"job {b}")
 
-        with pytest.raises(NumericError, match=f"block {min(failing)}$"):
-            _run_phases(_phases(1, 6, run))
+        with pytest.raises(NumericError, match=f"job {min(failing)}$"):
+            with network._fork_join() as run:
+                run(_jobs(0, 6, act))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_failure_rule_does_not_depend_on_the_runner_count(self, monkeypatch, cpus):
-        # lowest phase first, its prepare before its blocks, then the
-        # earliest block in clip order; an interrupt before any of them
+        # the first failing run stops the loop; in it the earliest job in
+        # list order, and an interrupt before any of them
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
         def raising(cases):
-            def act(p, b=-1):
+            def act(p, b):
                 if (p, b) in cases:
                     raise cases[p, b]
             return act
@@ -405,37 +396,39 @@ class TestChunkPool:
         for cases, want in [
             ({(1, 5): ValueError("1/5"), (1, 3): ValueError("1/3"), (2, 0): ValueError("2/0")},
              "1/3"),
-            ({(1, -1): ValueError("prepare 1"), (1, 0): ValueError("1/0")}, "prepare 1"),
             ({(0, 2): KeyboardInterrupt("0/2"), (0, 4): ValueError("0/4")}, "0/2"),
         ]:
             act = raising(cases)
             with pytest.raises(BaseException) as caught:
-                _run_phases(_phases(3, 8, act, act))
+                with network._fork_join() as run:
+                    for p in range(3):
+                        run(_jobs(p, 8, act))
             assert str(caught.value) == want, (cpus, cases)
 
-    def test_a_later_chunk_failing_first_does_not_win(self, monkeypatch):
+    def test_a_later_job_failing_first_does_not_win(self, monkeypatch):
         if network._blas_thread_control() is None or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs two runners")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         later_failed = threading.Event()
 
-        def run(p, b):
-            if b == 1:  # taken before block 2; fails only once block 2 has
+        def act(p, b):
+            if b == 1:  # taken before job 2; fails only once job 2 has
                 later_failed.wait(10.0)
-                raise NumericError("block 1")
+                raise NumericError("job 1")
             if b == 2:
                 later_failed.set()
-                raise NumericError("block 2")
+                raise NumericError("job 2")
 
-        with pytest.raises(NumericError, match="block 1$"):
-            _run_phases(_phases(1, 6, run))
+        with pytest.raises(NumericError, match="job 1$"):
+            with network._fork_join() as run:
+                run(_jobs(0, 6, act))
         assert later_failed.is_set()
 
     def test_interrupt_on_the_calling_thread_stops_the_workers(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         ran = []
 
-        def run(p, b):
+        def act(p, b):
             if threading.current_thread() is threading.main_thread():
                 raise KeyboardInterrupt
             time.sleep(0.05)
@@ -443,18 +436,20 @@ class TestChunkPool:
 
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            _run_phases(_phases(2, 6, run))
-        assert len(ran) <= 1  # only the block the worker had taken before the interrupt
+            with network._fork_join() as run:
+                for p in range(2):
+                    run(_jobs(p, 6, act))
+        assert len(ran) <= 1  # only the job the worker had taken before the interrupt
         assert threading.active_count() == before
 
-    def test_an_interrupt_in_a_chunk_reaches_the_caller_and_stops_the_pool(self, monkeypatch):
+    def test_an_interrupt_in_a_job_reaches_the_caller_and_stops_the_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         runners, (get, put) = _blas_or_stub()
         interrupt, started = KeyboardInterrupt(), []
 
-        def run(p, b):
+        def act(p, b):
             started.append(b)
-            if b == runners - 1:  # a block the calling thread may or may not take
+            if b == runners - 1:  # a job the calling thread may or may not take
                 raise interrupt
             time.sleep(0.05)
 
@@ -462,12 +457,14 @@ class TestChunkPool:
         put(2)
         try:
             with pytest.raises(KeyboardInterrupt) as caught:
-                _run_phases(_phases(2, 6, run))
+                with network._fork_join() as run:
+                    for p in range(2):
+                        run(_jobs(p, 6, act))
             assert caught.value is interrupt
             assert get() == 2
         finally:
             put(before)
-        # of six blocks, only those a runner took before the interrupt ran
+        # of six jobs, only those a runner took before the interrupt ran
         assert runners - 1 in started and len(started) <= 1 + runners
         assert threading.active_count() == threads
 
@@ -504,11 +501,10 @@ class TestChunkPool:
 
 @st.composite
 def _schedules(draw):
-    """(cpus, sizes, errors): 1-4 CPUs, 1-6 phases of 1-40 jobs, and the
-    exception each failing (phase, job) raises, job -1 being the phase's
-    prepare. A phase has up to three jobs raising ``ValueError``, maybe
-    one raising ``KeyboardInterrupt`` no later than the earliest of them,
-    and maybe a failing prepare."""
+    """(cpus, sizes, errors): 1-4 CPUs, 1-6 ``run`` calls of 1-40 jobs, and
+    the exception each failing (call, job) raises. A call has up to three
+    jobs raising ``ValueError`` and maybe one raising ``KeyboardInterrupt``
+    no later than the earliest of them."""
     sizes, errors = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6)), {}
     for p, n in enumerate(sizes):
         failing = draw(st.sets(st.integers(0, n - 1), max_size=3))
@@ -516,35 +512,33 @@ def _schedules(draw):
         interrupt = draw(st.none() | st.integers(0, min(failing, default=n - 1)))
         if interrupt is not None:
             errors[p, interrupt] = KeyboardInterrupt(f"{p}/{interrupt}")
-        if draw(st.integers(0, 3)) == 0:
-            errors[p, -1] = ValueError(f"prepare {p}")
     return draw(st.integers(1, 4)), sizes, errors
 
 
-class TestRunPhasesProperties:
+class TestForkJoinProperties:
     @settings(max_examples=200, deadline=None)
     @given(schedule=_schedules())
     def test_jobs_run_once_and_the_rule_picks_the_failure(self, schedule):
         cpus, sizes, errors = schedule
-        # the documented rule: the lowest failing phase; in it the prepare,
-        # then an interrupt, then the earliest job
+        # the documented rule, in the first failing call: an interrupt,
+        # then the earliest job
         raised = min(errors, default=(len(sizes) - 1, sizes[-1] - 1),
-                     key=lambda k: (k[0], k[1] != -1, isinstance(errors[k], Exception), k[1]))
+                     key=lambda k: (k[0], isinstance(errors[k], Exception), k[1]))
         ran = []
 
-        def act(p, b=-1):
+        def act(p, b):
             time.sleep(0)  # lets another runner in
             ran.append((p, b))
             if (p, b) in errors:
                 raise errors[p, b]
 
-        phases = [(functools.partial(act, p), [functools.partial(act, p, b) for b in range(n)])
-                  for p, n in enumerate(sizes)]
         outcome = []
 
         def call():
             try:
-                _run_phases(phases)
+                with network._fork_join() as run:
+                    for p, n in enumerate(sizes):
+                        run(_jobs(p, n, act))
             except BaseException as exc:
                 outcome.append(exc)
 
@@ -564,13 +558,13 @@ class TestRunPhasesProperties:
             put(before)
         assert outcome == ([errors[raised]] if errors else [])
         assert len(ran) == len(set(ran))
-        assert [p for p, _ in ran] == sorted(p for p, _ in ran)  # a phase ends before the next
-        assert ran[-1][0] == raised[0]  # no phase after the failing one starts
-        # every job of an earlier phase ran, and in the failing phase every
+        assert [p for p, _ in ran] == sorted(p for p, _ in ran)  # a call ends before the next
+        assert ran[-1][0] == raised[0]  # no call after the failing one starts
+        # every job of an earlier call ran, and in the failing call every
         # job up to the raising one
         last, stop = raised
         assert set(ran) >= {(p, b) for p, n in enumerate(sizes[:last + 1])
-                            for b in range(-1, n if p < last else stop + 1)}
+                            for b in range(n if p < last else stop + 1)}
         assert not [t for t in threading.enumerate() if t.name.startswith("speechrig-runner")]
 
 

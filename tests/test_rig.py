@@ -23,6 +23,7 @@ from speechrig.rig import (
     read_rig_csv,
     timeline_from_rows,
     validate_timeline,
+    write_json,
     write_rig_csv,
 )
 
@@ -67,8 +68,13 @@ class TestDefaultMap:
 
     def test_roundtrip_through_json(self, cmap, tmp_path):
         path = tmp_path / "map.json"
-        cmap.save(path)
+        write_json(path, cmap.to_document())
         assert load_controller_map(path) == cmap
+
+    def test_a_controllers_object_is_not_a_map(self, cmap):
+        with pytest.raises(MapError, match="JSON array") as err:
+            load_controller_map_document({"controllers": cmap.to_document()})
+        assert err.value.code == "bad-document"
 
 
 class TestMapValidation:
@@ -307,3 +313,12 @@ class TestTimelines:
     def test_rows_must_start_at_zero(self):
         with pytest.raises(DataError):
             timeline_from_rows([(2, 1)], 7)
+
+    @pytest.mark.parametrize("rows, frame", [([(0, 0), (0, 1), (300, 2), (300, 3)], 0),
+                                             ([(0, 1), (4, 2), (4, 2)], 4),
+                                             ([(0, 1), (9, 3), (9, 2)], 9)])
+    def test_a_frame_listed_twice_is_rejected(self, rows, frame):
+        # in any order, with the same label or another, inside the clip or past its end
+        for order in (rows, rows[::-1]):
+            with pytest.raises(DataError, match=f"frame {frame} more than once"):
+                timeline_from_rows(order, 7)

@@ -246,13 +246,13 @@ class TestArtifacts:
         import json
 
         from speechrig.features import FeatureSequence, write_feature_file
-        from speechrig.rig import RigSequence, write_rig_csv
+        from speechrig.rig import RigSequence, default_map, write_rig_csv
 
         rng = np.random.default_rng(11)
         feats = FeatureSequence(rng.normal(0, 1, (50, 8)).astype(np.float32), 50.0)
         write_feature_file(tmp_path / "f.emof", feats)
         target = RigSequence(rng.uniform(-1, 1, (60, 174)))
-        write_rig_csv(tmp_path / "t.csv", target)
+        write_rig_csv(tmp_path / "t.csv", target, default_map())
         manifest = {"items": [{"features": "f.emof", "target": "t.csv", "emotion": "happy"}]}
         (tmp_path / "m.json").write_text(json.dumps(manifest))
 
@@ -267,10 +267,10 @@ class TestArtifacts:
         import json
 
         from speechrig.features import FeatureSequence, write_feature_file
-        from speechrig.rig import RigSequence, write_rig_csv
+        from speechrig.rig import RigSequence, default_map, write_rig_csv
 
         write_feature_file(tmp_path / "f.emof", FeatureSequence(np.ones((60, 4), np.float32), 60.0))
-        write_rig_csv(tmp_path / "t.csv", RigSequence(np.zeros((60, 174))))
+        write_rig_csv(tmp_path / "t.csv", RigSequence(np.zeros((60, 174))), default_map())
         (tmp_path / "m.json").write_text(json.dumps(
             {"items": [{"features": "f.emof", "target": "t.csv", "emotion": emotion}]}))
         assert load_manifest(tmp_path / "m.json")[0].emotion == label
@@ -279,12 +279,12 @@ class TestArtifacts:
         import json
 
         from speechrig.features import FeatureSequence, write_feature_file
-        from speechrig.rig import RigSequence, write_rig_csv
+        from speechrig.rig import RigSequence, default_map, write_rig_csv
 
         rng = np.random.default_rng(12)
         feats = FeatureSequence(rng.normal(0, 1, (50, 8)).astype(np.float32), 50.0)
         write_feature_file(tmp_path / "f.emof", feats)
-        write_rig_csv(tmp_path / "t.csv", RigSequence(np.zeros((59, 174))))
+        write_rig_csv(tmp_path / "t.csv", RigSequence(np.zeros((59, 174))), default_map())
         (tmp_path / "m.json").write_text(json.dumps(
             {"items": [{"features": "f.emof", "target": "t.csv", "emotion": 0}]}))
         with pytest.raises(DataError, match="frames"):
@@ -298,3 +298,12 @@ class TestArtifacts:
             {"items": [{"features": "f.emof", "target": "t.csv", "emotion": emotion}]}))
         with pytest.raises(DataError, match=r"m\.json: item 0: emotion"):
             load_manifest(tmp_path / "m.json")
+
+    def test_manifest_must_be_an_object_with_items(self, tmp_path):
+        import json
+
+        item = {"features": "f.emof", "target": "t.csv", "emotion": 0}
+        for doc in ([item], {"clips": [item]}, {"items": []}):
+            (tmp_path / "m.json").write_text(json.dumps(doc))
+            with pytest.raises(DataError, match=r"m\.json: manifest must list at least one item"):
+                load_manifest(tmp_path / "m.json")
