@@ -79,9 +79,6 @@ def _read_timeline_csv(path, n_frames: int) -> np.ndarray:
         pairs = [(float(r[0]), emotion_id(r[1].strip())) for r in rows]
     except (ValueError, IndexError, DataError) as exc:
         raise DataError(f"{path}: malformed timeline CSV: {exc}") from None
-    for frame, _ in pairs:
-        if not frame.is_integer():  # inf and NaN fail too
-            raise DataError(f"{path}: timeline frame {frame!r} is not an integer")
     try:
         return timeline_from_rows(pairs, n_frames)
     except DataError as exc:
@@ -202,9 +199,13 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _classifier(args) -> blinkmod.BlinkClassifier:
+    return (blinkmod.BlinkClassifier.load(args.classifier)
+            if args.classifier else blinkmod.default_blink_classifier())
+
+
 def _cmd_blink_detect(args) -> int:
-    clf = (blinkmod.BlinkClassifier.load(args.classifier)
-           if args.classifier else blinkmod.default_blink_classifier())
+    clf = _classifier(args)
     trace = blinkmod.read_ear_csv(args.trace)
     events = blinkmod.detect_blinks(trace, clf)
     if args.out:
@@ -219,8 +220,7 @@ def _cmd_blink_fit(args) -> int:
     if args.rates is not None:
         rates = read_numeric_csv(args.rates, 1, "rate CSV")[:, 0]
     else:
-        clf = (blinkmod.BlinkClassifier.load(args.classifier)
-               if args.classifier else blinkmod.default_blink_classifier())
+        clf = _classifier(args)
         intervals = []
         for path in args.trace:
             trace = blinkmod.read_ear_csv(path)

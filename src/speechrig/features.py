@@ -140,7 +140,8 @@ def load_features(path, rate_hz: float = REFERENCE_FEATURE_RATE) -> FeatureSeque
 
 
 def read_wav(path) -> AudioClip:
-    """Read a PCM WAV file as a mono clip scaled to [-1, 1]."""
+    """Read a PCM WAV file as a mono clip: the mean of its channels, 16-bit
+    samples s as s / 32768 and 8-bit (unsigned) ones as (s - 128) / 128."""
     try:
         with wave.open(str(path), "rb") as w:
             rate = w.getframerate()
@@ -212,7 +213,8 @@ def extract_fallback_features(clip: AudioClip) -> FeatureSequence:
     Framing: frame t covers samples [t*hop, t*hop + 2*hop), Hann windowed,
     zero-padded to the next power of two. T = floor(len(samples)/hop)
     frames; trailing frames are zero-padded. Each frame yields N_COEFFS
-    DCT-II (orthonormal) coefficients of the log power in N_MELS mel bands.
+    DCT-II (orthonormal) coefficients of log(p + 1e-10), p the power in each
+    of N_MELS mel bands: silence gives the floor log(1e-10) in every band.
     """
     hop = max(1, round(clip.sample_rate / REFERENCE_FEATURE_RATE))
     window = 2 * hop

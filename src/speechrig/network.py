@@ -289,14 +289,10 @@ def _layer_norm_backward(dout, cache, dg, db):
     return (dxhat - m1 - xhat * m2) * inv
 
 
-def _split_heads(x, n_heads):
+def _heads(x, n_heads):
+    """The heads x rows x head-width view of rows ``x``: writes go through."""
     t, d = x.shape
     return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
-
-
-def _merge_heads(x):
-    h, t, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dh)
 
 
 def _affine(x, w, b, out=None):
@@ -315,32 +311,25 @@ def _attention_forward(x, p: LayerParams, n_heads, keep_cache, kv=None):
     """Rows ``x`` attend over the keys and values ``kv``, by default their
     own (see ``_kv_forward``); then the output projection.
 
-    With ``keep_cache`` every head's scores are one heads x rows x keys
-    product, which the reverse pass reads.
-    Without, one head's rows x keys scores are held at a time: each head
-    is computed by the same matrix products the batched one makes for it,
-    so the output is the same bit for bit.
+    One loop over head groups: a group's heads x rows x keys scores are
+    one product, and its context goes into its columns of the output. A
+    group is every head with ``keep_cache`` (the reverse pass reads the
+    scores), else one head; each head gets the same products, so the same bits.
     """
     k, v = _kv_forward(x, p) if kv is None else kv
     q = _affine(x, p.wq, p.bq)
-    dh = q.shape[1] // n_heads
+    merged = np.empty_like(q)
+    qh, kh, vh, mh = (_heads(t, n_heads) for t in (q, k, v, merged))
     # a Python float keeps float32 scores float32
-    scale = float(1.0 / np.sqrt(dh))
-    if keep_cache:
-        qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
-        attn = qh @ kh.transpose(0, 2, 1)
+    scale = float(1.0 / np.sqrt(qh.shape[2]))
+    step = n_heads if keep_cache else 1
+    attn = np.empty((step, len(q), len(k)), q.dtype)
+    for h in (slice(i, i + step) for i in range(0, n_heads, step)):
+        np.matmul(qh[h], kh[h].transpose(0, 2, 1), out=attn)
         attn *= scale
         _softmax_inplace(attn)
-        merged = _merge_heads(attn @ vh)
-        cache = (x, qh, kh, vh, attn, merged, scale)
-    else:
-        merged, cache = np.empty_like(q), None
-        scores = np.empty((len(q), len(k)), q.dtype)
-        for c in (slice(i, i + dh) for i in range(0, q.shape[1], dh)):
-            np.matmul(q[:, c], k[:, c].T, out=scores)
-            scores *= scale
-            _softmax_inplace(scores)
-            np.matmul(scores, v[:, c], out=merged[:, c])
+        np.matmul(attn, vh[h], out=mh[h])
+    cache = (x, qh, kh, vh, attn, merged, scale) if keep_cache else None
     return _affine(merged, p.wo, p.bo), cache
 
 
@@ -348,14 +337,14 @@ def _attention_backward(dout, cache, p: LayerParams, g: LayerParams, scratch):
     x, qh, kh, vh, attn, merged, scale = cache
     g.wo[...] += scratch.product(merged.T, dout)
     g.bo[...] += dout.sum(axis=0)
-    dctx = _split_heads(dout @ p.wo.T, qh.shape[0])
+    dctx = _heads(dout @ p.wo.T, len(qh))
     dattn = dctx @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ dctx
+    dq, dk, dv = (np.empty((t.shape[1], merged.shape[1]), merged.dtype) for t in (qh, kh, vh))
+    np.matmul(attn.transpose(0, 2, 1), dctx, out=_heads(dv, len(qh)))
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     dscores *= scale
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 2, 1) @ qh
-    dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
+    np.matmul(dscores, kh, out=_heads(dq, len(qh)))
+    np.matmul(dscores.transpose(0, 2, 1), qh, out=_heads(dk, len(qh)))
     g.wq[...] += scratch.product(x.T, dq)
     g.bq[...] += dq.sum(axis=0)
     g.wk[...] += scratch.product(x.T, dk)
@@ -375,9 +364,7 @@ def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache, kv=No
     residual and norm. Returns the output rows and, with ``keep_cache``,
     what the reverse pass reads.
 
-    Every step but the attention works on each row alone. Without
-    ``keep_cache`` the attention holds one head's rows x keys scores at
-    a time and frees them before the feed-forward block runs. Biases,
+    Every step but the attention works on each row alone. Biases,
     residuals, the ReLU and the norms are applied in place to the
     temporaries the layer made, never to ``x``, with the same arithmetic
     as a fresh array would get.

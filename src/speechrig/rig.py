@@ -223,7 +223,10 @@ def load_controller_map(path) -> ControllerMap:
         raise DataError(f"cannot read controller map {path}: {exc}") from None
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise MapError("bad-document", f"controller map {path} is not valid JSON: {exc}") from None
-    return load_controller_map_document(document)
+    try:
+        return load_controller_map_document(document)
+    except MapError as exc:
+        raise MapError(exc.code, f"controller map {path}: {exc}") from None
 
 
 def default_map() -> ControllerMap:
@@ -415,14 +418,21 @@ def validate_timeline(labels, n_frames: int) -> np.ndarray:
     return labels
 
 
+def _integral(value, what: str) -> int:
+    if isinstance(value, int) or float(value).is_integer():  # NaN and inf are not
+        return int(value)
+    raise DataError(f"emotion timeline {what} {value!r} is not an integer")
+
+
 def timeline_from_rows(rows, n_frames: int) -> np.ndarray:
     """Expand sparse (frame, label) rows to a dense per-frame timeline.
 
     Each label holds from its frame until the next row (step-hold). The
     first row must be at frame 0 so every output frame is covered, and no
-    frame may have two rows.
+    frame may have two rows. Frames and labels must be integral values: a
+    fractional one, NaN or inf is rejected, never truncated.
     """
-    rows = sorted((int(f), int(lab)) for f, lab in rows)
+    rows = sorted((_integral(f, "frame"), _integral(lab, "label")) for f, lab in rows)
     if not rows:
         raise DataError("emotion timeline has no rows")
     if rows[0][0] != 0:

@@ -543,6 +543,11 @@ _BAD_PATHS = {
                                  w / "c.csv"], "bin_pred.csv", b"\xff\xfe\x00\x01\n"),
     "map-not-utf8": (lambda w: [*_infer_argv(w), "--map", w / "bin_map.json"],
                      "bin_map.json", b"\xff\xfe[1"),
+    # valid JSON that is not a map: the schema error names the file too
+    "map-not-an-array": (lambda w: [*_infer_argv(w), "--map", w / "obj_map.json"],
+                         "obj_map.json", b'{"controllers": []}'),
+    "map-one-entry": (lambda w: [*_infer_argv(w), "--map", w / "one_map.json"], "one_map.json",
+                      b'[{"index": 0, "name": "jaw", "region": "jaw", "side": "center"}]'),
     "classifier-non-numeric-weight": (
         lambda w: ["blink-detect", "--trace", w / "ok_ear.csv", "--classifier", w / "clf.json"],
         "clf.json", b'{"weights": ["a", 1, 1, 1, 1, 1, 1], "bias": 0}'),
@@ -620,7 +625,8 @@ _BAD_PATHS = {
 
 
 # the error a case's JSON line names where it is a DataError subclass
-_BAD_PATH_ERRORS = {"map-not-utf8": "MapError"}
+_BAD_PATH_ERRORS = {"map-not-utf8": "MapError", "map-not-an-array": "MapError",
+                    "map-one-entry": "MapError"}
 
 
 @pytest.mark.parametrize("case", _BAD_PATHS)

@@ -3,12 +3,14 @@
 import re
 import struct
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import speechrig.features as features
 from speechrig.errors import DataError, FeatureFileError
 from speechrig.features import (
     N_COEFFS,
@@ -20,6 +22,7 @@ from speechrig.features import (
     load_features,
     read_feature_csv,
     read_feature_file,
+    read_wav,
     resample_features,
     resample_rows,
     resampled_frames,
@@ -191,6 +194,68 @@ class TestFallbackExtractor:
         clip = AudioClip(np.zeros(100), 16000)
         with pytest.raises(DataError, match="too short"):
             extract_fallback_features(clip)
+
+    def test_silence_gives_the_log_floor(self):
+        # log(0 + 1e-10) in every band; the orthonormal DCT-II of a constant
+        # c over N_MELS points is c * sqrt(N_MELS), then zeros
+        seq = extract_fallback_features(AudioClip(np.zeros(8000), 16000))
+        np.testing.assert_allclose(seq.data[:, 0], np.log(1e-10) * np.sqrt(N_MELS), rtol=1e-6)
+        np.testing.assert_allclose(seq.data[:, 1:], 0.0, atol=1e-4)
+
+    def test_each_frame_is_hann_windowed(self):
+        # frame t covers samples [t*hop, t*hop + 2*hop) and a Hann window is 0
+        # at its first sample: an impulse at sample 10*hop reaches frame 9 only
+        hop = 320
+        samples = np.zeros(8000)
+        samples[10 * hop] = 0.9
+        got = extract_fallback_features(AudioClip(samples, 16000)).data
+        silence = extract_fallback_features(AudioClip(np.zeros(8000), 16000)).data
+        assert np.array_equal(np.delete(got, 9, axis=0), np.delete(silence, 9, axis=0))
+        assert not np.array_equal(got[9], silence[9])
+
+    @pytest.mark.parametrize("band", [8, 20, 32])
+    def test_pure_tone_peaks_in_the_band_holding_its_frequency(self, monkeypatch, band):
+        # band m peaks at mel point m + 1 of N_MELS + 2 spaced evenly on the
+        # HTK mel scale from 0 Hz to Nyquist; every coefficient is kept, and
+        # the orthonormal DCT-II is undone by its transpose
+        rate = 16000
+        top = 2595.0 * np.log10(1.0 + rate / 2 / 700.0)
+        hz = 700.0 * (10.0 ** (top * (band + 1) / (N_MELS + 1) / 2595.0) - 1.0)
+        tone = 0.5 * np.sin(2 * np.pi * hz * np.arange(rate) / rate)
+        monkeypatch.setattr(features, "N_COEFFS", N_MELS)
+        coeffs = extract_fallback_features(AudioClip(tone, rate)).data.astype(np.float64)
+        n = np.arange(N_MELS)
+        basis = np.sqrt(2.0 / N_MELS) * np.cos(np.pi * n[:, None] * (2 * n + 1) / (2 * N_MELS))
+        basis[0] /= np.sqrt(2.0)
+        log_mel = coeffs @ basis
+        assert (log_mel.argmax(axis=1) == band).all()
+
+
+def _write_wav(path, pcm, channels):
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(pcm.dtype.itemsize)
+        w.setframerate(16000)
+        w.writeframes(pcm.tobytes())
+    return path
+
+
+class TestWavReader:
+    def test_stereo_reads_as_the_mono_file_of_its_channel_mean(self, tmp_path):
+        rng = np.random.default_rng(8)
+        left = rng.integers(-20000, 20000, 4000)
+        right = left + 2 * rng.integers(-5000, 5000, 4000)  # an integer mean
+        stereo = _write_wav(tmp_path / "s.wav", np.stack([left, right], 1).astype("<i2"), 2)
+        mono = _write_wav(tmp_path / "m.wav", ((left + right) // 2).astype("<i2"), 1)
+        a, b = read_wav(stereo), read_wav(mono)
+        assert a.sample_rate == b.sample_rate == 16000
+        assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("pcm, want", [
+        (np.array([0, 128, 255], np.uint8), [-1.0, 0.0, 127 / 128]),
+        (np.array([-32768, 0, 32767], "<i2"), [-1.0, 0.0, 32767 / 32768])])
+    def test_extreme_samples_scale_to_the_documented_values(self, tmp_path, pcm, want):
+        assert read_wav(_write_wav(tmp_path / "x.wav", pcm, 1)).samples.tolist() == want
 
 
 def _wide_rows(rng, rows, cols):

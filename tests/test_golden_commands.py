@@ -1,4 +1,5 @@
-"""Golden bytes of ``analyze``, ``blink-fit``, ``blink-detect`` and ``gradcheck``.
+"""Golden bytes of ``analyze``, ``blink-fit``, ``blink-detect``, ``gradcheck``
+and ``infer --audio``.
 
 Each case writes small seeded inputs and runs one command in a fresh
 interpreter at one BLAS thread. The bytes depend on the OpenBLAS kernels
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 import warnings
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ import pytest
 
 import speechrig
 from blink_corpus import gen_blink_traces
+from speechrig.features import FALLBACK_FAMILY, N_COEFFS
+from speechrig.network import build_model, save_model
 from speechrig.rig import RigSequence, default_map, write_rig_csv
 from test_golden_training import openblas_core
 
@@ -75,10 +79,38 @@ def _gradcheck(tmp_path):
     return ["gradcheck", "--seed", "3", "--layers", "2"], []
 
 
+def _infer_audio(channels, width):
+    """An ``infer --audio`` case on a seeded WAV of ``channels`` channels of
+    ``width``-byte samples: 0.4 s at 16 kHz, a tone in noise that differs
+    per channel, its last 0.1 s silent."""
+
+    def case(tmp_path):
+        rng = np.random.default_rng(20 + 2 * channels + width)
+        tone = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(6400) / 16000)
+        x = tone[:, None] + rng.uniform(-0.2, 0.2, (6400, channels))
+        x[4800:] = 0.0
+        pcm = (np.round(x * 32767).astype("<i2") if width == 2
+               else np.round(x * 127 + 128).astype(np.uint8))
+        with wave.open(str(tmp_path / "a.wav"), "wb") as w:
+            w.setnchannels(channels)
+            w.setsampwidth(width)
+            w.setframerate(16000)
+            w.writeframes(pcm.tobytes())
+        model = build_model(N_COEFFS, d_model=32, n_layers=2, n_heads=4, d_ff=64, dropout=0.0,
+                            seed=9, feature_family=FALLBACK_FAMILY)
+        save_model(tmp_path / "w.emow", model)
+        return (["infer", "--audio", tmp_path / "a.wav", "--emotion", "happy",
+                 "--weights", tmp_path / "w.emow", "--blink", "--gaze", "--seed", "5",
+                 "--out", tmp_path / "o.csv"], ["o.csv", "o.csv.json"])
+
+    return case
+
+
 # case -> writes its inputs and returns (argv, names of its output files)
 CASES = {"analyze": _analyze, "blink_fit_rates": _blink_fit_rates,
          "blink_fit_trace": _blink_fit_trace, "blink_detect": _blink_detect,
-         "gradcheck": _gradcheck}
+         "gradcheck": _gradcheck, "infer_audio_16bit_mono": _infer_audio(1, 2),
+         "infer_audio_16bit_stereo": _infer_audio(2, 2), "infer_audio_8bit": _infer_audio(1, 1)}
 
 
 def _run(tmp_path, case):
@@ -101,7 +133,7 @@ def _numbers(data):
     """Every number in an output, in order of appearance."""
     text = data.decode()
     if text.startswith("{"):
-        return [float(v) for v in json.loads(text).values()]
+        return [float(v) for v in json.loads(text).values() if not isinstance(v, str)]
     cells = text.replace("\n", ",").replace(":", ",").split(",")
     out = []
     for cell in cells:

@@ -90,3 +90,53 @@ def test_synthetic_training_bytes(tmp_path, dropout):
     assert got == pytest.approx(final_loss, rel=LOSS_RTOL, abs=0.0)
     warnings.warn(f"golden bytes were recorded with {RECORDED_WITH}, this run has {here}: "
                   f"checked the final loss within {LOSS_RTOL:g} relative, not the bytes")
+
+
+# (d_model, heads, frames) -> (grads.flat sha256, loss repr) of one clip's reverse pass
+REVERSE_GOLDEN = {
+    (64, 4, 150): ("d69501885e9d017d60efad17acc99d3ae0de409058029f214584922f0c8fa0dd",
+                   "0.856643672782858"),
+    (512, 8, 300): ("d67f4098382b3cf81cc61c46f31be044b773d8731af95ee4e8de8db42485d84c",
+                    "1.9029305244049777"),
+}
+
+# each case's loss and gradients at 2 layers, dropout 0.1 and seven labels in turn
+_REVERSE = """
+import hashlib, sys
+import numpy as np
+from speechrig.network import build_model, clip_loss_and_grads, grad_buffer
+for case in sys.argv[1:]:
+    d_model, heads, frames = map(int, case.split(","))
+    model = build_model(32, d_model=d_model, n_layers=2, n_heads=heads, d_ff=4 * d_model,
+                        dropout=0.1, seed=frames)
+    rng = np.random.default_rng(d_model)
+    features = rng.normal(0.0, 1.0, (frames, 32))
+    target = rng.uniform(-1.0, 1.0, (frames, model.output_dim))
+    labels = np.arange(frames) * 7 // frames
+    grads = grad_buffer(model)
+    loss = clip_loss_and_grads(model, features, labels, target, grads, rng)
+    print(hashlib.sha256(grads.flat.tobytes()).hexdigest(), repr(loss))
+"""
+
+
+def test_reverse_pass_bytes_beyond_desk_scale():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(speechrig.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cases = sorted(REVERSE_GOLDEN)
+    proc = subprocess.run([sys.executable, "-c", _REVERSE,
+                           *(",".join(map(str, case)) for case in cases)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = dict(zip(cases, (line.split() for line in proc.stdout.splitlines())))
+
+    here = {"numpy": np.__version__, "openblas_core": openblas_core()}
+    for case in cases:
+        grads_sha, loss = REVERSE_GOLDEN[case]
+        if here == RECORDED_WITH:
+            assert got[case] == [grads_sha, loss], case
+        else:
+            assert float(got[case][1]) == pytest.approx(float(loss), rel=LOSS_RTOL, abs=0.0)
+    if here != RECORDED_WITH:
+        warnings.warn(f"golden bytes were recorded with {RECORDED_WITH}, this run has {here}: "
+                      f"checked each loss within {LOSS_RTOL:g} relative, not the bytes")

@@ -322,3 +322,16 @@ class TestTimelines:
         for order in (rows, rows[::-1]):
             with pytest.raises(DataError, match=f"frame {frame} more than once"):
                 timeline_from_rows(order, 7)
+
+    @pytest.mark.parametrize("rows, what", [([(0, 0), (3.7, 1)], "frame 3.7"),
+                                            ([(0, 0), (3, 1.9)], "label 1.9"),
+                                            ([(0, 0), (float("nan"), 1)], "frame nan"),
+                                            ([(0, 0), (float("inf"), 1)], "frame inf"),
+                                            ([(0.5, 0)], "frame 0.5")])
+    def test_a_frame_or_label_that_is_not_an_integer_is_rejected(self, rows, what):
+        # never truncated: (3.7, 1) is not frame 3, nor (3, 1.9) label 1
+        with pytest.raises(DataError, match=f"{what} is not an integer"):
+            timeline_from_rows(rows, 6)
+
+    def test_integral_floats_are_frames_and_labels(self):
+        assert timeline_from_rows([(0.0, 0.0), (3.0, 2.0)], 6).tolist() == [0, 0, 0, 2, 2, 2]
