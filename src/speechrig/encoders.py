@@ -74,14 +74,18 @@ def encode_content(features: np.ndarray, params: EncoderParams,
     """Project features to model width and add the first rows of
     ``positions``, a ``positional_encoding`` table of at least as many rows.
     Chunked inference passes the table from the chunk's global start frame,
-    so positions stay consistent across chunk boundaries."""
+    so positions stay consistent across chunk boundaries. The adds are
+    made in place in the product, with a fresh sum's bits."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.feature_dim:
         raise DataError(
             f"feature width {features.shape[1] if features.ndim == 2 else '?'} "
             f"does not match encoder width {params.feature_dim}"
         )
-    return features @ params.content_w + params.content_b + positions[:features.shape[0]]
+    out = features @ params.content_w
+    out += params.content_b
+    out += positions[:features.shape[0]]
+    return out
 
 
 def emotion_mlp(params: EncoderParams):

@@ -100,6 +100,8 @@ _LAYER_SHAPES = {"wq": "dd", "bq": "d", "wk": "dd", "bk": "d", "wv": "dd", "bv":
                  "wo": "dd", "bo": "d", "ln1_g": "d", "ln1_b": "d", "w1": "df", "b1": "f",
                  "w2": "fd", "b2": "d", "ln2_g": "d", "ln2_b": "d"}
 _LAYER_FIELDS = tuple(_LAYER_SHAPES)
+# a layer's attention half; the fields after it are its feed-forward half
+_ATTENTION_FIELDS = _LAYER_FIELDS[:_LAYER_FIELDS.index("w1")]
 _ENCODER_FIELDS = tuple(encoder_shapes(0, 0))  # names only; the dims do not matter
 
 
@@ -358,17 +360,11 @@ def _dropout_mask(shape, p, rng):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache, kv=None):
-    """Rows ``x`` through the layer: attention over the keys and values
-    ``kv`` (see ``_attention_forward``), residual and norm, feed-forward,
-    residual and norm. Returns the output rows and, with ``keep_cache``,
-    what the reverse pass reads.
-
-    Every step but the attention works on each row alone. Biases,
-    residuals, the ReLU and the norms are applied in place to the
-    temporaries the layer made, never to ``x``, with the same arithmetic
-    as a fresh array would get.
-    """
+def _attention_half(x, p, n_heads, dropout_p, rng, keep_cache, kv=None):
+    """Rows ``x`` through a layer's first half: attention over the keys
+    and values ``kv`` (see ``_attention_forward``), residual and norm.
+    ``p`` is read for its ``_ATTENTION_FIELDS`` only. Returns the rows and,
+    with ``keep_cache``, what the reverse pass reads."""
     a, attn_cache = _attention_forward(x, p, n_heads, keep_cache, kv)
     mask1 = None
     if dropout_p > 0.0 and rng is not None:
@@ -376,7 +372,14 @@ def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache, kv=No
         a = a * mask1
     a += x
     x1, ln1_cache = _layer_norm_forward(a, p.ln1_g, p.ln1_b, keep_cache)
+    return x1, (attn_cache, mask1, ln1_cache) if keep_cache else None
 
+
+def _feed_forward_half(x1, p, dropout_p, rng, keep_cache):
+    """Rows ``x1`` through a layer's second half: feed-forward, residual
+    and norm. ``p`` is read for the fields after ``_ATTENTION_FIELDS``
+    only. Returns the rows and, with ``keep_cache``, what the reverse pass
+    reads."""
     z = _affine(x1, p.w1, p.b1)
     h = np.maximum(z, 0.0) if keep_cache else np.maximum(z, 0.0, out=z)
     f = _affine(h, p.w2, p.b2)
@@ -386,9 +389,22 @@ def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache, kv=No
         f = f * mask2
     f += x1
     x2, ln2_cache = _layer_norm_forward(f, p.ln2_g, p.ln2_b, keep_cache)
-    if not keep_cache:
-        return x2, None
-    return x2, (attn_cache, mask1, ln1_cache, x1, z, h, mask2, ln2_cache)
+    return x2, (x1, z, h, mask2, ln2_cache) if keep_cache else None
+
+
+def _layer_forward(x, p: LayerParams, n_heads, dropout_p, rng, keep_cache, kv=None):
+    """Rows ``x`` through the layer: ``_attention_half``, then
+    ``_feed_forward_half``. Returns the output rows and, with
+    ``keep_cache``, what the reverse pass reads.
+
+    Every step but the attention works on each row alone. Biases,
+    residuals, the ReLU and the norms are applied in place to the
+    temporaries the layer made, never to ``x``, with the same arithmetic
+    as a fresh array would get.
+    """
+    x1, first = _attention_half(x, p, n_heads, dropout_p, rng, keep_cache, kv)
+    x2, second = _feed_forward_half(x1, p, dropout_p, rng, keep_cache)
+    return x2, first + second if keep_cache else None
 
 
 def _layer_backward(dout, cache, p: LayerParams, g: LayerParams, scratch):
@@ -662,21 +678,35 @@ def _blas_thread_control():
     return None
 
 
+_BLAS_HOLD = threading.Lock()
+_blas_held = {"depth": 0, "before": None}  # holds open now; the count before the first
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread where its count can be set; on
-    exit, however it comes, the count before is restored."""
+    """Hold numpy's OpenBLAS at one thread where its count can be set.
+
+    The count is process-wide, so the hold is too: of holds that overlap,
+    on any threads, the first reads the count and sets 1, and the last to
+    exit, however it exits, restores what the first read.
+    """
     blas = _blas_thread_control()
     if blas is None:
         yield
         return
     get, put = blas
-    old = get()
-    put(1)
+    with _BLAS_HOLD:
+        if _blas_held["depth"] == 0:
+            _blas_held["before"] = get()
+            put(1)
+        _blas_held["depth"] += 1
     try:
         yield
     finally:
-        put(old)
+        with _BLAS_HOLD:
+            _blas_held["depth"] -= 1
+            if _blas_held["depth"] == 0:
+                put(_blas_held["before"])
 
 
 @np.errstate(all="ignore")  # non-finite values raise NumericError (_check_finite), not warnings
@@ -698,17 +728,23 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     order: features at other rates are resampled a chunk at a time, with
     the bits ``resample_features`` gives them (see ``resample_rows``);
     the rows are cast to float64 for the encoders, whose content weights
-    are upcast once per call, and the sum is kept in float32. No 60 fps
-    or float64 copy of the whole clip is made. The encoder stack and head
-    then run in float32, one layer at a time over every chunk (see
-    ``_layer_major``), and keep no layer caches.
+    are upcast once per call, and the sum, made in place, is kept in
+    float32. No 60 fps or float64 copy of the whole clip is made. The
+    encoder stack and head then run in float32, one layer at a time over
+    every chunk (see ``_layer_major``), and keep no layer caches.
+
+    A ``WeightStream``'s ``encoder`` views are valid only until its first
+    layer half is read over them, which ``_layer_major`` does once every
+    chunk is encoded (see ``_tensors``).
 
     ``infer`` holds numpy's OpenBLAS at one thread from entry to return
     (see ``_one_blas_thread``), encoding included, and restores the
-    caller's count however it ends. So no idle OpenBLAS worker competes
-    for a core with the runners ``_layer_major`` forks (see
-    ``_fork_join``), and every clip gives the one-thread output at any
-    thread count. Reruns are byte-identical whatever the number of runners.
+    caller's count however it ends; calls that overlap on other threads
+    share the hold, and each forks its own runners, so they share the
+    cores. So no idle OpenBLAS worker competes for a core with the runners
+    ``_layer_major`` forks (see ``_fork_join``), and every clip gives the
+    one-thread output at any thread count. Reruns are byte-identical
+    whatever the number of runners.
     """
     if isinstance(features, list):
         features = features.pop()
@@ -728,8 +764,10 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     for (s, e), at in zip(bounds, itertools.accumulate(rows, initial=0)):
         x = resample_rows(features, n, s, e)
         positions = positional_encoding(e - s, model.d_model, start=s)
-        h[at:at + e - s] = encode_content(x, encoder, positions) + etab[labels[s:e]]
-    del encoder, features, x, positions  # not held while the stack runs
+        rows_in = encode_content(x, encoder, positions)
+        rows_in += etab[labels[s:e]]
+        h[at:at + e - s] = rows_in
+    del encoder, etab, features, x, positions, rows_in  # not held while the stack runs
     return RigSequence(_crossfade(bounds, _layer_major(h, rows, model)))
 
 
@@ -780,15 +818,19 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
 
 
 def _tensors(model):
-    """Each encoder layer's tensors, then the head's (w, b), in float32 and
-    in file order: read from the file for a ``WeightStream``, one layer
-    over the one before; for a ``RigModel`` taken from ``model.layers``,
-    each layer cast when it is reached (no copy if it is float32 already)."""
+    """Each encoder layer's attention half and then its feed-forward half,
+    then the head's (w, b), in float32 and in file order. A layer half is
+    a ``LayerParams`` that ``_attention_half`` or ``_feed_forward_half``
+    reads. For a ``WeightStream`` each is read from the file, over the one
+    before, when it is asked for, with the other half's fields None; for a
+    ``RigModel`` each layer is cast when it is reached (no copy if it is
+    float32 already) and serves as both halves."""
     if isinstance(model, WeightStream):
         return model.read_tensors()
     f32 = functools.partial(np.asarray, dtype=np.float32)
     layers = (LayerParams(*map(f32, vars(p).values())) for p in model.layers)
-    return itertools.chain(layers, [(f32(model.head_w), f32(model.head_b))])
+    halves = itertools.chain.from_iterable((p, p) for p in layers)
+    return itertools.chain(halves, [(f32(model.head_w), f32(model.head_b))])
 
 
 def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
@@ -798,29 +840,33 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     with the whole clip as the batch. Each layer's output rows replace
     ``h``'s; returns the head's output rows, in the same order.
 
-    The layers come from ``_tensors(model)``, each asked for once the one
-    before has run, and the head last, so a source may read each layer
-    into the one buffer the layer before it was in.
+    The layer halves come from ``_tensors(model)``, each asked for once
+    the one before has run, and the head last, so a source may read each
+    into the one buffer the one before it was in.
 
     Each chunk's rows are cut into ``_row_blocks``, the query-block
-    partition of FlashAttention (Dao et al. 2022, arXiv 2205.14135). Each
-    layer runs over groups of at most ``_GROUP_CHUNKS`` chunks in clip
-    order, each in two fork/joins (see ``_fork_join``): every block writes
-    its rows' keys and values into a buffer the group shares; then every
-    block attends over its own chunk's keys, one head's block rows x keys
-    scores at a time, and runs the feed-forward. A last fork/join runs the
-    head. Each step but the attention works on each row alone, so a block
-    computes its rows as a pass over the whole chunk does (bit for bit
-    where BLAS picks the same kernels for both row counts), and no block's
-    arithmetic depends on the runner that does it.
+    partition of FlashAttention (Dao et al. 2022, arXiv 2205.14135). A
+    layer's attention half runs over groups of at most ``_GROUP_CHUNKS``
+    chunks in clip order, each in two fork/joins (see ``_fork_join``):
+    every block writes its rows' keys and values into a buffer the group
+    shares; then every block attends over its own chunk's keys, one
+    head's block rows x keys scores at a time, and writes its rows after
+    the first norm into ``h``. One fork/join then runs the feed-forward
+    half on every block, and a last one the head, whose output buffer is
+    made once the keys and values are freed. Each step but the attention
+    works on each row alone, so a block computes its rows as a pass over
+    the whole chunk does (bit for bit where BLAS picks the same kernels
+    for both row counts), and no block's arithmetic depends on the runner
+    that does it.
 
-    For a ``WeightStream`` the runners also hash the bytes read: each attend
-    fork/join has a job that hashes half of what is pending after its first
-    block, and one that hashes the rest after its last; the head's hashes
-    the head. A runner without a block hashes while the others compute, so
-    the next layer's read finds nothing left to hash. A block comes before
-    the first hash job, so a block starts first, and the two halves are far
-    apart in the list, so neither waits for the other.
+    For a ``WeightStream`` the runners also hash the bytes read: each
+    attend and feed-forward fork/join has a job that hashes half of what
+    is pending after its first block, and one that hashes the rest after
+    its last; the head's hashes the head. A runner without a block hashes
+    while the others compute, so the next read finds nothing left to
+    hash. A block comes before the first hash job, so a block starts
+    first, and the two halves are far apart in the list, so neither waits
+    for the other.
     """
     # a group's blocks: each its rows in h, its rows and its chunk's in the key/value buffer
     groups, start = [], 0
@@ -832,16 +878,19 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
             start, at = start + n, at + n
         groups.append(blocks)
     k, v = np.empty((2, max(blocks[-1][2].stop for blocks in groups), model.d_model), np.float32)
-    y = np.empty((len(h), model.output_dim), np.float32)
 
     def keys_values(p, block):
         mine, kv, _ = block
         _kv_forward(h[mine], p, k[kv], v[kv])
 
-    def attend(i, p, block):
+    def attend(p, block):
         mine, _, chunk = block
-        out = _layer_forward(h[mine], p, model.n_heads, 0.0, None, keep_cache=False,
-                             kv=(k[chunk], v[chunk]))[0]
+        h[mine] = _attention_half(h[mine], p, model.n_heads, 0.0, None, keep_cache=False,
+                                  kv=(k[chunk], v[chunk]))[0]
+
+    def feed_forward(i, p, block):
+        mine = block[0]
+        out = _feed_forward_half(h[mine], p, 0.0, None, keep_cache=False)[0]
         _check_finite(out, f"after encoder layer {i}")
         h[mine] = out
 
@@ -852,15 +901,23 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     # a stream's jobs that hash half of the bytes pending, and the rest
     half, rest = (([lambda: model.hash_pending(model.pending_nbytes() // 2)], [model.hash_pending])
                   if isinstance(model, WeightStream) else ([], []))
-    tensors = _tensors(model)
+
+    def hashing(first, *others):
+        return [first, *half, *others, *rest]
+
+    tensors, every = _tensors(model), [block for blocks in groups for block in blocks]
     with _fork_join() as run:
-        for i, p in enumerate(itertools.islice(tensors, model.n_layers)):
+        for i in range(model.n_layers):
+            p = next(tensors)
             for blocks in groups:
                 run([functools.partial(keys_values, p, block) for block in blocks])
-                first, *others = [functools.partial(attend, i, p, block) for block in blocks]
-                run([first, *half, *others, *rest])
+                run(hashing(*(functools.partial(attend, p, block) for block in blocks)))
+            p = next(tensors)
+            run(hashing(*(functools.partial(feed_forward, i, p, block) for block in every)))
+        del k, v
         w, b = next(tensors)
-        run([functools.partial(head, w, b, block) for blocks in groups for block in blocks] + rest)
+        y = np.empty((len(h), model.output_dim), np.float32)
+        run([functools.partial(head, w, b, block) for block in every] + rest)
     return y
 
 
@@ -986,23 +1043,35 @@ def load_model(path) -> RigModel:
     return _bind(flat, meta)
 
 
+def _sections(meta: dict) -> list[list[tuple[str, tuple[int, ...], slice]]]:
+    """``_layout(meta)`` cut where ``WeightStream`` reads, in file order:
+    the encoder, then each layer's attention half (``_ATTENTION_FIELDS``)
+    and feed-forward half, then the head."""
+    def section(entry):
+        part, _, field = entry[0].rpartition(".")
+        return part, field in _ATTENTION_FIELDS
+
+    return [list(entries) for _, entries in itertools.groupby(_layout(meta), section)]
+
+
 class WeightStream:
     """A weight file read once, front to back, as ``infer`` needs it.
 
-    Opening reads the header, the metadata, the encoder and the first
-    encoder layer (the head if there is none), with ``load_model``'s
-    checks and messages. ``read_tensors`` then yields that layer and reads
-    each one after it, and last the head, when it is asked for, into the
-    one reusable float32 buffer, so ``infer`` holds one layer's weights,
-    not every layer's. The metadata's dims are attributes, as on
-    ``RigModel``.
+    Opening reads the header, the metadata and the encoder, with
+    ``load_model``'s checks and messages. ``read_tensors`` then reads each
+    encoder layer's attention half and its feed-forward half, and last the
+    head, when it is asked for. Every section goes into one reusable
+    float32 buffer as large as the largest section, so ``infer`` holds one
+    half-layer's weights, not every layer's; the ``encoder`` views are
+    valid only until the first layer half is read. The metadata's dims
+    are attributes, as on ``RigModel``.
 
     Every byte read is fed to a SHA-256, in file order. The header and
     metadata are hashed as they are read; the tensors' bytes wait in a
     locked queue until ``hash_pending`` hashes them, on whichever thread
     calls it: ``infer``'s block runners do, between blocks (see
     ``_layer_major``). No byte of the buffer is read over before it is
-    hashed: a layer's read first hashes what is pending, then fills the
+    hashed: a section's read first hashes what is pending, then fills the
     buffer in one read. ``hexdigest`` hashes what is left, and is then the
     file's, as ``file_sha256`` gives it: the open file is what is read, so
     a file put in its place mid-run does not change it. Use the stream in
@@ -1020,16 +1089,11 @@ class WeightStream:
             self.feature_family = meta["feature_family"]
             (self.feature_dim, self.d_model, self.n_layers, self.n_heads, self.d_ff,
              self.output_dim) = (meta[k] for k in _META_DIMS)
-            layout = _layout(meta)
-            self._need = 4 * layout[-1][2].stop
-            n_enc, n_layer = len(_ENCODER_FIELDS), len(_LAYER_FIELDS)
-            # the sections not read yet: each layer's tensors, then the head's
-            self._sections = [layout[i:i + n_layer] for i in range(n_enc, len(layout) - 2, n_layer)]
-            self._sections.append(layout[-2:])
-            self.encoder = EncoderParams(**self._read(layout[:n_enc], None))
+            self._sections = _sections(meta)  # the sections not read yet
+            self._need = 4 * self._sections[-1][-1][2].stop
             size = max(sec[-1][2].stop - sec[0][2].start for sec in self._sections)
             self._buffer = np.empty(size, "<f4")
-            self._views = self._read(self._sections.pop(0), self._buffer)
+            self.encoder = EncoderParams(**self._read(self._sections.pop(0)))
         except BaseException:
             self.close()
             raise
@@ -1066,25 +1130,25 @@ class WeightStream:
         with self._lock:
             self._pending.append(view)
 
-    def _read(self, section, buf):
-        """Views of ``section``'s tensors by name, read into a new array if
-        ``buf`` is None, else into ``buf``."""
+    def _read(self, section):
+        """Views of ``section``'s tensors by field name, read into the buffer."""
         first, end = section[0][2].start, section[-1][2].stop
-        into = np.empty(end - first, "<f4") if buf is None else buf[:end - first]
+        into = self._buffer[:end - first]
         with _reading(self._path):
             _read_section(self._path, self._file, into, 4 * first, self._need, self._queue)
         return {name.rpartition(".")[2]: into[sl.start - first:sl.stop - first].reshape(shape)
                 for name, shape, sl in section}
 
     def read_tensors(self):
-        """Yield each encoder layer's ``LayerParams``, then the head's
-        (head_w, head_b). The first was read at open; each later one is
-        read when it is asked for, over the one before."""
+        """Yield each encoder layer's attention half and then its
+        feed-forward half, each a ``LayerParams`` whose other half's
+        fields are None, then the head's (head_w, head_b). Each is read
+        when it is asked for, over the one before."""
         while self._sections:
-            yield LayerParams(**self._views)
             self.hash_pending()  # the buffer's bytes, before they are read over
-            self._views = self._read(self._sections.pop(0), self._buffer)
-        yield self._views["head_w"], self._views["head_b"]
+            views = self._read(self._sections.pop(0))
+            yield (LayerParams(**(dict.fromkeys(_LAYER_FIELDS) | views)) if self._sections
+                   else (views["head_w"], views["head_b"]))
 
     def hexdigest(self) -> str:
         """The SHA-256 of the file's bytes, once the head is read."""

@@ -314,15 +314,21 @@ class TestWeightDigest:
         assert sidecar["frames"] == frames
         assert sidecar["weights_sha256"] == hashlib.sha256((workdir / "w.emow").read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("keep", ["in-the-layer", "in-the-head"])
+    # the stream reads only the encoder at open; each cut falls inside a
+    # tensor of a section it reads later: a layer half, or the head
+    CUTS = {"in-the-layer": "layers.1.ln2_g", "in-the-head": "head_b",
+            "in-an-attention-half": "layers.0.wk", "in-a-feed-forward-half": "layers.0.w2"}
+
+    @pytest.mark.parametrize("keep", list(CUTS))
     def test_weights_truncated_after_open_exit_3(self, workdir, tmp_path, monkeypatch, capsys,
                                                  keep):
         weights = tmp_path / "w.emow"
-        # the stream reads the first layer at open: the cut layer is the second
-        save_model(weights, build_model(12, d_model=16, n_layers=2, n_heads=2, d_ff=32,
-                                        output_dim=RIG_WIDTH, dropout=0.0, seed=21))
-        head = 4 * (16 + 1) * RIG_WIDTH  # the last bytes: head_w (16 x 174) and head_b
-        size = weights.stat().st_size - (head + 100 if keep == "in-the-layer" else 100)
+        model = build_model(12, d_model=16, n_layers=2, n_heads=2, d_ff=32,
+                            output_dim=RIG_WIDTH, dropout=0.0, seed=21)
+        save_model(weights, model)
+        layout = {name: sl for name, _, sl in network._layout(network._model_meta(model))}
+        # the file keeps the first float of the tensor the cut falls in
+        size = weights.stat().st_size - 4 * (model.flat.size - layout[self.CUTS[keep]].start - 1)
         real_infer = cli.infer
 
         def truncate_then_infer(*args, **kwargs):  # the stream has read the encoder
@@ -451,7 +457,8 @@ class TestInferHoldsOneBlasThread:
         weights = tmp_path / "w.emow"
         save_model(weights, build_model(12, d_model=16, n_layers=self.LAYERS, n_heads=2,
                                         d_ff=32, output_dim=RIG_WIDTH, dropout=0.0, seed=21))
-        encode, layer = network.encode_content, network._layer_forward
+        encode, attend, block = (network.encode_content, network._attention_half,
+                                 network._feed_forward_half)
         seen, faults = [], {}  # (where, the BLAS count there); the error to raise there
 
         def spy(where, real):
@@ -463,7 +470,9 @@ class TestInferHoldsOneBlasThread:
             return call
 
         monkeypatch.setattr(network, "encode_content", spy("encode", encode))
-        monkeypatch.setattr(network, "_layer_forward", spy("block", layer))
+        # a block's two halves, each run in a fork/join of its own
+        monkeypatch.setattr(network, "_attention_half", spy("attend", attend))
+        monkeypatch.setattr(network, "_feed_forward_half", spy("block", block))
         rng = np.random.default_rng(24)
 
         def argv(frames):
@@ -483,11 +492,13 @@ class TestInferHoldsOneBlasThread:
                 assert threading.active_count() == threads, frames
                 where = [w for w, _ in seen]
                 assert where.count("encode") == chunks and \
-                    where.count("block") == self.LAYERS * blocks, (frames, where)
+                    where.count("attend") == where.count("block") == self.LAYERS * blocks, \
+                    (frames, where)
                 assert {count for _, count in seen} == {1}, (frames, seen)
-            # an error while encoding, a non-finite block, an interrupt in a block
+            # an error while encoding, a non-finite block, an interrupt in either half
             for fault, code in [(("encode", DataError("bad rows")), 3),
                                 (("block", NumericError("non-finite")), 4),
+                                (("attend", KeyboardInterrupt()), None),
                                 (("block", KeyboardInterrupt()), None)]:
                 seen.clear()
                 faults.clear()

@@ -476,7 +476,8 @@ class TestForkJoin:
         m = tiny_model(layers=1, output_dim=174)
         rng = np.random.default_rng(19)
         feats = FeatureSequence(rng.normal(0, 1, (self.FRAMES, 8)).astype(np.float32), 60.0)
-        layer_forward = network._layer_forward
+        halves = {name: getattr(network, name) for name in ("_attention_half",
+                                                             "_feed_forward_half")}
         before = get()
         put(2)
         try:
@@ -484,17 +485,131 @@ class TestForkJoin:
             for error in [None, NumericError("block 3"), KeyboardInterrupt()]:
                 inside = []
 
-                def spy(*args, **kwargs):  # on every runner
-                    inside.append(get())
-                    if len(inside) >= 4 and error is not None:
-                        raise error
-                    return layer_forward(*args, **kwargs)
+                def spy(half):
+                    def call(*args, **kwargs):  # on every runner, in either half
+                        inside.append(get())
+                        if len(inside) >= 4 and error is not None:
+                            raise error
+                        return half(*args, **kwargs)
+                    return call
 
-                monkeypatch.setattr(network, "_layer_forward", spy)
+                for name, half in halves.items():
+                    monkeypatch.setattr(network, name, spy(half))
                 with pytest.raises(type(error)) if error else contextlib.nullcontext():
                     infer(feats, constant_timeline(1, self.FRAMES), m)
                 assert get() == 2, error
                 assert inside and set(inside) == {1}, error
+        finally:
+            put(before)
+
+
+class TestBlasHold:
+    @pytest.mark.parametrize("start", [2, 3])
+    def test_overlapping_infer_calls_share_one_hold(self, monkeypatch, start):
+        # three calls on threads, the shortest entering first and a failing
+        # one among them: the first to return must not restore the count
+        # while the others run, nor the last restore the 1 it found
+        blas = network._blas_thread_control()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        get, put = blas
+        good, bad = tiny_model(layers=2, output_dim=174), tiny_model(layers=2, output_dim=174)
+        bad.layers[1].w1[:] = np.inf
+        rng = np.random.default_rng(30)
+        feats = [FeatureSequence(rng.normal(0, 1, (n, 8)).astype(np.float32), 60.0)
+                 for n in (300, 700, 1300)]
+        calls = list(zip([good, bad, good], feats))
+
+        def outcome(model, feats):
+            try:
+                return infer(feats, constant_timeline(1, feats.n_frames), model).values
+            except NumericError as exc:
+                return exc
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        serial = [outcome(*call) for call in calls]
+        assert str(serial[1]) == "non-finite activations after encoder layer 1"
+
+        entered, inside = {}, []
+        together = threading.Barrier(len(calls), timeout=30.0)
+        encode = network.encode_content
+
+        def encode_spy(*args, **kwargs):  # each call's first chunk waits for the others
+            event = entered[threading.current_thread()]
+            if not event.is_set():
+                event.set()
+                together.wait()
+            return encode(*args, **kwargs)
+
+        def held(half):
+            def call(*args, **kwargs):
+                inside.append(get())
+                return half(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(network, "encode_content", encode_spy)
+        for name in ("_attention_half", "_feed_forward_half"):
+            monkeypatch.setattr(network, name, held(getattr(network, name)))
+        results = [None] * len(calls)
+
+        def run(i):
+            results[i] = outcome(*calls[i])
+
+        before = get()
+        put(start)
+        try:
+            threads = []
+            for i in range(len(calls)):
+                t = threading.Thread(target=run, args=(i,), daemon=True)
+                entered[t] = threading.Event()
+                t.start()
+                assert entered[t].wait(30.0)  # inside its hold before the next starts
+                threads.append(t)
+            for t in threads:
+                t.join(60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert get() == start
+        finally:
+            put(before)
+        assert inside and set(inside) == {1}
+        assert np.array_equal(results[0], serial[0]) and np.array_equal(results[2], serial[2])
+        assert (type(results[1]), str(results[1])) == (NumericError, str(serial[1]))
+        assert not [t for t in threading.enumerate() if t.name.startswith("speechrig-runner")]
+
+
+@st.composite
+def _hold_orders(draw):
+    """An order of entries and exits of 1-4 holds: each hold's entry (+i)
+    before its exit (-i)."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations([*range(1, n + 1), *range(-n, 0)]))
+    return [op if order.index(abs(op)) < order.index(-abs(op)) else -op for op in order]
+
+
+class TestBlasHoldProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(order=_hold_orders(), start=st.integers(2, 3))
+    def test_the_last_exit_restores_the_first_entrys_count(self, order, start):
+        # each entry and exit runs on a thread of its own
+        blas = network._blas_thread_control()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        get, put = blas
+        holds, before = {}, get()
+        put(start)
+        try:
+            for op in order:
+                if op > 0:
+                    holds[op] = network._one_blas_thread()
+                step = holds[abs(op)].__enter__ if op > 0 else \
+                    functools.partial(holds[-op].__exit__, None, None, None)
+                t = threading.Thread(target=step)
+                t.start()
+                t.join(10.0)
+                assert not t.is_alive()
+                if op < 0:
+                    del holds[-op]
+                assert get() == (1 if holds else start), (order, op)
         finally:
             put(before)
 
@@ -582,17 +697,17 @@ def _stack_on(chunks, stack):
 
 
 def _plant_after(monkeypatch, layer, rows, action):
-    """Make ``_layer_forward`` call ``action(y)`` on its output for
-    ``layer`` when it runs on ``rows`` rows."""
-    original = network._layer_forward
+    """Make ``_feed_forward_half``, the second half of a layer, call
+    ``action(y)`` on its output for ``layer`` when it runs on ``rows`` rows."""
+    original = network._feed_forward_half
 
     def planted(x, p, *args, **kwargs):
         y, cache = original(x, p, *args, **kwargs)
-        if p.wq is layer.wq and len(x) == rows:
+        if p.w1 is layer.w1 and len(x) == rows:
             action(y)
         return y, cache
 
-    monkeypatch.setattr(network, "_layer_forward", planted)
+    monkeypatch.setattr(network, "_feed_forward_half", planted)
 
 
 class TestRowBlocks:
@@ -609,16 +724,19 @@ class TestRowBlocks:
         assert network._row_blocks(600) == [(0, 300), (300, 600)]
         assert network._row_blocks(1100) == [(0, 275), (275, 550), (550, 825), (825, 1100)]
         stack, sizes = _float32_stack(), {}
-        original = network._layer_forward
 
-        def spy(x, *args, **kwargs):
-            sizes.setdefault(cpus, []).append(len(x))
-            return original(x, *args, **kwargs)
+        def spy(name, original):
+            def call(x, *args, **kwargs):
+                sizes.setdefault((name, cpus), []).append(len(x))
+                return original(x, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(network, "_layer_forward", spy)
+        for name in ("_attention_half", "_feed_forward_half"):
+            monkeypatch.setattr(network, name, spy(name, getattr(network, name)))
         for cpus in (1, 3, 8):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             _stack_on([self._hidden(1100), self._hidden(360)], stack)
+        assert len(sizes) == 6
         assert all(sorted(got) == sorted([275] * 8 + [180] * 4) for got in sizes.values())
 
     @pytest.mark.parametrize("rows, cpus", [(600, 1), (600, 2), (1100, 3), (1100, 8)])
@@ -703,7 +821,8 @@ class TestRowBlocks:
                      fail)
         self._released(monkeypatch, stack, self._hidden(), error)
 
-    @pytest.mark.parametrize("at", [1, 2])  # a layer's read, the head's
+    # a feed-forward half's read, an attention half's, the head's
+    @pytest.mark.parametrize("at", [1, 2, 4])
     def test_a_failing_weight_read_releases_the_runners(self, monkeypatch, at):
         if network._blas_thread_control() is None:
             pytest.skip("numpy's OpenBLAS thread count cannot be set here, so one runner")
@@ -725,11 +844,12 @@ class TestRowBlocks:
 def _layer_major_runs(draw):
     """(rows, group_chunks, cpus, width, fault): 1-5 chunks of 1-600 rows,
     1-3 chunks a group, 1-4 CPUs, a width of 16-64, and no fault, a NaN
-    planted in the output of ("nan", layer, block), or a failing read of
-    ("read", index)'s item of ``_tensors``."""
+    planted in the output of ("nan", layer, block)'s feed-forward half, or a
+    failing read of ("read", index)'s item of ``_tensors``: a layer half or,
+    at 4, the head."""
     rows = draw(st.lists(st.integers(1, 600), min_size=1, max_size=5))
     blocks = sum(len(network._row_blocks(n)) for n in rows)
-    fault = draw(st.none() | st.tuples(st.just("read"), st.integers(0, 2))
+    fault = draw(st.none() | st.tuples(st.just("read"), st.integers(0, 4))
                  | st.tuples(st.just("nan"), st.integers(0, 1), st.integers(0, blocks - 1)))
     return rows, draw(st.integers(1, 3)), draw(st.integers(1, 4)), 2 * draw(st.integers(8, 32)), fault
 
@@ -745,12 +865,12 @@ class TestLayerMajorProperties:
         h0 = np.random.default_rng(sum(rows)).normal(0, 1, (sum(rows), width)).astype(np.float32)
         starts = [at + s for at, n in zip(itertools.accumulate(rows, initial=0), rows)
                   for s, _ in network._row_blocks(n)]
-        layer_forward, tensors = network._layer_forward, network._tensors
+        feed_forward_half, tensors = network._feed_forward_half, network._tensors
 
         def planted(x, p, *args, **kwargs):
-            y, cache = layer_forward(x, p, *args, **kwargs)
+            y, cache = feed_forward_half(x, p, *args, **kwargs)
             _, layer, block = fault
-            if p.wq is stack.layers[layer].wq and x.ctypes.data == h[starts[block]:].ctypes.data:
+            if p.w1 is stack.layers[layer].w1 and x.ctypes.data == h[starts[block]:].ctypes.data:
                 y[:] = np.nan
             return y, cache
 
@@ -761,7 +881,7 @@ class TestLayerMajorProperties:
                 yield t
 
         patches = ({} if fault is None else {"_tensors": failing_read} if fault[0] == "read"
-                   else {"_layer_forward": planted})
+                   else {"_feed_forward_half": planted})
 
         def outcome(cpus, group_chunks):
             nonlocal h
@@ -1130,11 +1250,13 @@ class TestWeightStream:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_reading_the_stream_holds_the_encoder_and_one_layer(self, tmp_path):
-        m = build_model(8, d_model=64, n_layers=4, n_heads=4, d_ff=256, output_dim=174,
+    def test_reading_the_stream_holds_one_feed_forward_half(self, tmp_path):
+        # the encoder and each section are read into one buffer as large as
+        # the largest, here a feed-forward half: the peak stays near it
+        m = build_model(8, d_model=128, n_layers=4, n_heads=4, d_ff=512, output_dim=174,
                         dropout=0.0, seed=1)
-        encoder_bytes = 4 * sum(p.size for p in vars(m.encoder).values())
-        layer_bytes = 4 * sum(p.size for p in vars(m.layers[0]).values())
+        ff_bytes = 4 * sum(getattr(m.layers[0], k).size
+                           for k in network._LAYER_FIELDS if k not in network._ATTENTION_FIELDS)
         save_model(tmp_path / "w.emow", m)
         tracemalloc.start()
         try:
@@ -1144,6 +1266,93 @@ class TestWeightStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(read) == 5
+        assert len(read) == 2 * 4 + 1
         assert digest == hashlib.sha256((tmp_path / "w.emow").read_bytes()).hexdigest()
-        assert peak < encoder_bytes + 1.5 * layer_bytes, (peak, encoder_bytes, layer_bytes)
+        assert peak < 1.1 * ff_bytes, (peak, ff_bytes)
+
+    @staticmethod
+    def _section_sizes(m):
+        """The float counts of the encoder, each layer's halves and the head."""
+        sizes = [sum(p.size for p in vars(m.encoder).values())]
+        for layer in m.layers:
+            attention = sum(getattr(layer, k).size for k in network._ATTENTION_FIELDS)
+            sizes += [attention, sum(p.size for p in vars(layer).values()) - attention]
+        return sizes + [m.head_w.size + m.head_b.size]
+
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_sections_come_in_file_order_through_one_buffer(self, tmp_path, layers):
+        # at width 16 the head is the largest section; at 32 a feed-forward
+        # half, where there is one
+        for width in (16, 32):
+            m = build_model(8, d_model=width, n_layers=layers, n_heads=2, d_ff=4 * width,
+                            output_dim=174, dropout=0.0, seed=layers)
+            path = tmp_path / f"w{width}.emow"
+            save_model(path, m)
+            sizes = self._section_sizes(m)
+            with WeightStream(path) as weights:
+                buffer = weights._buffer
+                assert buffer.size == max(sizes), (width, sizes)
+                assert all(np.shares_memory(t, buffer) for t in vars(weights.encoder).values())
+                got = [np.concatenate([t.ravel() for t in vars(weights.encoder).values()])]
+                fields, interval = [], sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    for section in weights.read_tensors():
+                        # threads hash the bytes read before the next read
+                        threads = [threading.Thread(target=self._share, args=(weights, k))
+                                   for k in range(3)]
+                        for t in threads:
+                            t.start()
+                        for t in threads:
+                            t.join(10.0)
+                        assert not any(t.is_alive() for t in threads)
+                        tensors = (vars(section) if isinstance(section, network.LayerParams)
+                                   else dict(zip(("head_w", "head_b"), section)))
+                        tensors = {k: t for k, t in tensors.items() if t is not None}
+                        assert all(np.shares_memory(t, buffer) for t in tensors.values())
+                        fields.append(tuple(tensors))
+                        got.append(np.concatenate([t.ravel() for t in tensors.values()]))
+                finally:
+                    sys.setswitchinterval(interval)
+                assert weights.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+            ff = tuple(k for k in network._LAYER_FIELDS if k not in network._ATTENTION_FIELDS)
+            assert fields == [network._ATTENTION_FIELDS, ff] * layers + [("head_w", "head_b")]
+            assert [len(g) for g in got] == sizes
+            assert np.array_equal(np.concatenate(got), m.flat.astype(np.float32))
+
+    @staticmethod
+    def _share(weights, seed):
+        rng = np.random.default_rng(seed)
+        while weights.pending_nbytes():
+            weights.hash_pending(int(rng.integers(1, 400)))
+
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_infer_encodes_each_chunk_once_on_the_calling_thread(self, tmp_path, monkeypatch,
+                                                                 layers):
+        # perfbench counts chunks and encoder work by these calls
+        path = tmp_path / "w.emow"
+        save_model(path, tiny_model(layers=layers, output_dim=174))
+        rng = np.random.default_rng(23)
+        feats = FeatureSequence(rng.normal(0, 1, (1300, 8)).astype(np.float32), 60.0)
+        labels = rng.integers(0, 7, 1300)
+        loaded = infer(feats, labels, load_model(path)).values
+        calls, encode = [], network.encode_content
+
+        def spy(*args, **kwargs):
+            calls.append(threading.current_thread())
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(network, "encode_content", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with WeightStream(path) as weights:
+            streamed = infer(feats, labels, weights).values
+            assert weights.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert calls == [threading.current_thread()] * 3  # three chunks
+        assert np.array_equal(streamed, loaded)
+
+    def test_the_reference_buffer_is_one_feed_forward_half(self):
+        meta = {"feature_dim": 768, "d_model": 512, "n_layers": 10, "d_ff": 2048,
+                "output_dim": 174}
+        sizes = [sec[-1][2].stop - sec[0][2].start for sec in network._sections(meta)]
+        assert sizes == [922_624] + [1_051_648, 2_100_736] * 10 + [89_262]
+        assert max(sizes) == 2_100_736  # 8.4 MB of float32

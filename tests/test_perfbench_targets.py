@@ -60,13 +60,15 @@ def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     for module, attr, span, _ in layers.TARGETS:
         owner, leaf = _owner(module, attr)
         monkeypatch.setattr(owner, leaf, _recording(getattr(owner, leaf), span, calls))
-    layer_forward = network._layer_forward
+    def spy(half):
+        def call(*args, **kwargs):
+            layer_threads.add(threading.current_thread())
+            return half(*args, **kwargs)
+        return call
 
-    def spy(*args, **kwargs):
-        layer_threads.add(threading.current_thread())
-        return layer_forward(*args, **kwargs)
-
-    monkeypatch.setattr(network, "_layer_forward", spy)
+    # the runners run each block's two halves
+    for name in ("_attention_half", "_feed_forward_half"):
+        monkeypatch.setattr(network, name, spy(getattr(network, name)))
     model = build_model(8, d_model=16, n_layers=2, n_heads=2, d_ff=32, output_dim=RIG_WIDTH,
                         dropout=0.0, seed=1)
     save_model(tmp_path / "w.emow", model)
