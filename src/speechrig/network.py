@@ -44,7 +44,7 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .encoders import (
     encode_content,
     encode_emotion_table,
     encoder_shapes,
+    near_equal_blocks,
     positional_encoding,
 )
 from .errors import DataError, NumericError
@@ -727,11 +728,13 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     Every chunk's encoder input is built on the calling thread, in chunk
     order: features at other rates are resampled a chunk at a time, with
     the bits ``resample_features`` gives them (see ``resample_rows``);
-    the rows are cast to float64 for the encoders, whose content weights
-    are upcast once per call, and the sum, made in place, is kept in
-    float32. No 60 fps or float64 copy of the whole clip is made. The
-    encoder stack and head then run in float32, one layer at a time over
-    every chunk (see ``_layer_major``), and keep no layer caches.
+    ``encode_content`` casts the rows and the content weights to float64
+    one block at a time; the chunk's rows and positions are freed before
+    its emotion rows are added in place, and the sum is kept in float32.
+    No 60 fps or float64 copy of the whole clip, and no float64 copy of
+    the weights, is made. The encoder stack and head then run in float32,
+    one layer at a time over every chunk (see ``_layer_major``), and keep
+    no layer caches.
 
     A ``WeightStream``'s ``encoder`` views are valid only until its first
     layer half is read over them, which ``_layer_major`` does once every
@@ -756,18 +759,17 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     n = resampled_frames(features, RIG_FPS)
     labels = validate_timeline(timeline, n)
     etab = encode_emotion_table(model.encoder)
-    # numpy would make this float64 copy on every chunk's product
-    encoder = replace(model.encoder, content_w=np.asarray(model.encoder.content_w, np.float64))
     bounds = _chunk_bounds(n)
     rows = [e - s for s, e in bounds]
     h = np.empty((sum(rows), model.d_model), np.float32)  # the chunks one after another
     for (s, e), at in zip(bounds, itertools.accumulate(rows, initial=0)):
         x = resample_rows(features, n, s, e)
         positions = positional_encoding(e - s, model.d_model, start=s)
-        rows_in = encode_content(x, encoder, positions)
+        rows_in = encode_content(x, model.encoder, positions)
+        del x, positions  # not held beside the emotion rows
         rows_in += etab[labels[s:e]]
         h[at:at + e - s] = rows_in
-    del encoder, etab, features, x, positions, rows_in  # not held while the stack runs
+    del etab, features, rows_in  # not held while the stack runs
     return RigSequence(_crossfade(bounds, _layer_major(h, rows, model)))
 
 
@@ -812,9 +814,7 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
     """``ceil(n_rows / _ROW_BLOCK)`` (at least one) near-equal row blocks:
     a function of the row count only. A 600-row chunk is two blocks of
     300 rows, a 360-row one two of 180."""
-    k = max(1, -(-n_rows // _ROW_BLOCK))
-    edges = [n_rows * b // k for b in range(k + 1)]
-    return list(zip(edges, edges[1:]))
+    return near_equal_blocks(n_rows, _ROW_BLOCK)
 
 
 def _tensors(model):

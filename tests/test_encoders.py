@@ -1,19 +1,23 @@
 """Positional encoding and the content/emotion encoders."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from speechrig.encoders import (
     EncoderParams,
     encode_content,
     encode_emotion_table,
     leaky_relu,
+    near_equal_blocks,
     positional_encoding,
 )
 from speechrig.errors import DataError
-from speechrig.network import build_model
+from speechrig.network import _one_blas_thread, build_model
 from speechrig.rig import constant_timeline, validate_timeline
 
 
@@ -71,6 +75,16 @@ class TestPositionalEncoding:
         with pytest.raises(DataError):
             positional_encoding(4, 7)
 
+    @pytest.mark.parametrize("d_model", [0, -2])
+    def test_width_not_positive_rejected(self, d_model):
+        with pytest.raises(DataError):
+            positional_encoding(4, d_model)
+
+    @pytest.mark.parametrize("n_frames", [0, -1])
+    def test_fewer_than_one_frame_rejected(self, n_frames):
+        with pytest.raises(DataError):
+            positional_encoding(n_frames, 8)
+
 
 def _init_params(feature_dim, d_model, seed):
     """The encoder tensors of a freshly initialized model."""
@@ -126,6 +140,71 @@ class TestContentEncoder:
         whole = encode_content(feats, params, positional_encoding(10, 8))
         tail = encode_content(feats[4:], params, positional_encoding(6, 8, start=4))
         assert np.array_equal(whole[4:], tail)
+
+
+def _whole_product(features, params, positions):
+    """``encode_content`` as one float64 product, then the adds in place."""
+    out = np.asarray(features, np.float64) @ np.asarray(params.content_w, np.float64)
+    out += params.content_b
+    out += positions[:len(features)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_width_params(d_model, dtype):
+    """Encoder tensors at infer's feature width 768, in ``dtype``."""
+    enc = build_model(768, d_model=d_model, n_layers=0, n_heads=2, seed=d_model).encoder
+    return EncoderParams(**{k: np.asarray(v, dtype) for k, v in vars(enc).items()})
+
+
+class TestContentProductBlocks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("d_model", [64, 130, 512])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 63, 64, 127, 128, 129, 257, 600, 601])
+    def test_blocks_give_the_whole_products_bits(self, n_rows, d_model, dtype):
+        # float32 rows and weights as infer passes them, float64 as training
+        # does; 130 columns cross the column split, and 7 rows split by
+        # columns would take OpenBLAS's small-product kernel. Both products
+        # run at infer's one BLAS thread: more threads cut the whole one
+        # into other blocks.
+        params = _reference_width_params(d_model, dtype)
+        x = np.random.default_rng(n_rows).normal(0, 1, (n_rows, 768)).astype(dtype)
+        positions = positional_encoding(n_rows + 3, d_model, start=540)
+        with _one_blas_thread():
+            out = encode_content(x, params, positions)
+            whole = _whole_product(x, params, positions)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, whole)
+
+    # The float64 output (n_rows x 512 x 8 B: 2.46 MB at 600 rows, 0.26 MB
+    # at 64) plus one block's float64 features (at most 128 x 768 x 8 B,
+    # 0.79 MB) and weights (768 x 128 x 8 B, 0.79 MB): at most 4.03 and
+    # 1.44 MB. A float64 copy of all the rows (3.69 MB at 600) or of the
+    # weights (3.15 MB) would break the bound. 64 rows are the fewest whose
+    # columns are split.
+    @pytest.mark.parametrize("n_rows, bound", [(600, 4.5e6), (64, 2.0e6)])
+    def test_working_set_is_the_output_and_one_block(self, n_rows, bound):
+        params = _reference_width_params(512, np.float32)
+        x = np.random.default_rng(0).normal(0, 1, (n_rows, 768)).astype(np.float32)
+        positions = positional_encoding(n_rows, 512, start=540)
+        tracemalloc.start()
+        try:
+            encode_content(x, params, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{peak / 1e6:.2f} MB"
+
+    @given(st.integers(0, 2000), st.integers(3, 300))
+    def test_near_equal_blocks_cover_in_order(self, n, most):
+        blocks = near_equal_blocks(n, most)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(e == s for (_, e), (s, _) in zip(blocks, blocks[1:]))
+        sizes = [e - s for s, e in blocks]
+        assert len(blocks) == max(1, -(-n // most))
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+        if n >= 2:
+            assert min(sizes) >= 2, "a 1-row block takes the matrix-vector path"
 
 
 class TestEmotionEncoder:
