@@ -89,11 +89,13 @@ def encode_content(features: np.ndarray, params: EncoderParams,
     Chunked inference passes the table from the chunk's global start frame,
     so positions stay consistent across chunk boundaries.
 
-    The float64 product is made a block at a time straight into the
-    output: ``near_equal_blocks`` of at most ``_PRODUCT_BLOCK`` rows by at
-    most ``_PRODUCT_BLOCK`` columns, and only a block's features and
-    weights are cast, so float32 inputs get no whole float64 copy. Fewer
-    than ``_PRODUCT_BLOCK // 2`` rows take all columns at once, because
+    Float64 features and weights, as training passes them, have nothing
+    to cast and take one product. Otherwise (``infer``'s float32) the
+    float64 product is made a block at a time straight into the output:
+    ``near_equal_blocks`` of at most ``_PRODUCT_BLOCK`` rows by at most
+    ``_PRODUCT_BLOCK`` columns, and only a block's features and weights
+    are cast, so no whole float64 copy of either is made. Fewer than
+    ``_PRODUCT_BLOCK // 2`` rows take all columns at once, because
     OpenBLAS multiplies a block that small with another kernel, which
     rounds otherwise. At the reference configuration (768 -> 512, numpy's
     bundled OpenBLAS at one thread) the output has the bits of one whole
@@ -106,13 +108,16 @@ def encode_content(features: np.ndarray, params: EncoderParams,
             f"does not match encoder width {params.feature_dim}"
         )
     n, d = features.shape[0], params.d_model
-    cols = near_equal_blocks(d, _PRODUCT_BLOCK if n >= _PRODUCT_BLOCK // 2 else d)
-    out = np.empty((n, d))
-    for r0, r1 in near_equal_blocks(n, _PRODUCT_BLOCK):
-        x = np.asarray(features[r0:r1], np.float64)
-        for c0, c1 in cols:  # the cast weights are freed before the next block's
-            np.matmul(x, np.asarray(params.content_w[:, c0:c1], np.float64),
-                      out=out[r0:r1, c0:c1])
+    if features.dtype == params.content_w.dtype == np.float64:
+        out = features @ params.content_w
+    else:
+        cols = near_equal_blocks(d, _PRODUCT_BLOCK if n >= _PRODUCT_BLOCK // 2 else d)
+        out = np.empty((n, d))
+        for r0, r1 in near_equal_blocks(n, _PRODUCT_BLOCK):
+            x = np.asarray(features[r0:r1], np.float64)
+            for c0, c1 in cols:  # the cast weights are freed before the next block's
+                np.matmul(x, np.asarray(params.content_w[:, c0:c1], np.float64),
+                          out=out[r0:r1, c0:c1])
     out += params.content_b
     out += positions[:n]
     return out

@@ -728,7 +728,7 @@ def infer(features: FeatureSequence | list[FeatureSequence], timeline, model) ->
     Every chunk's encoder input is built on the calling thread, in chunk
     order: features at other rates are resampled a chunk at a time, with
     the bits ``resample_features`` gives them (see ``resample_rows``);
-    ``encode_content`` casts the rows and the content weights to float64
+    ``encode_content`` casts float32 rows and content weights to float64
     one block at a time; the chunk's rows and positions are freed before
     its emotion rows are added in place, and the sum is kept in float32.
     No 60 fps or float64 copy of the whole clip, and no float64 copy of

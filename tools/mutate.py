@@ -10,7 +10,7 @@ One verdict line is printed per mutant:
     killed    the selection failed (the first failing test is named)
     survived  the selection passed; a mutant the list marks equivalent
               says so, with the list's reason
-    timeout   the selection ran longer than ``--timeout`` seconds
+    timeout   the selection ran longer than ``TIMEOUT`` seconds
 
 The unmutated copy runs first; if it fails, no mutant is run.
 
@@ -19,10 +19,9 @@ Usage, from the root of a checkout:
     python3 tools/mutate.py tools/mutants_encoders.json -- -q tests \\
         --deselect tests/test_acceptance.py::TestAcceptance::test_08_desk_scale_training
 
-Everything after ``--`` is passed to ``python -m pytest``. ``--only NAME``
-(repeatable) runs the named mutants alone. The exit status is 0 when
-every mutant is killed or marked equivalent, 1 when one survives
-unmarked, and 2 when the unmutated copy fails. A mutant list is
+Everything after ``--`` is passed to ``python -m pytest``. The exit
+status is 0 when every mutant is killed or marked equivalent, 1 when one
+survives unmarked, and 2 when the unmutated copy fails. A mutant list is
 a JSON list of objects with the keys ``name``, ``file``, ``find``,
 ``replace`` and, for a mutant that cannot change any result, an optional
 ``equivalent`` reason.
@@ -42,6 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # left out of each copy: nothing a test reads, and some of it large
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_*")
+# seconds one selection may run, so a mutant that loops forever ends
+TIMEOUT = 600.0
 
 
 def load_mutants(path: Path) -> list[dict]:
@@ -59,14 +60,14 @@ def load_mutants(path: Path) -> list[dict]:
     return mutants
 
 
-def run_selection(tree: Path, pytest_args: list[str], timeout: float):
+def run_selection(tree: Path, pytest_args: list[str]):
     """(pytest exit code or None on timeout, first failing test id or '')."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-rfE", "-p", "no:cacheprovider",
            *pytest_args]
     try:
         done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, ""
     first = next((line.split(" ", 1)[1].split(" - ")[0] for line in done.stdout.splitlines()
@@ -74,7 +75,7 @@ def run_selection(tree: Path, pytest_args: list[str], timeout: float):
     return done.returncode, first
 
 
-def verdict(mutant: dict, tree: Path, pytest_args: list[str], timeout: float):
+def verdict(mutant: dict, tree: Path, pytest_args: list[str]):
     """Copy the checkout, apply ``mutant`` and run the selection: (word, detail)."""
     copy = tree / "copy"
     shutil.copytree(ROOT, copy, ignore=SKIP)
@@ -82,11 +83,11 @@ def verdict(mutant: dict, tree: Path, pytest_args: list[str], timeout: float):
         if mutant is not None:
             target = copy / mutant["file"]
             target.write_text(target.read_text().replace(mutant["find"], mutant["replace"]))
-        code, first = run_selection(copy, pytest_args, timeout)
+        code, first = run_selection(copy, pytest_args)
     finally:
         shutil.rmtree(copy)
     if code is None:
-        return "timeout", f"over {timeout:g} s"
+        return "timeout", f"over {TIMEOUT:g} s"
     if code == 0:
         reason = (mutant or {}).get("equivalent")
         return "survived", f"equivalent: {reason}" if reason else ""
@@ -99,26 +100,17 @@ def main(argv: list[str] | None = None) -> int:
         if "--" in argv else (argv, [])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("mutants", type=Path, help="JSON list of mutants")
-    parser.add_argument("--only", action="append", default=[], metavar="NAME",
-                        help="run only this mutant (repeatable)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds one selection may run (default 600)")
     args = parser.parse_args(ours)
     mutants = load_mutants(args.mutants)
-    unknown = set(args.only) - {m["name"] for m in mutants}
-    if unknown:
-        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
-    if args.only:
-        mutants = [m for m in mutants if m["name"] in args.only]
     width = max(len(m["name"]) for m in mutants)
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
-        word, detail = verdict(None, Path(tmp), pytest_args, args.timeout)
+        word, detail = verdict(None, Path(tmp), pytest_args)
         if word != "survived":
             print(f"unmutated copy fails ({word}: {detail}); no mutant run", flush=True)
             return 2
         unmarked = 0
         for m in mutants:
-            word, detail = verdict(m, Path(tmp), pytest_args, args.timeout)
+            word, detail = verdict(m, Path(tmp), pytest_args)
             unmarked += word == "survived" and "equivalent" not in m
             print(f"{m['name']:<{width}}  {word:<8}  {detail}".rstrip(), flush=True)
     return 1 if unmarked else 0
