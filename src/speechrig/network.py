@@ -357,8 +357,13 @@ def _attention_backward(dout, cache, p: LayerParams, g: LayerParams, scratch):
     return dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
 
 
-def _dropout_mask(shape, p, rng):
-    return (rng.random(shape) >= p) / (1.0 - p)
+def _dropout(a, p, rng):
+    """``(a * mask, mask)`` for a fresh inverted-dropout mask from ``rng``,
+    or ``(a, None)``, nothing drawn, when ``p`` is 0 or ``rng`` is None."""
+    if p == 0.0 or rng is None:
+        return a, None
+    mask = (rng.random(a.shape) >= p) / (1.0 - p)
+    return a * mask, mask
 
 
 def _attention_half(x, p, n_heads, dropout_p, rng, keep_cache, kv=None):
@@ -367,10 +372,7 @@ def _attention_half(x, p, n_heads, dropout_p, rng, keep_cache, kv=None):
     ``p`` is read for its ``_ATTENTION_FIELDS`` only. Returns the rows and,
     with ``keep_cache``, what the reverse pass reads."""
     a, attn_cache = _attention_forward(x, p, n_heads, keep_cache, kv)
-    mask1 = None
-    if dropout_p > 0.0 and rng is not None:
-        mask1 = _dropout_mask(a.shape, dropout_p, rng)
-        a = a * mask1
+    a, mask1 = _dropout(a, dropout_p, rng)
     a += x
     x1, ln1_cache = _layer_norm_forward(a, p.ln1_g, p.ln1_b, keep_cache)
     return x1, (attn_cache, mask1, ln1_cache) if keep_cache else None
@@ -384,10 +386,7 @@ def _feed_forward_half(x1, p, dropout_p, rng, keep_cache):
     z = _affine(x1, p.w1, p.b1)
     h = np.maximum(z, 0.0) if keep_cache else np.maximum(z, 0.0, out=z)
     f = _affine(h, p.w2, p.b2)
-    mask2 = None
-    if dropout_p > 0.0 and rng is not None:
-        mask2 = _dropout_mask(f.shape, dropout_p, rng)
-        f = f * mask2
+    f, mask2 = _dropout(f, dropout_p, rng)
     f += x1
     x2, ln2_cache = _layer_norm_forward(f, p.ln2_g, p.ln2_b, keep_cache)
     return x2, (x1, z, h, mask2, ln2_cache) if keep_cache else None
@@ -819,18 +818,18 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
 
 def _tensors(model):
     """Each encoder layer's attention half and then its feed-forward half,
-    then the head's (w, b), in float32 and in file order. A layer half is
+    then the head's (w, b), in float32 and in file order, each with the
+    hash jobs that must run before the next is asked for. A layer half is
     a ``LayerParams`` that ``_attention_half`` or ``_feed_forward_half``
-    reads. For a ``WeightStream`` each is read from the file, over the one
-    before, when it is asked for, with the other half's fields None; for a
-    ``RigModel`` each layer is cast when it is reached (no copy if it is
-    float32 already) and serves as both halves."""
+    reads. A ``WeightStream`` gives ``read_tensors``' pairs; a
+    ``RigModel`` casts each layer when it is reached (no copy if it is
+    float32 already), which serves as both halves, and has no jobs."""
     if isinstance(model, WeightStream):
         return model.read_tensors()
     f32 = functools.partial(np.asarray, dtype=np.float32)
     layers = (LayerParams(*map(f32, vars(p).values())) for p in model.layers)
     halves = itertools.chain.from_iterable((p, p) for p in layers)
-    return itertools.chain(halves, [(f32(model.head_w), f32(model.head_b))])
+    return ((t, []) for t in itertools.chain(halves, [(f32(model.head_w), f32(model.head_b))]))
 
 
 def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
@@ -841,8 +840,8 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     ``h``'s; returns the head's output rows, in the same order.
 
     The layer halves come from ``_tensors(model)``, each asked for once
-    the one before has run, and the head last, so a source may read each
-    into the one buffer the one before it was in.
+    the one before and its hash jobs have run, and the head last, so a
+    source may read each into the one buffer the one before it was in.
 
     Each chunk's rows are cut into ``_row_blocks``, the query-block
     partition of FlashAttention (Dao et al. 2022, arXiv 2205.14135). A
@@ -859,14 +858,11 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     for both row counts), and no block's arithmetic depends on the runner
     that does it.
 
-    For a ``WeightStream`` the runners also hash the bytes read: each
-    attend and feed-forward fork/join has a job that hashes half of what
-    is pending after its first block, and one that hashes the rest after
-    its last; the head's hashes the head. A runner without a block hashes
-    while the others compute, so the next read finds nothing left to
-    hash. A block comes before the first hash job, so a block starts
-    first, and the two halves are far apart in the list, so neither waits
-    for the other.
+    A section's hash jobs (none, or two) run in each attend, feed-forward
+    or head fork/join that uses the section: the first after the first
+    block, the second after the last. So a runner without a block hashes
+    while the others compute, a block starts first, and the two jobs are
+    far apart in the list, so neither waits for the other.
     """
     # a group's blocks: each its rows in h, its rows and its chunk's in the key/value buffer
     groups, start = [], 0
@@ -898,26 +894,22 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
         mine = block[0]
         _check_finite(_affine(h[mine], w, b, out=y[mine]), "in output head")
 
-    # a stream's jobs that hash half of the bytes pending, and the rest
-    half, rest = (([lambda: model.hash_pending(model.pending_nbytes() // 2)], [model.hash_pending])
-                  if isinstance(model, WeightStream) else ([], []))
-
-    def hashing(first, *others):
-        return [first, *half, *others, *rest]
+    def hashing(hashes, first, *others):
+        return [first, *hashes[:1], *others, *hashes[1:]]
 
     tensors, every = _tensors(model), [block for blocks in groups for block in blocks]
     with _fork_join() as run:
         for i in range(model.n_layers):
-            p = next(tensors)
+            p, hashes = next(tensors)
             for blocks in groups:
                 run([functools.partial(keys_values, p, block) for block in blocks])
-                run(hashing(*(functools.partial(attend, p, block) for block in blocks)))
-            p = next(tensors)
-            run(hashing(*(functools.partial(feed_forward, i, p, block) for block in every)))
+                run(hashing(hashes, *(functools.partial(attend, p, block) for block in blocks)))
+            p, hashes = next(tensors)
+            run(hashing(hashes, *(functools.partial(feed_forward, i, p, block) for block in every)))
         del k, v
-        w, b = next(tensors)
+        (w, b), hashes = next(tensors)
         y = np.empty((len(h), model.output_dim), np.float32)
-        run([functools.partial(head, w, b, block) for block in every] + rest)
+        run(hashing(hashes, *(functools.partial(head, w, b, block) for block in every)))
     return y
 
 
@@ -1037,9 +1029,9 @@ def load_model(path) -> RigModel:
     uses it as it is, and ``train`` / ``grad_check`` upcast it to float64.
     """
     with _reading(path), open(path, "rb") as f:
-        meta = _read_header(path, f, lambda data: None)
+        meta = _read_header(path, f)[0]
         flat = np.empty(_layout(meta)[-1][2].stop, "<f4")
-        _read_section(path, f, flat, 0, flat.nbytes, lambda data: None)
+        _read_section(path, f, flat, 0, flat.nbytes)
     return _bind(flat, meta)
 
 
@@ -1067,12 +1059,11 @@ class WeightStream:
     are attributes, as on ``RigModel``.
 
     Every byte read is fed to a SHA-256, in file order. The header and
-    metadata are hashed as they are read; the tensors' bytes wait in a
-    locked queue until ``hash_pending`` hashes them, on whichever thread
-    calls it: ``infer``'s block runners do, between blocks (see
-    ``_layer_major``). No byte of the buffer is read over before it is
-    hashed: a section's read first hashes what is pending, then fills the
-    buffer in one read. ``hexdigest`` hashes what is left, and is then the
+    metadata are hashed as they are read. A section's bytes are hashed by
+    its hash jobs (see ``read_tensors``), on whichever threads run them,
+    and what they leave is hashed before the next section is read over
+    it, so the encoder is hashed on the thread that reads the first
+    section after it. ``hexdigest`` hashes what is left, and is then the
     file's, as ``file_sha256`` gives it: the open file is what is read, so
     a file put in its place mid-run does not change it. Use the stream in
     a ``with`` block, which closes the file.
@@ -1081,11 +1072,13 @@ class WeightStream:
     def __init__(self, path):
         self._path, self._file = path, None
         self._digest, self._lock = hashlib.sha256(), threading.Lock()
-        self._pending = collections.deque()  # views of the bytes read, not hashed yet
+        # the last section read, as bytes in the buffer, and how many of them are hashed
+        self._view, self._hashed = memoryview(b""), 0
         try:
             with _reading(path):
                 self._file = open(path, "rb")
-                meta = _read_header(path, self._file, self._digest.update)
+                meta, header = _read_header(path, self._file)
+                self._digest.update(header)
             self.feature_family = meta["feature_family"]
             (self.feature_dim, self.d_model, self.n_layers, self.n_heads, self.d_ff,
              self.output_dim) = (meta[k] for k in _META_DIMS)
@@ -1108,34 +1101,21 @@ class WeightStream:
         if self._file is not None:
             self._file.close()
 
-    def pending_nbytes(self) -> int:
-        """How many bytes are read and not hashed yet."""
+    def _hash_to(self, end: int) -> None:
+        """Hash the last section's bytes up to ``end``, those not hashed yet."""
         with self._lock:
-            return sum(map(len, self._pending))
-
-    def hash_pending(self, nbytes: int | None = None) -> None:
-        """Hash the first ``nbytes`` of the bytes read and not hashed yet,
-        or all of them, in file order."""
-        with self._lock:
-            left = math.inf if nbytes is None else nbytes
-            while self._pending and left > 0:
-                view = self._pending.popleft()
-                if len(view) > left:
-                    self._pending.appendleft(view[left:])
-                    view = view[:left]
-                self._digest.update(view)
-                left -= len(view)
-
-    def _queue(self, view) -> None:
-        with self._lock:
-            self._pending.append(view)
+            if end > self._hashed:
+                self._digest.update(self._view[self._hashed:end])
+                self._hashed = end
 
     def _read(self, section):
         """Views of ``section``'s tensors by field name, read into the buffer."""
         first, end = section[0][2].start, section[-1][2].stop
         into = self._buffer[:end - first]
+        self._hash_to(len(self._view))  # the buffer's bytes, before they are read over
         with _reading(self._path):
-            _read_section(self._path, self._file, into, 4 * first, self._need, self._queue)
+            _read_section(self._path, self._file, into, 4 * first, self._need)
+        self._view, self._hashed = memoryview(into).cast("B"), 0
         return {name.rpartition(".")[2]: into[sl.start - first:sl.stop - first].reshape(shape)
                 for name, shape, sl in section}
 
@@ -1143,18 +1123,21 @@ class WeightStream:
         """Yield each encoder layer's attention half and then its
         feed-forward half, each a ``LayerParams`` whose other half's
         fields are None, then the head's (head_w, head_b). Each is read
-        when it is asked for, over the one before."""
+        when it is asked for, over the one before, and comes with its two
+        hash jobs: one hashes the first half of its bytes, the other the
+        rest. Any thread may run them, in any order."""
         while self._sections:
-            self.hash_pending()  # the buffer's bytes, before they are read over
             views = self._read(self._sections.pop(0))
-            yield (LayerParams(**(dict.fromkeys(_LAYER_FIELDS) | views)) if self._sections
-                   else (views["head_w"], views["head_b"]))
+            n = len(self._view)
+            yield ((LayerParams(**(dict.fromkeys(_LAYER_FIELDS) | views)) if self._sections
+                    else (views["head_w"], views["head_b"])),
+                   [functools.partial(self._hash_to, n // 2), functools.partial(self._hash_to, n)])
 
     def hexdigest(self) -> str:
         """The SHA-256 of the file's bytes, once the head is read."""
         if self._sections:
             raise RuntimeError(f"{self._path}: weight file not read to its end")
-        self.hash_pending()
+        self._hash_to(len(self._view))
         return self._digest.hexdigest()
 
 
@@ -1166,20 +1149,18 @@ def _reading(path):
         raise DataError(f"cannot read weight file {path}: {exc}") from None
 
 
-def _read_section(path, f, buf, done, need, feed) -> None:
+def _read_section(path, f, buf, done, need) -> None:
     """Fill ``buf`` from ``f``, where ``done`` of the ``need`` payload
-    bytes are read, and ``feed`` its bytes."""
+    bytes are read."""
     got = f.readinto(buf)
     if got < buf.nbytes:  # the file shrank after the size check
         raise DataError(f"{path}: truncated payload: {done + got} bytes, the tensors need {need}")
-    feed(memoryview(buf).cast("B"))
 
 
-def _read_header(path, f, feed) -> dict:
-    """Read and check the header and metadata, feeding their bytes to
-    ``feed``, and check the payload's size; returns the metadata."""
+def _read_header(path, f) -> tuple[dict, bytes]:
+    """Read and check the header and metadata, and check the payload's
+    size; returns the metadata and the bytes read."""
     header = f.read(_WHEADER.size)
-    feed(header)
     if len(header) < _WHEADER.size:
         raise DataError(f"{path}: too short for a weight header")
     magic, version, meta_len = _WHEADER.unpack(header)
@@ -1192,7 +1173,6 @@ def _read_header(path, f, feed) -> dict:
         raise DataError(f"{path}: metadata length {meta_len} exceeds the {rest} bytes "
                         f"after the header")
     raw = f.read(meta_len)
-    feed(raw)
     try:
         meta = json.loads(raw)
     except ValueError as exc:  # bad JSON or bad UTF-8
@@ -1223,7 +1203,7 @@ def _read_header(path, f, feed) -> dict:
         raise DataError(f"{path}: truncated payload: {payload} bytes, the tensors need {need}")
     if payload > need:
         raise DataError(f"{path}: {payload - need} bytes after the last tensor")
-    return meta
+    return meta, header + raw
 
 
 def file_sha256(path) -> str:

@@ -1220,32 +1220,27 @@ class TestWeightStream:
             assert np.array_equal(streamed, want_values), cpus
 
     def test_threads_hashing_at_once_keep_file_order(self, tmp_path):
-        # 8 threads take small, uneven shares of the pending bytes at once,
-        # switching as often as the interpreter allows: a share hashed
-        # twice, lost or out of order changes the digest
+        # 8 threads run each section's hash jobs and random cut points at
+        # once, switching as often as the interpreter allows: bytes hashed
+        # twice, lost or out of order change the digest
         path = tmp_path / "w.emow"
         save_model(path, tiny_model(layers=3, output_dim=174))
         want = hashlib.sha256(path.read_bytes()).hexdigest()
-
-        def share(weights, seed):
-            rng = np.random.default_rng(seed)
-            while weights.pending_nbytes():
-                weights.hash_pending(int(rng.integers(1, 100)))
-
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for run in range(5):
                 with WeightStream(path) as weights:
-                    for _ in weights.read_tensors():
-                        threads = [threading.Thread(target=share, args=(weights, 8 * run + k))
+                    for _, jobs in weights.read_tensors():
+                        threads = [threading.Thread(target=self._share,
+                                                    args=(weights, jobs, 8 * run + k))
                                    for k in range(8)]
                         for t in threads:
                             t.start()
                         for t in threads:
                             t.join(10.0)
                         assert not any(t.is_alive() for t in threads)
-                        assert weights.pending_nbytes() == 0
+                        assert weights._hashed == len(weights._view)
                     assert weights.hexdigest() == want, run
         finally:
             sys.setswitchinterval(interval)
@@ -1297,9 +1292,9 @@ class TestWeightStream:
                 fields, interval = [], sys.getswitchinterval()
                 sys.setswitchinterval(1e-6)
                 try:
-                    for section in weights.read_tensors():
+                    for section, jobs in weights.read_tensors():
                         # threads hash the bytes read before the next read
-                        threads = [threading.Thread(target=self._share, args=(weights, k))
+                        threads = [threading.Thread(target=self._share, args=(weights, jobs, k))
                                    for k in range(3)]
                         for t in threads:
                             t.start()
@@ -1321,10 +1316,47 @@ class TestWeightStream:
             assert np.array_equal(np.concatenate(got), m.flat.astype(np.float32))
 
     @staticmethod
-    def _share(weights, seed):
+    def _share(weights, jobs, seed):
+        """Run the last section's hash ``jobs`` and ``_hash_to`` at 20
+        random cut points of it, in a random order."""
         rng = np.random.default_rng(seed)
-        while weights.pending_nbytes():
-            weights.hash_pending(int(rng.integers(1, 400)))
+        cuts = rng.integers(0, len(weights._view) + 1, 20)
+        calls = [*jobs, *(functools.partial(weights._hash_to, int(c)) for c in cuts)]
+        for i in rng.permutation(len(calls)):
+            calls[i]()
+
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    @pytest.mark.parametrize("frames", [300, 1300])
+    def test_runners_hash_every_section_but_the_encoder(self, tmp_path, monkeypatch, layers,
+                                                        frames):
+        # each section's hash jobs run in its own fork/joins, so no read
+        # finds bytes of the section before it unhashed, but the encoder's,
+        # which no fork/join follows
+        path = tmp_path / "w.emow"
+        m = tiny_model(layers=layers, output_dim=174)
+        save_model(path, m)
+        assert all(jobs == [] for _, jobs in network._tensors(m))
+        rng = np.random.default_rng(frames)
+        feats = FeatureSequence(rng.normal(0, 1, (frames, 8)).astype(np.float32), 60.0)
+        labels = rng.integers(0, 7, frames)
+        want = infer(feats, labels, load_model(path)).values
+        encoder = 4 * sum(t.size for t in vars(m.encoder).values())
+        unhashed, read = [], WeightStream._read
+
+        def reading(self, section):
+            unhashed.append(len(self._view) - self._hashed)
+            return read(self, section)
+
+        monkeypatch.setattr(WeightStream, "_read", reading)
+        for cpus in (1, 2):  # the runners
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            unhashed.clear()
+            with WeightStream(path) as weights:
+                got = infer(feats, labels, weights).values
+                unhashed.append(len(weights._view) - weights._hashed)  # the head's
+                assert weights.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert unhashed == [0, encoder] + [0] * (2 * layers + 1), cpus
+            assert np.array_equal(got, want), cpus
 
     @pytest.mark.parametrize("layers", [0, 1, 3])
     def test_infer_encodes_each_chunk_once_on_the_calling_thread(self, tmp_path, monkeypatch,
