@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .rig import N_EMOTIONS
 
 LEAKY_SLOPE = 0.2
 
@@ -30,22 +29,6 @@ class EncoderParams:
     emotion_b1: np.ndarray
     emotion_w2: np.ndarray  # (d_model, d_model)
     emotion_b2: np.ndarray
-
-    @property
-    def feature_dim(self) -> int:
-        return self.content_w.shape[0]
-
-    @property
-    def d_model(self) -> int:
-        return self.content_w.shape[1]
-
-
-def encoder_shapes(feature_dim: int, d_model: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each learnable ``EncoderParams`` tensor, in field order."""
-    return {"content_w": (feature_dim, d_model), "content_b": (d_model,),
-            "emotion_embed": (N_EMOTIONS, d_model),
-            "emotion_w1": (d_model, d_model), "emotion_b1": (d_model,),
-            "emotion_w2": (d_model, d_model), "emotion_b2": (d_model,)}
 
 
 def positional_encoding(n_frames: int, d_model: int, start: int = 0) -> np.ndarray:
@@ -102,12 +85,12 @@ def encode_content(features: np.ndarray, params: EncoderParams,
     product. The bias and positions are added in place, with a fresh
     sum's bits."""
     features = np.asarray(features)
-    if features.ndim != 2 or features.shape[1] != params.feature_dim:
+    if features.ndim != 2 or features.shape[1] != params.content_w.shape[0]:
         raise DataError(
             f"feature width {features.shape[1] if features.ndim == 2 else '?'} "
-            f"does not match encoder width {params.feature_dim}"
+            f"does not match encoder width {params.content_w.shape[0]}"
         )
-    n, d = features.shape[0], params.d_model
+    n, d = features.shape[0], params.content_w.shape[1]
     if features.dtype == params.content_w.dtype == np.float64:
         out = features @ params.content_w
     else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FeatureFileError
-from .rig import read_numeric_csv
+from .rig import atomic_write, read_numeric_csv
 
 FEATURE_MAGIC = b"EMOF"
 FEATURE_VERSION = 1
@@ -118,11 +118,11 @@ def read_feature_file(path) -> FeatureSequence:
 
 
 def write_feature_file(path, seq: FeatureSequence) -> None:
-    data = np.ascontiguousarray(seq.data, dtype="<f4")
-    with open(path, "wb") as f:
+    """Write ``seq`` as a binary feature file, through ``atomic_write``."""
+    with atomic_write(path, "wb") as f:
         f.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION,
                              seq.n_frames, seq.n_features, seq.rate_hz))
-        f.write(data.tobytes())
+        f.write(np.ascontiguousarray(seq.data, dtype="<f4"))
 
 
 def read_feature_csv(path, rate_hz: float = REFERENCE_FEATURE_RATE) -> FeatureSequence:

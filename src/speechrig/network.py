@@ -45,6 +45,7 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .encoders import (
     emotion_mlp,
     encode_content,
     encode_emotion_table,
-    encoder_shapes,
     near_equal_blocks,
     positional_encoding,
 )
@@ -76,7 +76,7 @@ _LN_EPS = 1e-5
 
 @dataclass(frozen=True)
 class LayerParams:
-    """One encoder layer: attention projections, norms, feed-forward."""
+    """One encoder layer: the fields of ``_ATTENTION``, then of ``_FEED_FORWARD``."""
 
     wq: np.ndarray
     bq: np.ndarray
@@ -96,26 +96,30 @@ class LayerParams:
     ln2_b: np.ndarray
 
 
-# shape of each layer tensor, in field order: "d" is d_model, "f" is d_ff
-_LAYER_SHAPES = {"wq": "dd", "bq": "d", "wk": "dd", "bk": "d", "wv": "dd", "bv": "d",
-                 "wo": "dd", "bo": "d", "ln1_g": "d", "ln1_b": "d", "w1": "df", "b1": "f",
-                 "w2": "fd", "b2": "d", "ln2_g": "d", "ln2_b": "d"}
-_LAYER_FIELDS = tuple(_LAYER_SHAPES)
-# a layer's attention half; the fields after it are its feed-forward half
-_ATTENTION_FIELDS = _LAYER_FIELDS[:_LAYER_FIELDS.index("w1")]
-_ENCODER_FIELDS = tuple(encoder_shapes(0, 0))  # names only; the dims do not matter
+# Each section of the weight file, in file order, as its fields and their
+# shapes: F feature_dim, d d_model, f d_ff, o output_dim, e the emotion count.
+# The encoder, then each layer's attention half and feed-forward half, then the head.
+_ENCODER = {"content_w": "Fd", "content_b": "d", "emotion_embed": "ed", "emotion_w1": "dd",
+            "emotion_b1": "d", "emotion_w2": "dd", "emotion_b2": "d"}
+_ATTENTION = {"wq": "dd", "bq": "d", "wk": "dd", "bk": "d", "wv": "dd", "bv": "d",
+              "wo": "dd", "bo": "d", "ln1_g": "d", "ln1_b": "d"}
+_FEED_FORWARD = {"w1": "df", "b1": "f", "w2": "fd", "b2": "d", "ln2_g": "d", "ln2_b": "d"}
+_HEAD = {"head_w": "do", "head_b": "o"}
 
-
-def _layer_shapes(d_model: int, d_ff: int) -> dict[str, tuple[int, ...]]:
-    dims = {"d": d_model, "f": d_ff}
-    return {k: tuple(dims[c] for c in s) for k, s in _LAYER_SHAPES.items()}
+_META_DIMS = {  # dim -> smallest valid value
+    "feature_dim": 1, "d_model": 2, "n_layers": 0, "n_heads": 1, "d_ff": 0, "output_dim": 1,
+}
+# what a weight file's metadata and a model hold beside the tensors, in the file's key order
+_META_KEYS = ("feature_family", *_META_DIMS, "dropout")
 
 
 @dataclass
 class RigModel:
-    """All learnable tensors plus the hyperparameters that shape them.
+    """All learnable tensors plus the metadata that shapes them.
 
-    ``flat`` holds every tensor; the other array fields are views into it.
+    ``flat`` holds every tensor; the other array fields are views into it,
+    laid out by ``_sections``. The fields after them are the weight file's
+    metadata (``_META_KEYS``), which a model keeps as it was built or read.
     """
 
     flat: np.ndarray
@@ -123,63 +127,55 @@ class RigModel:
     layers: list[LayerParams]
     head_w: np.ndarray
     head_b: np.ndarray
+    feature_family: str
+    feature_dim: int
+    d_model: int
+    n_layers: int
     n_heads: int
-    dropout: float = 0.1
-    feature_family: str = "external"
-
-    @property
-    def d_model(self) -> int:
-        return self.head_w.shape[0]
-
-    @property
-    def d_ff(self) -> int:
-        return self.layers[0].w1.shape[1] if self.layers else 0
-
-    @property
-    def output_dim(self) -> int:
-        return self.head_w.shape[1]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.encoder.feature_dim
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
+    d_ff: int
+    output_dim: int
+    dropout: float
 
 
 def _model_meta(model: RigModel) -> dict:
-    """The dims and hyperparameters a weight file stores; ``_bind`` reads them."""
-    return {"feature_family": model.feature_family, "feature_dim": model.feature_dim,
-            "d_model": model.d_model, "n_layers": model.n_layers, "n_heads": model.n_heads,
-            "d_ff": model.d_ff, "output_dim": model.output_dim, "dropout": model.dropout,
-            "leaky_slope": LEAKY_SLOPE}
+    """The metadata a weight file stores; ``_bind`` reads it."""
+    return {k: getattr(model, k) for k in _META_KEYS} | {"leaky_slope": LEAKY_SLOPE}
+
+
+def _sections(meta: dict) -> list[tuple[str, list[tuple[str, tuple[int, ...], slice]]]]:
+    """The weight file's sections in file order, from ``_ENCODER``,
+    ``_ATTENTION`` and ``_FEED_FORWARD`` per layer, and ``_HEAD``: each
+    its name prefix and its fields' (field, shape, ``flat`` slice)."""
+    dims = {"F": meta["feature_dim"], "d": meta["d_model"], "f": meta["d_ff"],
+            "o": meta["output_dim"], "e": N_EMOTIONS}
+    tables = [("encoder.", _ENCODER)]
+    for i in range(meta["n_layers"]):
+        tables += [(f"layers.{i}.", _ATTENTION), (f"layers.{i}.", _FEED_FORWARD)]
+    sections, at = [], 0
+    for prefix, table in [*tables, ("", _HEAD)]:
+        fields = []
+        for field, letters in table.items():
+            shape = tuple(dims[c] for c in letters)
+            n = math.prod(shape)
+            fields.append((field, shape, slice(at, at + n)))
+            at += n
+        sections.append((prefix, fields))
+    return sections
 
 
 def _layout(meta: dict) -> list[tuple[str, tuple[int, ...], slice]]:
     """Name, shape and ``flat`` slice of every tensor, in ``named_parameters`` order."""
-    d, out = meta["d_model"], meta["output_dim"]
-    shapes = [(f"encoder.{k}", s) for k, s in encoder_shapes(meta["feature_dim"], d).items()]
-    layer = _layer_shapes(d, meta["d_ff"])
-    for i in range(meta["n_layers"]):
-        shapes.extend((f"layers.{i}.{k}", s) for k, s in layer.items())
-    shapes += [("head_w", (d, out)), ("head_b", (out,))]
-    layout, at = [], 0
-    for name, shape in shapes:
-        n = math.prod(shape)
-        layout.append((name, shape, slice(at, at + n)))
-        at += n
-    return layout
+    return [(prefix + field, shape, sl)
+            for prefix, fields in _sections(meta) for field, shape, sl in fields]
 
 
 def _bind(flat: np.ndarray, meta: dict) -> RigModel:
-    """A model whose tensors are views into ``flat``, laid out by ``_layout(meta)``."""
-    views = {name: flat[sl].reshape(shape) for name, shape, sl in _layout(meta)}
-    encoder = EncoderParams(**{k: views[f"encoder.{k}"] for k in _ENCODER_FIELDS})
-    layers = [LayerParams(**{k: views[f"layers.{i}.{k}"] for k in _LAYER_FIELDS})
-              for i in range(meta["n_layers"])]
-    return RigModel(flat, encoder, layers, views["head_w"], views["head_b"],
-                    meta["n_heads"], meta["dropout"], meta["feature_family"])
+    """A model whose tensors are views into ``flat``, laid out by ``_sections(meta)``."""
+    views = [{field: flat[sl].reshape(shape) for field, shape, sl in fields}
+             for _, fields in _sections(meta)]
+    layers = [LayerParams(**a, **f) for a, f in zip(views[1:-1:2], views[2:-1:2])]
+    return RigModel(flat, EncoderParams(**views[0]), layers, **views[-1],
+                    **{k: meta[k] for k in _META_KEYS})
 
 
 def build_model(feature_dim: int, d_model: int = 512, n_layers: int = 10,
@@ -369,7 +365,7 @@ def _dropout(a, p, rng):
 def _attention_half(x, p, n_heads, dropout_p, rng, keep_cache, kv=None):
     """Rows ``x`` through a layer's first half: attention over the keys
     and values ``kv`` (see ``_attention_forward``), residual and norm.
-    ``p`` is read for its ``_ATTENTION_FIELDS`` only. Returns the rows and,
+    ``p`` is read for its ``_ATTENTION`` fields only. Returns the rows and,
     with ``keep_cache``, what the reverse pass reads."""
     a, attn_cache = _attention_forward(x, p, n_heads, keep_cache, kv)
     a, mask1 = _dropout(a, dropout_p, rng)
@@ -380,9 +376,8 @@ def _attention_half(x, p, n_heads, dropout_p, rng, keep_cache, kv=None):
 
 def _feed_forward_half(x1, p, dropout_p, rng, keep_cache):
     """Rows ``x1`` through a layer's second half: feed-forward, residual
-    and norm. ``p`` is read for the fields after ``_ATTENTION_FIELDS``
-    only. Returns the rows and, with ``keep_cache``, what the reverse pass
-    reads."""
+    and norm. ``p`` is read for its ``_FEED_FORWARD`` fields only.
+    Returns the rows and, with ``keep_cache``, what the reverse pass reads."""
     z = _affine(x1, p.w1, p.b1)
     h = np.maximum(z, 0.0) if keep_cache else np.maximum(z, 0.0, out=z)
     f = _affine(h, p.w2, p.b2)
@@ -817,19 +812,17 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
 
 
 def _tensors(model):
-    """Each encoder layer's attention half and then its feed-forward half,
-    then the head's (w, b), in float32 and in file order, each with the
-    hash jobs that must run before the next is asked for. A layer half is
-    a ``LayerParams`` that ``_attention_half`` or ``_feed_forward_half``
-    reads. A ``WeightStream`` gives ``read_tensors``' pairs; a
-    ``RigModel`` casts each layer when it is reached (no copy if it is
-    float32 already), which serves as both halves, and has no jobs."""
+    """Every section after the encoder, in file order, as a namespace of
+    its ``_ATTENTION``, ``_FEED_FORWARD`` or ``_HEAD`` fields in float32,
+    each with the hash jobs that must run before the next is asked for. A
+    ``WeightStream`` gives ``read_tensors``' pairs; a ``RigModel`` casts
+    each section's views when it is reached (no copy if they are float32
+    already) and has no jobs."""
     if isinstance(model, WeightStream):
         return model.read_tensors()
-    f32 = functools.partial(np.asarray, dtype=np.float32)
-    layers = (LayerParams(*map(f32, vars(p).values())) for p in model.layers)
-    halves = itertools.chain.from_iterable((p, p) for p in layers)
-    return ((t, []) for t in itertools.chain(halves, [(f32(model.head_w), f32(model.head_b))]))
+    parts = [(p, t) for p in model.layers for t in (_ATTENTION, _FEED_FORWARD)]
+    return ((SimpleNamespace(**{k: np.asarray(getattr(p, k), np.float32) for k in table}), [])
+            for p, table in [*parts, (model, _HEAD)])
 
 
 def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
@@ -839,9 +832,9 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
     with the whole clip as the batch. Each layer's output rows replace
     ``h``'s; returns the head's output rows, in the same order.
 
-    The layer halves come from ``_tensors(model)``, each asked for once
-    the one before and its hash jobs have run, and the head last, so a
-    source may read each into the one buffer the one before it was in.
+    The layer halves and the head come from ``_tensors(model)``, each
+    asked for once the one before and its hash jobs have run, so a source
+    may read each into the one buffer the one before it was in.
 
     Each chunk's rows are cut into ``_row_blocks``, the query-block
     partition of FlashAttention (Dao et al. 2022, arXiv 2205.14135). A
@@ -890,9 +883,9 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
         _check_finite(out, f"after encoder layer {i}")
         h[mine] = out
 
-    def head(w, b, block):
+    def head(p, block):
         mine = block[0]
-        _check_finite(_affine(h[mine], w, b, out=y[mine]), "in output head")
+        _check_finite(_affine(h[mine], p.head_w, p.head_b, out=y[mine]), "in output head")
 
     def hashing(hashes, first, *others):
         return [first, *hashes[:1], *others, *hashes[1:]]
@@ -907,9 +900,9 @@ def _layer_major(h: np.ndarray, rows: list[int], model) -> np.ndarray:
             p, hashes = next(tensors)
             run(hashing(hashes, *(functools.partial(feed_forward, i, p, block) for block in every)))
         del k, v
-        (w, b), hashes = next(tensors)
+        p, hashes = next(tensors)
         y = np.empty((len(h), model.output_dim), np.float32)
-        run(hashing(hashes, *(functools.partial(head, w, b, block) for block in every)))
+        run(hashing(hashes, *(functools.partial(head, p, block) for block in every)))
     return y
 
 
@@ -984,11 +977,6 @@ def save_model(path, model: RigModel) -> None:
         f.write(np.asarray(model.flat, "<f4"))  # no copy for a loaded model
 
 
-_META_DIMS = {  # dim -> smallest valid value
-    "feature_dim": 1, "d_model": 2, "n_layers": 0, "n_heads": 1, "d_ff": 0, "output_dim": 1,
-}
-
-
 def _check_shape(meta: dict, where: str) -> None:
     """The one validity rule for a model's dims and dropout, which
     ``build_model`` and the weight loader both apply; errors start with
@@ -1035,28 +1023,18 @@ def load_model(path) -> RigModel:
     return _bind(flat, meta)
 
 
-def _sections(meta: dict) -> list[list[tuple[str, tuple[int, ...], slice]]]:
-    """``_layout(meta)`` cut where ``WeightStream`` reads, in file order:
-    the encoder, then each layer's attention half (``_ATTENTION_FIELDS``)
-    and feed-forward half, then the head."""
-    def section(entry):
-        part, _, field = entry[0].rpartition(".")
-        return part, field in _ATTENTION_FIELDS
-
-    return [list(entries) for _, entries in itertools.groupby(_layout(meta), section)]
-
-
 class WeightStream:
     """A weight file read once, front to back, as ``infer`` needs it.
 
     Opening reads the header, the metadata and the encoder, with
     ``load_model``'s checks and messages. ``read_tensors`` then reads each
     encoder layer's attention half and its feed-forward half, and last the
-    head, when it is asked for. Every section goes into one reusable
-    float32 buffer as large as the largest section, so ``infer`` holds one
-    half-layer's weights, not every layer's; the ``encoder`` views are
-    valid only until the first layer half is read. The metadata's dims
-    are attributes, as on ``RigModel``.
+    head, when it is asked for: the sections of ``_sections``. Every
+    section goes into one reusable float32 buffer as large as the largest
+    section, so ``infer`` holds one half-layer's weights, not every
+    layer's; the ``encoder`` views are valid only until the first layer
+    half is read. The metadata's ``_META_KEYS`` are attributes, as on
+    ``RigModel``.
 
     Every byte read is fed to a SHA-256, in file order. The header and
     metadata are hashed as they are read. A section's bytes are hashed by
@@ -1079,12 +1057,10 @@ class WeightStream:
                 self._file = open(path, "rb")
                 meta, header = _read_header(path, self._file)
                 self._digest.update(header)
-            self.feature_family = meta["feature_family"]
-            (self.feature_dim, self.d_model, self.n_layers, self.n_heads, self.d_ff,
-             self.output_dim) = (meta[k] for k in _META_DIMS)
+            vars(self).update({k: meta[k] for k in _META_KEYS})
             self._sections = _sections(meta)  # the sections not read yet
-            self._need = 4 * self._sections[-1][-1][2].stop
-            size = max(sec[-1][2].stop - sec[0][2].start for sec in self._sections)
+            self._need = 4 * self._sections[-1][1][-1][2].stop
+            size = max(f[-1][2].stop - f[0][2].start for _, f in self._sections)
             self._buffer = np.empty(size, "<f4")
             self.encoder = EncoderParams(**self._read(self._sections.pop(0)))
         except BaseException:
@@ -1109,29 +1085,28 @@ class WeightStream:
                 self._hashed = end
 
     def _read(self, section):
-        """Views of ``section``'s tensors by field name, read into the buffer."""
-        first, end = section[0][2].start, section[-1][2].stop
+        """Views of ``section``'s tensors by field, read into the buffer."""
+        fields = section[1]
+        first, end = fields[0][2].start, fields[-1][2].stop
         into = self._buffer[:end - first]
         self._hash_to(len(self._view))  # the buffer's bytes, before they are read over
         with _reading(self._path):
             _read_section(self._path, self._file, into, 4 * first, self._need)
         self._view, self._hashed = memoryview(into).cast("B"), 0
-        return {name.rpartition(".")[2]: into[sl.start - first:sl.stop - first].reshape(shape)
-                for name, shape, sl in section}
+        return {field: into[sl.start - first:sl.stop - first].reshape(shape)
+                for field, shape, sl in fields}
 
     def read_tensors(self):
-        """Yield each encoder layer's attention half and then its
-        feed-forward half, each a ``LayerParams`` whose other half's
-        fields are None, then the head's (head_w, head_b). Each is read
-        when it is asked for, over the one before, and comes with its two
-        hash jobs: one hashes the first half of its bytes, the other the
-        rest. Any thread may run them, in any order."""
+        """Yield every section after the encoder, in file order, as a
+        namespace of its ``_ATTENTION``, ``_FEED_FORWARD`` or ``_HEAD``
+        fields. Each is read when it is asked for, over the one before,
+        and comes with its two hash jobs: one hashes the first half of its
+        bytes, the other the rest. Any thread may run them, in any order."""
         while self._sections:
-            views = self._read(self._sections.pop(0))
+            section = SimpleNamespace(**self._read(self._sections.pop(0)))
             n = len(self._view)
-            yield ((LayerParams(**(dict.fromkeys(_LAYER_FIELDS) | views)) if self._sections
-                    else (views["head_w"], views["head_b"])),
-                   [functools.partial(self._hash_to, n // 2), functools.partial(self._hash_to, n)])
+            yield section, [functools.partial(self._hash_to, n // 2),
+                            functools.partial(self._hash_to, n)]
 
     def hexdigest(self) -> str:
         """The SHA-256 of the file's bytes, once the head is read."""
@@ -1181,7 +1156,7 @@ def _read_header(path, f) -> tuple[dict, bytes]:
 
     specs = meta["tensors"]
     # checked before the layout is built, which a corrupt n_layers could blow up
-    if len(_LAYER_FIELDS) * meta["n_layers"] > len(specs):
+    if (len(_ATTENTION) + len(_FEED_FORWARD)) * meta["n_layers"] > len(specs):
         raise DataError(f"{path}: missing tensors: {meta['n_layers']} layers declared, "
                         f"{len(specs)} tensors listed")
     layout = _layout(meta)

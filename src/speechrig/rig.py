@@ -400,10 +400,12 @@ def _first_bad_row(lines) -> tuple[int, str] | None:
 
 
 def constant_timeline(label: int, n_frames: int) -> np.ndarray:
-    """Timeline holding one emotion label for every frame."""
-    if not 0 <= int(label) < N_EMOTIONS:
+    """Timeline holding one emotion label for every frame. The label
+    follows ``timeline_from_rows``' rule: an integral value in 0..6."""
+    label = _integral(label, "label")
+    if not 0 <= label < N_EMOTIONS:
         raise DataError(f"emotion label out of range 0..6: {label}")
-    return np.full(n_frames, int(label), dtype=np.int64)
+    return np.full(n_frames, label, dtype=np.int64)
 
 
 def validate_timeline(labels, n_frames: int) -> np.ndarray:

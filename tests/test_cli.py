@@ -243,10 +243,12 @@ class TestWeightFileErrors:
         (lambda meta: meta["tensors"][1].__setitem__("offset", 0), "layout has"),
         (lambda meta: bytes(8), "8 bytes after the last tensor"),
         (lambda meta: meta["tensors"].pop(), "tensors listed"),
+        # a layer more than the file lists: refused before the layout is built
+        (_set("n_layers", 2), "missing tensors: 2 layers declared, 25 tensors listed"),
     ], ids=["missing-key", "str-dim", "float-dim", "negative-dim", "indivisible-heads",
             "str-dropout", "dropout-above-1", "other-leaky-slope", "int-family", "tensors-not-list", "tensor-entry-not-object",
             "float-offset", "reordered-manifest", "overlapping-offset", "trailing-payload",
-            "missing-tensor"])
+            "missing-tensor", "layers-beyond-manifest"])
     def test_bad_metadata_exits_3_with_json_line(self, workdir, capsys, edit, needle):
         bad = workdir / "badmeta.emow"
         _rewrite_metadata(workdir / "w.emow", bad, edit)
@@ -652,6 +654,19 @@ def test_bad_paths_and_rows_exit_3_with_json_line(workdir, capsys, case):
     payload = json.loads(line)
     assert payload["error"] == _BAD_PATH_ERRORS.get(case, "DataError")
     assert name in payload["message"]
+
+
+def test_a_map_rule_error_keeps_its_code_in_the_json_line(tmp_path, capsys):
+    write_rig_csv(tmp_path / "pred.csv", RigSequence(np.zeros((5, RIG_WIDTH))), default_map())
+    doc = default_map().to_document()
+    doc[0]["side"] = "up"
+    (tmp_path / "side_map.json").write_text(json.dumps(doc))
+    assert run("--json-errors", "analyze", "--pred", tmp_path / "pred.csv", "--corr-out",
+               tmp_path / "corr.csv", "--map", tmp_path / "side_map.json") == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert (payload["error"], payload["code"]) == ("MapError", "bad-side")
+    assert "side_map.json" in payload["message"] and not (tmp_path / "corr.csv").exists()
 
 
 def test_zero_width_feature_file_exits_3_naming_it(workdir, capsys):

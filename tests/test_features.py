@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speechrig.features as features
+import speechrig.rig as rig
 from speechrig.errors import DataError, FeatureFileError
 from speechrig.features import (
     N_COEFFS,
@@ -51,6 +52,48 @@ class TestFeatureFile:
         path2 = tmp_path / "g.emof"
         write_feature_file(path2, back)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bytes_are_the_header_then_float32_rows(self, tmp_path, order):
+        data = np.asarray(np.random.default_rng(2).normal(0, 1, (6, 5)), order=order)
+        path = tmp_path / "f.emof"
+        write_feature_file(path, FeatureSequence(data, 50.0))
+        assert path.read_bytes() == (struct.pack("<4sIIIf", b"EMOF", 1, 6, 5, 50.0)
+                                     + data.astype("<f4").tobytes())
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_write_failing_midway_leaves_the_previous_file_or_none(self, tmp_path,
+                                                                      monkeypatch, existing):
+        path = tmp_path / "f.emof"
+        if existing:
+            path.write_bytes(b"old\n")
+
+        class FullDisk:
+            """Takes the header, then fails as a full disk does."""
+
+            def __init__(self, f):
+                self._f = f
+
+            def write(self, data):
+                if self._f.tell():
+                    raise OSError(28, "No space left on device")
+                return self._f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+        def open_failing(file, mode="r", *args, **kwargs):
+            return FullDisk(open(file, mode, *args, **kwargs))
+
+        # the writer goes through rig.atomic_write, which opens the file here
+        monkeypatch.setattr(rig, "open", open_failing, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_feature_file(path, FeatureSequence(np.ones((4, 3)), 50.0))
+        assert (path.read_bytes() == b"old\n") if existing else not path.exists()
+        assert [p.name for p in tmp_path.iterdir()] == (["f.emof"] if existing else [])
 
     def test_truncated_payload_rejected(self, tmp_path):
         seq = FeatureSequence(np.ones((4, 3), dtype=np.float32), 50.0)

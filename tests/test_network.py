@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 import types
+from dataclasses import fields as dataclass_fields
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import speechrig.network as network
 from speechrig.encoders import (
+    EncoderParams,
     emotion_mlp,
     encode_content,
     encode_emotion_table,
@@ -1086,6 +1088,29 @@ class TestWeightFile:
             assert name_a == name_b
             assert np.array_equal(a.astype(np.float32), b.astype(np.float32))
 
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_build_save_load_keeps_every_dim(self, tmp_path, layers):
+        # a model carries the dims it was built with, a 0-layer one its d_ff too
+        m = build_model(5, d_model=6, n_layers=layers, n_heads=3, d_ff=10, output_dim=7,
+                        dropout=0.25, seed=layers, feature_family="synthetic-desk")
+        path = tmp_path / "w.emow"
+        save_model(path, m)
+        with WeightStream(path) as stream:
+            pass
+        want = {"feature_family": "synthetic-desk", "feature_dim": 5, "d_model": 6,
+                "n_layers": layers, "n_heads": 3, "d_ff": 10, "output_dim": 7, "dropout": 0.25}
+        for got in (m, load_model(path), stream):
+            assert {k: getattr(got, k) for k in want} == want
+        with open(path, "rb") as f:
+            meta = network._read_header(path, f)[0]
+        assert list(meta)[:len(want)] == list(want)  # the file's key order
+        assert {k: meta[k] for k in want} == want
+
+    def test_the_section_tables_list_the_param_fields_in_order(self):
+        assert tuple(network._ENCODER) == tuple(f.name for f in dataclass_fields(EncoderParams))
+        assert (*network._ATTENTION, *network._FEED_FORWARD) == \
+            tuple(f.name for f in dataclass_fields(network.LayerParams))
+
     def test_saved_file_reload_is_stable(self, tmp_path):
         # saving a loaded model reproduces the file byte for byte
         m = tiny_model(layers=1)
@@ -1250,8 +1275,7 @@ class TestWeightStream:
         # the largest, here a feed-forward half: the peak stays near it
         m = build_model(8, d_model=128, n_layers=4, n_heads=4, d_ff=512, output_dim=174,
                         dropout=0.0, seed=1)
-        ff_bytes = 4 * sum(getattr(m.layers[0], k).size
-                           for k in network._LAYER_FIELDS if k not in network._ATTENTION_FIELDS)
+        ff_bytes = 4 * sum(getattr(m.layers[0], k).size for k in network._FEED_FORWARD)
         save_model(tmp_path / "w.emow", m)
         tracemalloc.start()
         try:
@@ -1270,7 +1294,7 @@ class TestWeightStream:
         """The float counts of the encoder, each layer's halves and the head."""
         sizes = [sum(p.size for p in vars(m.encoder).values())]
         for layer in m.layers:
-            attention = sum(getattr(layer, k).size for k in network._ATTENTION_FIELDS)
+            attention = sum(getattr(layer, k).size for k in network._ATTENTION)
             sizes += [attention, sum(p.size for p in vars(layer).values()) - attention]
         return sizes + [m.head_w.size + m.head_b.size]
 
@@ -1301,17 +1325,15 @@ class TestWeightStream:
                         for t in threads:
                             t.join(10.0)
                         assert not any(t.is_alive() for t in threads)
-                        tensors = (vars(section) if isinstance(section, network.LayerParams)
-                                   else dict(zip(("head_w", "head_b"), section)))
-                        tensors = {k: t for k, t in tensors.items() if t is not None}
+                        tensors = vars(section)
                         assert all(np.shares_memory(t, buffer) for t in tensors.values())
                         fields.append(tuple(tensors))
                         got.append(np.concatenate([t.ravel() for t in tensors.values()]))
                 finally:
                     sys.setswitchinterval(interval)
                 assert weights.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
-            ff = tuple(k for k in network._LAYER_FIELDS if k not in network._ATTENTION_FIELDS)
-            assert fields == [network._ATTENTION_FIELDS, ff] * layers + [("head_w", "head_b")]
+            halves = [tuple(network._ATTENTION), tuple(network._FEED_FORWARD)]
+            assert fields == halves * layers + [("head_w", "head_b")]
             assert [len(g) for g in got] == sizes
             assert np.array_equal(np.concatenate(got), m.flat.astype(np.float32))
 
@@ -1385,6 +1407,6 @@ class TestWeightStream:
     def test_the_reference_buffer_is_one_feed_forward_half(self):
         meta = {"feature_dim": 768, "d_model": 512, "n_layers": 10, "d_ff": 2048,
                 "output_dim": 174}
-        sizes = [sec[-1][2].stop - sec[0][2].start for sec in network._sections(meta)]
+        sizes = [f[-1][2].stop - f[0][2].start for _, f in network._sections(meta)]
         assert sizes == [922_624] + [1_051_648, 2_100_736] * 10 + [89_262]
         assert max(sizes) == 2_100_736  # 8.4 MB of float32

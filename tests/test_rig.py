@@ -77,6 +77,43 @@ class TestDefaultMap:
         assert err.value.code == "bad-document"
 
 
+def _first(doc, **tags):
+    """The first entry of ``doc`` whose fields hold ``tags``."""
+    return next(d for d in doc if all(d.get(k) == v for k, v in tags.items()))
+
+
+def _flip_mates_side(doc):
+    # the mate of a left channel becomes a left channel too; the pairing stays mutual
+    mate = _first(doc, index=_first(doc, side="left")["pair"])
+    mate["side"] = "left"
+
+
+def _drop_left_gaze(doc):
+    for d in doc:
+        if d["side"] == "left" and (d.get("eye_role") or "").startswith("gaze"):
+            d["eye_role"] = None
+
+
+# rule: (edit of the default map's document, code, message pattern)
+_MAP_RULES = {
+    "index-out-of-range": (lambda doc: doc[0].update(index=RIG_WIDTH), "bad-index",
+                           "permutation"),
+    "unknown-region": (lambda doc: doc[0].update(region="elbow"), "bad-region",
+                       "unknown region 'elbow'"),
+    "unknown-side": (lambda doc: doc[0].update(side="up"), "bad-side", "unknown side 'up'"),
+    "unknown-eye-role": (lambda doc: doc[0].update(eye_role="wink"), "bad-eye-role",
+                         "unknown eye role 'wink'"),
+    "center-with-pair": (lambda doc: _first(doc, side="center").update(pair=0),
+                         "asymmetric-pair", "center channel has a pair"),
+    "side-without-pair": (lambda doc: _first(doc, side="left").update(pair=None),
+                          "asymmetric-pair", "left channel has no pair"),
+    "pair-not-found": (lambda doc: _first(doc, side="left").update(pair=999),
+                       "asymmetric-pair", "pair index 999 not found"),
+    "pair-on-the-same-side": (_flip_mates_side, "asymmetric-pair", r"\(left\) paired with"),
+    "no-gaze-channel": (_drop_left_gaze, "missing-eye-role", "no gaze channel on left side"),
+}
+
+
 class TestMapValidation:
     def _doc(self):
         return default_map().to_document()
@@ -125,6 +162,17 @@ class TestMapValidation:
         with pytest.raises(MapError) as exc:
             load_controller_map_document(doc)
         assert exc.value.code == "bad-bounds"
+
+    @pytest.mark.parametrize("case", _MAP_RULES)
+    def test_each_rule_raises_its_code(self, case):
+        # one case per rule not reached by the tests above; the message
+        # tells apart the rules that share a code
+        edit, code, message = _MAP_RULES[case]
+        doc = self._doc()
+        edit(doc)
+        with pytest.raises(MapError, match=message) as exc:
+            load_controller_map_document(doc)
+        assert exc.value.code == code
 
     @pytest.mark.parametrize("key", ["index", "pair"])
     def test_infinite_integer_field_rejected(self, key):
@@ -298,6 +346,20 @@ class TestTimelines:
     def test_constant_timeline(self):
         tl = constant_timeline(3, 5)
         assert tl.tolist() == [3, 3, 3, 3, 3]
+
+    @pytest.mark.parametrize("label", [3, np.int64(3), 3.0])
+    def test_constant_timeline_takes_integral_labels(self, label):
+        assert constant_timeline(label, 4).tolist() == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("label, message", [
+        (2.7, "label 2.7 is not an integer"), (float("nan"), "label nan is not an integer"),
+        (float("inf"), "label inf is not an integer"), (-0.5, "label -0.5 is not an integer"),
+        (-1, "out of range 0..6: -1"), (7.0, "out of range 0..6: 7")])
+    def test_constant_timeline_rejects_a_label_outside_the_integers_0_to_6(self, label,
+                                                                           message):
+        # never truncated: 2.7 is not label 2
+        with pytest.raises(DataError, match=message):
+            constant_timeline(label, 4)
 
     def test_validate_checks_length_and_range(self):
         validate_timeline([0, 1, 2], 3)
